@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import compare_representations, cumulative_curve
+from .compare import REPRESENTATIONS, compare_representations, cumulative_curve
 from .detection import ThresholdTuple, ap_sweep, evaluate_dataset
 from .generator import GeneratorConfig, generate_scene
 from .io_formats import (
@@ -287,6 +287,11 @@ def _cmd_compare_reps(args) -> int:
     rows = []
     for name, scene in scenes:
         rows.extend(compare_representations(scene, name, tau=args.tau))
+    # compare_representations leaves out registrations of empty shapes or
+    # clouds, and curves.csv leaves out non-finite values; both are counted.
+    registrations = len(REPRESENTATIONS) * sum(len(scene.objects) for _, scene in scenes)
+    skipped = registrations - sum(r.task == "object_fitness" for r in rows)
+    nonfinite = sum(not math.isfinite(r.value) for r in rows)
     _write_csv(out_dir / "values.csv",
                ["scene", "task", "representation", "object_index", "value"],
                [[r.scene_id, r.task, r.representation,
@@ -302,7 +307,9 @@ def _cmd_compare_reps(args) -> int:
                                for x, f in zip(xs, fracs)])
     _write_csv(out_dir / "curves.csv", ["task", "representation", "value", "fraction"],
                curve_rows)
-    _log(f"compared {len(scenes)} scene(s); wrote values.csv and curves.csv to {out_dir}")
+    _log(f"compared {len(scenes)} scene(s); skipped {skipped} of {registrations} object "
+         f"registration(s) (empty shape or cloud); left {nonfinite} non-finite value(s) "
+         f"out of curves.csv; wrote values.csv and curves.csv to {out_dir}")
     return 0
 
 

@@ -18,6 +18,8 @@ contribute occupied-cell centers.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +66,13 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene",
                             spec: GridSpec = DEFAULT_SCENE_SPEC, tau: float = 0.5,
                             icp_max_iter: int = 50) -> list[ComparisonRow]:
     """Score the three representations of one ground-truth scene on the
-    five tasks; returns one row per (task, representation[, object])."""
+    five tasks; returns one row per (task, representation[, object]).
+
+    Objects with an empty shape and representations with an empty cloud get
+    no ``object_fitness`` row.  The per-object ICP registrations run
+    concurrently on all visible CPUs; rows and values are independent of
+    scheduling.
+    """
     if scene.layout is None or scene.room is None:
         raise ValueError("representation comparison needs synthetic ground truth "
                          "(layout and room)")
@@ -92,6 +100,9 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene",
         rows.append(ComparisonRow(scene_id, "scene_voxel_iou", rep,
                                   voxel_iou(grids[rep], gt_grid, tau)))
 
+    # Registrations are independent: they run on a pool as wide as the
+    # visible CPUs, and pool.map returns them in submission order.
+    keys, jobs = [], []
     for index, obj in enumerate(scene.objects):
         local = voxel_centers(obj.shape, tau)
         if len(local) == 0:
@@ -99,12 +110,16 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene",
         src = apply_pose(obj.pose, local)
         size = bbox_diagonal(src)
         for rep in REPRESENTATIONS:
-            dst = clouds[rep]
-            if len(dst) == 0:
-                continue
-            result = icp(src, dst, size_norm=size, max_iter=icp_max_iter)
-            rows.append(ComparisonRow(scene_id, "object_fitness", rep,
-                                      result.fitness, object_index=index))
+            if len(clouds[rep]):
+                keys.append((index, rep))
+                jobs.append((src, clouds[rep], size, icp_max_iter))
+    if jobs:
+        workers = min(len(jobs), len(os.sched_getaffinity(0)))
+        with ThreadPoolExecutor(workers, thread_name_prefix="scenefactor-icp") as pool:
+            results = list(pool.map(icp, *zip(*jobs)))
+        rows.extend(ComparisonRow(scene_id, "object_fitness", rep, result.fitness,
+                                  object_index=index)
+                    for (index, rep), result in zip(keys, results))
 
     layout_preds = {
         "factored": disparity_to_depth(scene.layout, scene.camera),

@@ -44,13 +44,15 @@ class NNIndex:
 
         Ties break to the lowest index.  The second-nearest distance from
         the tree tells us when a tie is possible; only those queries pay
-        for the exhaustive ball lookup.
+        for the exhaustive ball lookup.  The kd-tree search runs on every
+        visible CPU; each query's answer is independent of that split, so
+        results do not depend on scheduling.
         """
         q = np.asarray(queries, dtype=float)
         single = q.ndim == 1
         q = np.atleast_2d(q)
         k = min(2, len(self.points))
-        dist, idx = self._tree.query(q, k=k)
+        dist, idx = self._tree.query(q, k=k, workers=-1)
         if k == 1:
             dist = dist[:, None] if dist.ndim == 1 else dist
             idx = idx[:, None] if idx.ndim == 1 else idx
@@ -60,6 +62,13 @@ class NNIndex:
             tied = dist[:, 1] <= best_d
             for row in np.flatnonzero(tied):
                 ball = self._tree.query_ball_point(q[row], r=best_d[row], p=2.0)
+                if not ball:
+                    # The ball test squares the rounded radius and can miss
+                    # every tied point; rank a slightly wider ball by the
+                    # tree's own distances instead.
+                    near = self._tree.query_ball_point(q[row], r=best_d[row] * (1 + 1e-9))
+                    near_d, near_i = self._tree.query(q[row], k=len(near))
+                    ball = near_i[near_d == best_d[row]]
                 best_i[row] = min(ball)
         if single:
             return float(best_d[0]), int(best_i[0])
@@ -101,6 +110,25 @@ class RigidTransform:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
+def _kabsch(src_centered: np.ndarray, src_mean: np.ndarray,
+            dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares (R, t) mapping a source cloud, passed as its centred
+    points and its mean, onto ``dst``; ValueError if under-determined."""
+    if len(dst) < 3:
+        raise ValueError("need at least 3 correspondence pairs")
+    dst_mean = dst.mean(axis=0)
+    cov = src_centered.T @ (dst - dst_mean)
+    U, s, Vt = np.linalg.svd(cov)
+    # Collinear or coincident configurations leave the rotation
+    # under-determined.
+    scale = max(s[0], 1.0)
+    if s[1] <= 1e-12 * scale:
+        raise ValueError("degenerate correspondences (collinear or coincident)")
+    d = np.sign(np.linalg.det(Vt.T @ U.T))
+    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
+    return R, dst_mean - R @ src_mean
+
+
 def kabsch_align(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     """Least-squares rigid transform mapping src points onto dst points.
 
@@ -112,21 +140,8 @@ def kabsch_align(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     dst = np.asarray(dst, dtype=float)
     if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
         raise ValueError("src and dst must be matching (N, 3) arrays")
-    if len(src) < 3:
-        raise ValueError("need at least 3 correspondence pairs")
     src_mean = src.mean(axis=0)
-    dst_mean = dst.mean(axis=0)
-    cov = (src - src_mean).T @ (dst - dst_mean)
-    U, s, Vt = np.linalg.svd(cov)
-    # Collinear or coincident configurations leave the rotation
-    # under-determined.
-    scale = max(s[0], 1.0)
-    if s[1] <= 1e-12 * scale:
-        raise ValueError("degenerate correspondences (collinear or coincident)")
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    t = dst_mean - R @ src_mean
-    return RigidTransform(R, t)
+    return RigidTransform(*_kabsch(src - src_mean, src_mean, dst))
 
 
 @dataclass(frozen=True)
@@ -151,6 +166,8 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float,
     not depend on the normalization).  ``size_norm`` (meters) is the object
     size used to normalize the fitness; the bounding-box diagonal of the
     ground-truth object is the package convention (:func:`bbox_diagonal`).
+    Each nearest-neighbor query runs on every visible CPU; the result does
+    not depend on how the work is scheduled.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
@@ -163,34 +180,38 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float,
 
     index = NNIndex(dst)
     norm2 = size_norm * size_norm
-    transform = RigidTransform.identity()
+    src_mean = src.mean(axis=0)
+    src_centered = src - src_mean
+    # The loop carries the bare (R, t); a Kabsch fit is a rotation by
+    # construction, so only the returned transform is validated.
+    rotation, translation = np.eye(3), np.zeros(3)
 
-    def fitness_of(T: RigidTransform) -> tuple[float, np.ndarray]:
-        moved = T.apply(src)
-        d, i = index.query(moved)
+    def fitness_of(R: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+        d, i = index.query(src @ R.T + t)
         return float(np.mean(d * d)) / norm2, dst[i]
 
-    fitness, corr = fitness_of(transform)
+    fitness, corr = fitness_of(rotation, translation)
     history = [fitness]
     converged = False
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
         try:
-            candidate = kabsch_align(src, corr)
+            R, t = _kabsch(src_centered, src_mean, corr)
         except ValueError:
             # Degenerate inner alignment: keep the best transform so far.
             break
-        new_fitness, new_corr = fitness_of(candidate)
+        new_fitness, new_corr = fitness_of(R, t)
         if new_fitness > fitness:
             # Cannot happen in exact arithmetic; guards float round-off.
             converged = True
             break
         improvement = (fitness - new_fitness) / max(fitness, 1e-300)
-        transform, fitness, corr = candidate, new_fitness, new_corr
+        rotation, translation, fitness, corr = R, t, new_fitness, new_corr
         history.append(fitness)
         if improvement < rel_tol:
             converged = True
             break
-    return IcpResult(transform=transform, fitness=fitness, iterations=iterations,
-                     converged=converged, fitness_history=tuple(history))
+    return IcpResult(transform=RigidTransform(rotation, translation), fitness=fitness,
+                     iterations=iterations, converged=converged,
+                     fitness_history=tuple(history))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,8 +7,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+import scenefactor.cli as cli
 from scenefactor.cli import main
-from scenefactor.io_formats import read_pfm, read_scene, read_voxels
+from scenefactor.compare import ComparisonRow
+from scenefactor.generator import GeneratorConfig, generate_scene
+from scenefactor.io_formats import read_pfm, read_scene, read_voxels, write_scene
 
 
 def run(args):
@@ -164,6 +168,38 @@ class TestCompareReps:
         out_dir = tmp_path / "cmp2"
         assert run(["compare-reps", "--scenes", scene_dir, "--out-dir", out_dir]) == 0
         assert (out_dir / "values.csv").exists()
+
+    def test_skipped_registrations_reported(self, tmp_path, capsys):
+        scene = generate_scene(GeneratorConfig(seed=3, object_count_range=(2, 2),
+                                               anchor_classes=(), class_mix={"chair": 1.0}))
+        first = scene.objects[0]
+        empty = dataclasses.replace(first.shape, occupancy=np.zeros_like(first.shape.occupancy))
+        scene = dataclasses.replace(
+            scene, objects=(dataclasses.replace(first, shape=empty), *scene.objects[1:]))
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        write_scene(scene, scenes / "s3.json")
+        out_dir = tmp_path / "cmp3"
+        assert run(["compare-reps", "--scenes", scenes, "--out-dir", out_dir]) == 0
+        log = capsys.readouterr().err
+        assert "skipped 3 of 6 object registration(s)" in log
+        assert "left 0 non-finite value(s) out of curves.csv" in log
+        values = (out_dir / "values.csv").read_text().splitlines()
+        assert sum(",object_fitness," in line for line in values) == 3
+
+    def test_nonfinite_values_reported(self, scene_dir, tmp_path, capsys, monkeypatch):
+        def fake_compare(scene, scene_id, tau):
+            return [ComparisonRow(scene_id, "visible_depth", "depth", value)
+                    for value in (math.nan, 0.5)]
+
+        monkeypatch.setattr(cli, "compare_representations", fake_compare)
+        out_dir = tmp_path / "cmp4"
+        assert run(["compare-reps", "--scenes", scene_dir, "--out-dir", out_dir]) == 0
+        assert "left 3 non-finite value(s) out of curves.csv" in capsys.readouterr().err
+        curves = (out_dir / "curves.csv").read_text().splitlines()
+        assert curves[1:] == ["visible_depth,depth,0.5,0.3333333333333333",
+                              "visible_depth,depth,0.5,0.6666666666666666",
+                              "visible_depth,depth,0.5,1.0"]
 
 
 class TestGradCheck:

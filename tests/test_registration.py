@@ -58,6 +58,39 @@ class TestNNIndex:
         with pytest.raises(ValueError):
             NNIndex(np.zeros((0, 3)))
 
+    def test_parallel_query_matches_brute_force_with_ties(self, rng):
+        # Integer lattice points in shuffled order and half-integer queries:
+        # squared distances are exact, so most queries have exact ties and
+        # the answer must be the lowest index among them.
+        axis = np.arange(8.0)
+        pts = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+        pts = pts[rng.permutation(len(pts))]
+        queries = rng.integers(-2, 17, size=(3000, 3)) / 2.0
+        d, i = NNIndex(pts).query(queries)
+        sq = ((queries[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        ties = (sq == sq.min(axis=1, keepdims=True)).sum(axis=1)
+        assert (ties > 1).sum() > 1000
+        assert np.array_equal(i, np.argmin(sq, axis=1))
+        assert np.allclose(d, np.sqrt(sq.min(axis=1)), rtol=1e-12, atol=0.0)
+
+    def test_tie_missed_by_ball_lookup(self):
+        # Default generator seed 105: the voxel-centre cloud's row 1408 is
+        # equidistant from depth points 1638 and 1953, and the kd-tree's
+        # ball lookup at that distance rounds to an empty set.
+        from scenefactor.compare import gt_scene_voxels
+        from scenefactor.generator import GeneratorConfig, generate_scene
+        from scenefactor.render import depth_to_pointcloud, render_depth_analytic
+        from scenefactor.voxels import voxel_centers
+
+        scene = generate_scene(GeneratorConfig(seed=105))
+        depth_cloud = depth_to_pointcloud(render_depth_analytic(scene, include_objects=True))
+        voxel_cloud = voxel_centers(gt_scene_voxels(scene), 0.5)
+        d, i = NNIndex(depth_cloud).query(voxel_cloud)
+        gap = np.linalg.norm(depth_cloud - voxel_cloud[1408], axis=1)
+        assert np.flatnonzero(gap == gap.min()).tolist() == [1638, 1953]
+        assert i[1408] == 1638
+        assert d[1408] == gap.min()
+
 
 class TestKabsch:
     def test_identity(self, rng):
