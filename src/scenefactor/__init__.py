@@ -68,7 +68,6 @@ from .detection import (
     EvalOutcome,
     ThresholdTuple,
     ap_sweep,
-    assign_proposals,
     evaluate_dataset,
     evaluate_detections,
 )

@@ -20,12 +20,11 @@ import io
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .compare import REPRESENTATIONS, compare_representations, cumulative_curve
-from .detection import ThresholdTuple, ap_sweep, evaluate_dataset
+from .detection import ThresholdTuple, ap_sweep
 from .generator import GeneratorConfig, generate_scene
 from .io_formats import (
     FileFormatError,
@@ -85,7 +84,14 @@ def _scene_files(spec: str) -> list[Path]:
 def _cmd_gen(args) -> int:
     overrides = {}
     if args.config:
-        overrides.update(json.loads(Path(args.config).read_text()))
+        overrides = json.loads(Path(args.config).read_text())
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{args.config}: the config must be a JSON object")
+        known = {f.name for f in fields(GeneratorConfig)} - {"seed"}
+        unknown = sorted(set(overrides) - known)
+        if unknown:
+            raise ValueError(f"{args.config}: {unknown[0]!r} is not a GeneratorConfig field "
+                             "that --config can set")
     if args.objects is not None:
         overrides["object_count_range"] = tuple(args.objects)
     if "camera" in overrides:
@@ -165,11 +171,21 @@ def _cmd_convert(args) -> int:
 # eval
 
 def _paired_scenes(pred_spec: str, gt_spec: str):
+    """(prediction, ground truth, name) per ground-truth file, in file order.
+
+    Two single files form one pair; otherwise files pair by stem, and a
+    stem found on one side only is an error.
+    """
     pred_files = _scene_files(pred_spec)
     gt_files = _scene_files(gt_spec)
-    if len(pred_files) != len(gt_files):
-        raise ValueError(
-            f"prediction/ground-truth counts differ: {len(pred_files)} vs {len(gt_files)}")
+    if Path(pred_spec).is_dir() or Path(gt_spec).is_dir():
+        preds = {f.stem: f for f in pred_files}
+        unmatched = sorted(set(preds) ^ {g.stem for g in gt_files})
+        if unmatched:
+            stem = unmatched[0]
+            raise ValueError(f"unmatched scene {stem!r}: no {stem}.json in "
+                             f"{gt_spec if stem in preds else pred_spec}")
+        pred_files = [preds[g.stem] for g in gt_files]
     return [(read_scene(p), read_scene(g), g.stem) for p, g in zip(pred_files, gt_files)]
 
 
@@ -244,7 +260,6 @@ def _cmd_ap(args) -> int:
                           scale=args.delta_scale)
     rows = []
     for row in ap_sweep(pairs, base, tau=args.tau):
-        outcome = evaluate_dataset(pairs, row.thresholds, tau=args.tau)
         rows.append({
             "name": row.name,
             "thresholds": {
@@ -253,8 +268,8 @@ def _cmd_ap(args) -> int:
                 "translation": row.thresholds.translation, "scale": row.thresholds.scale,
             },
             "ap": row.ap,
-            "precision": outcome.precision.tolist(),
-            "recall": outcome.recall.tolist(),
+            "precision": row.outcome.precision.tolist(),
+            "recall": row.outcome.recall.tolist(),
         })
     n_gt = sum(len(g) for _, g in pairs)
     n_det = sum(len(d) for d, _ in pairs)

@@ -1,4 +1,4 @@
-"""Proposal assignment, five-predicate detection matching, PR, and AP.
+"""Five-predicate detection matching, precision-recall curves, and AP.
 
 A detection is a true positive only if it satisfies the thresholds on all
 five component metrics (2D box IoU, shape IoU, rotation, translation,
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import DEFAULT_DELTAS, box_iou_2d, component_errors
+from .metrics import DEFAULT_DELTAS, component_errors
 from .scene import SceneObject
 
 __all__ = [
@@ -29,17 +29,11 @@ __all__ = [
     "ApRow",
     "EvalOutcome",
     "MatchRecord",
-    "ProposalLabel",
     "ThresholdTuple",
     "ap_sweep",
-    "assign_proposals",
     "evaluate_dataset",
     "evaluate_detections",
 ]
-
-FOREGROUND_IOU = 0.7
-BACKGROUND_IOU = 0.3
-
 
 @dataclass(frozen=True)
 class ThresholdTuple:
@@ -72,40 +66,6 @@ class ThresholdTuple:
 
 
 DEFAULT_THRESHOLDS = ThresholdTuple()
-
-
-@dataclass(frozen=True)
-class ProposalLabel:
-    """Foreground / background / ignore label for one 2D proposal."""
-
-    kind: str
-    gt_index: int | None = None
-    iou: float = 0.0
-
-
-def assign_proposals(proposals, gt_boxes) -> list[ProposalLabel]:
-    """Label proposals by their best 2D IoU against the ground-truth boxes.
-
-    IoU above 0.7 is foreground (assigned to the argmax box, ties to the
-    lowest index), below 0.3 against every box is background, anything in
-    between is ignored.
-    """
-    labels = []
-    gt = [tuple(float(v) for v in b) for b in gt_boxes]
-    for box in proposals:
-        if not gt:
-            labels.append(ProposalLabel("background", None, 0.0))
-            continue
-        ious = np.array([box_iou_2d(box, g) for g in gt])
-        best = int(np.argmax(ious))
-        best_iou = float(ious[best])
-        if best_iou > FOREGROUND_IOU:
-            labels.append(ProposalLabel("foreground", best, best_iou))
-        elif best_iou < BACKGROUND_IOU:
-            labels.append(ProposalLabel("background", None, best_iou))
-        else:
-            labels.append(ProposalLabel("ignore", None, best_iou))
-    return labels
 
 
 @dataclass(frozen=True)
@@ -148,27 +108,32 @@ def _passes(errors, thresholds: ThresholdTuple) -> bool:
     return True
 
 
-def _match_scene(dets, gts, thresholds: ThresholdTuple, tau: float,
+def _scene_errors(scene_pairs, tau: float) -> list[tuple[list[SceneObject], int, list]]:
+    """Per scene: its detections, its ground-truth count, and the
+    (detections x ground truths) matrix of component errors."""
+    scenes = []
+    for dets, gts in scene_pairs:
+        dets, gts = list(dets), list(gts)
+        for d in dets:
+            if d.score is None or not math.isfinite(d.score):
+                raise ValueError("detections must carry finite scores")
+        errors = [[component_errors(d, g, tau) for g in gts] for d in dets]
+        scenes.append((dets, len(gts), errors))
+    return scenes
+
+
+def _match_scene(dets, errors, thresholds: ThresholdTuple,
                  scene_index: int) -> list[MatchRecord]:
     """Greedy matching inside one scene; each GT matches at most once."""
-    for d in dets:
-        if d.score is None or not math.isfinite(d.score):
-            raise ValueError("detections must carry finite scores")
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    errors = {}
     taken = set()
     records = []
     for det_index in order:
         det = dets[det_index]
         best_gt = None
         best_key = None
-        for gt_index, gt in enumerate(gts):
-            if gt_index in taken:
-                continue
-            if (det_index, gt_index) not in errors:
-                errors[(det_index, gt_index)] = component_errors(det, gt, tau)
-            err = errors[(det_index, gt_index)]
-            if not _passes(err, thresholds):
+        for gt_index, err in enumerate(errors[det_index]):
+            if gt_index in taken or not _passes(err, thresholds):
                 continue
             if thresholds.box2d is not None:
                 key = (-err.box_iou, gt_index)
@@ -185,19 +150,12 @@ def _match_scene(dets, gts, thresholds: ThresholdTuple, tau: float,
     return records
 
 
-def evaluate_dataset(scene_pairs, thresholds: ThresholdTuple = DEFAULT_THRESHOLDS,
-                     tau: float = 0.5) -> EvalOutcome:
-    """Match every (detections, ground_truths) pair and pool the records
-    into one PR curve and AP.
-
-    Pooled detections sort by descending score; equal scores keep scene
-    order then insertion order.  AP needs at least one ground truth.
-    """
+def _evaluate(scenes, thresholds: ThresholdTuple) -> EvalOutcome:
     all_records: list[MatchRecord] = []
     n_gt = 0
-    for scene_index, (dets, gts) in enumerate(scene_pairs):
-        n_gt += len(gts)
-        all_records.extend(_match_scene(list(dets), list(gts), thresholds, tau, scene_index))
+    for scene_index, (dets, gt_count, errors) in enumerate(scenes):
+        n_gt += gt_count
+        all_records.extend(_match_scene(dets, errors, thresholds, scene_index))
     if n_gt == 0:
         raise ValueError("cannot evaluate without ground-truth objects")
 
@@ -211,6 +169,17 @@ def evaluate_dataset(scene_pairs, thresholds: ThresholdTuple = DEFAULT_THRESHOLD
     precision = cum_tp / np.maximum(cum_tp + cum_fp, 1.0)
     ap = _envelope_ap(precision, recall)
     return EvalOutcome(tuple(ordered), precision, recall, ap, n_gt)
+
+
+def evaluate_dataset(scene_pairs, thresholds: ThresholdTuple = DEFAULT_THRESHOLDS,
+                     tau: float = 0.5) -> EvalOutcome:
+    """Match every (detections, ground_truths) pair and pool the records
+    into one precision-recall curve and AP.
+
+    Pooled detections sort by descending score; equal scores keep scene
+    order then insertion order.  AP needs at least one ground truth.
+    """
+    return _evaluate(_scene_errors(scene_pairs, tau), thresholds)
 
 
 def evaluate_detections(dets, gts, thresholds: ThresholdTuple = DEFAULT_THRESHOLDS,
@@ -236,7 +205,11 @@ def _envelope_ap(precision: np.ndarray, recall: np.ndarray) -> float:
 class ApRow:
     name: str
     thresholds: ThresholdTuple
-    ap: float
+    outcome: EvalOutcome
+
+    @property
+    def ap(self) -> float:
+        return self.outcome.ap
 
 
 def ap_sweep(scene_pairs, base: ThresholdTuple = DEFAULT_THRESHOLDS,
@@ -244,17 +217,16 @@ def ap_sweep(scene_pairs, base: ThresholdTuple = DEFAULT_THRESHOLDS,
     """AP table over the standard relaxation families.
 
     Emits the full tuple, each single-predicate relaxation, the box-only
-    tuple, and box-only plus each single predicate restored.
+    tuple, and box-only plus each single predicate restored.  Component
+    errors are computed once per (detection, ground truth) pair and shared
+    by every row.
     """
-    pairs = [(list(d), list(g)) for d, g in scene_pairs]
-    rows = [ApRow("all", base, evaluate_dataset(pairs, base, tau).ap)]
-    for name in ("shape", "rotation", "translation", "scale", "box2d"):
-        relaxed = base.relax(name)
-        rows.append(ApRow(f"all-{name}", relaxed, evaluate_dataset(pairs, relaxed, tau).ap))
-    box_only = ThresholdTuple(box2d=base.box2d, shape=None, rotation=None,
-                              translation=None, scale=None)
-    rows.append(ApRow("box2d", box_only, evaluate_dataset(pairs, box_only, tau).ap))
-    for name in ("shape", "rotation", "translation", "scale"):
-        t = replace(box_only, **{name: getattr(base, name)})
-        rows.append(ApRow(f"box2d+{name}", t, evaluate_dataset(pairs, t, tau).ap))
-    return rows
+    scenes = _scene_errors(scene_pairs, tau)
+    box_only = ThresholdTuple.box_only(base.box2d)
+    named = [("all", base)]
+    named += [(f"all-{name}", base.relax(name))
+              for name in ("shape", "rotation", "translation", "scale", "box2d")]
+    named.append(("box2d", box_only))
+    named += [(f"box2d+{name}", replace(box_only, **{name: getattr(base, name)}))
+              for name in ("shape", "rotation", "translation", "scale")]
+    return [ApRow(name, t, _evaluate(scenes, t)) for name, t in named]

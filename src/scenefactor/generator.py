@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .geometry import Camera, DEFAULT_CAMERA, Pose, project, rotation_about_y
+from .geometry import Camera, DEFAULT_CAMERA, Pose, apply_pose, project, rotation_about_y
 from .render import depth_to_disparity, render_depth_analytic
 from .scene import CLASS_LABELS, FactoredScene, SceneObject, parametric_shape, shape_voxels
 from .voxels import Cuboid
@@ -145,7 +145,7 @@ def _solid_bounds(cuboids) -> tuple[np.ndarray, np.ndarray]:
 
 def _project_box(cuboids, pose: Pose, cam: Camera):
     corners = np.concatenate([c.corners() for c in cuboids])
-    world = corners * pose.scale @ pose.rotation_matrix.T + pose.translation
+    world = apply_pose(pose, corners)
     if np.any(world[:, 2] <= 1e-6):
         return None
     u, v, _ = project(cam, world)

@@ -26,6 +26,7 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from .geometry import Camera, Pose, UnitQuaternion
 from .scene import CLASS_LABELS, FactoredScene, Layout, SceneObject
 from .rotation_bins import BinSet
-from .voxels import CANONICAL_SPEC, Cuboid, VoxelGrid
+from .voxels import Cuboid, VoxelGrid
 
 __all__ = [
     "BadMagicError",
@@ -45,7 +46,6 @@ __all__ = [
     "read_binset",
     "read_depth_pfm",
     "read_pfm",
-    "read_proposals",
     "read_scene",
     "read_voxels",
     "write_binset",
@@ -58,6 +58,9 @@ __all__ = [
 SCENE_FORMAT_VERSION = 1
 FVOX_MAGIC = b"FVOX"
 FVOX_VERSION = 1
+# Largest camera width or height a scene file may declare; checked before
+# any image-sized array is allocated.
+MAX_IMAGE_SIDE = 8192
 _FVOX_HEADER = struct.Struct("<4sI3II6d")
 
 
@@ -271,6 +274,10 @@ def _camera_from_dict(doc, loc, path) -> Camera:
         if not isinstance(v, (int, float)):
             raise FileFormatError(f"field {key!r} must be a number", path, location=f"{loc}.{key}")
         vals[key] = v
+    for key in ("width", "height"):
+        if vals[key] > MAX_IMAGE_SIDE:
+            raise FileFormatError(f"camera {key} {vals[key]!r} exceeds the limit of "
+                                  f"{MAX_IMAGE_SIDE} pixels", path, location=loc)
     try:
         return Camera(**vals)
     except ValueError as exc:
@@ -436,60 +443,47 @@ def read_scene(path) -> FactoredScene:
     objects_doc = _expect(doc, "objects", "$", path, kind=list)
     objects = tuple(_object_from_dict(o, f"$.objects[{i}]", path, path.parent)
                     for i, o in enumerate(objects_doc))
+    try:
+        scene = FactoredScene(camera=camera, objects=objects, room=room,
+                              warnings=tuple(str(w) for w in warnings_doc))
+    except ValueError as exc:
+        raise FileFormatError(str(exc), path, location="$.objects") from exc
 
     layout_doc = _expect(doc, "layout", "$", path, allow_none=True)
-    layout = None
-    if layout_doc is not None:
-        if not isinstance(layout_doc, dict):
-            raise FileFormatError("layout must be an object or null", path, location="$.layout")
-        if layout_doc.get("from_room"):
-            if room is None:
-                raise FileFormatError("layout says from_room but the scene has no room", path,
-                                      location="$.layout")
-            partial = FactoredScene(camera=camera, objects=objects, room=room)
-            layout = _analytic_layout(partial)
-        elif "pfm" in layout_doc:
-            ref = path.parent / str(layout_doc["pfm"])
-            if not ref.exists():
-                raise FileFormatError(
-                    f"unresolvable layout reference {str(layout_doc['pfm'])!r}", path,
-                    location="$.layout.pfm")
-            layout = Layout(read_pfm(ref))
-        else:
-            raise FileFormatError("layout needs 'from_room' or a 'pfm' reference", path,
+    if layout_doc is None:
+        return scene
+    if not isinstance(layout_doc, dict):
+        raise FileFormatError("layout must be an object or null", path, location="$.layout")
+    if layout_doc.get("from_room"):
+        if room is None:
+            raise FileFormatError("layout says from_room but the scene has no room", path,
                                   location="$.layout")
+        try:
+            layout = _analytic_layout(scene)
+        except ValueError as exc:
+            raise FileFormatError(str(exc), path, location="$.room") from exc
+    elif "pfm" in layout_doc:
+        ref = path.parent / str(layout_doc["pfm"])
+        if not ref.exists():
+            raise FileFormatError(
+                f"unresolvable layout reference {str(layout_doc['pfm'])!r}", path,
+                location="$.layout.pfm")
+        disparity = read_pfm(ref)
+        try:
+            layout = Layout(disparity)
+        except ValueError as exc:
+            raise FileFormatError(str(exc), path, location="$.layout.pfm") from exc
+    else:
+        raise FileFormatError("layout needs 'from_room' or a 'pfm' reference", path,
+                              location="$.layout")
     try:
-        return FactoredScene(camera=camera, objects=objects, layout=layout, room=room,
-                             warnings=tuple(str(w) for w in warnings_doc))
+        return replace(scene, layout=layout)
     except ValueError as exc:
-        raise FileFormatError(str(exc), path, location="$") from exc
+        raise FileFormatError(str(exc), path, location="$.layout") from exc
 
 
 # ---------------------------------------------------------------------------
-# Proposals and bin sets
-
-def read_proposals(path) -> list[tuple[tuple[float, float, float, float], float | None]]:
-    """Read externally generated 2D box proposals with optional scores."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"invalid JSON: {exc.msg}", path, location=f"byte {exc.pos}") from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError("top level must be a JSON object", path, location="$")
-    entries = _expect(doc, "proposals", "$", path, kind=list)
-    out = []
-    for i, entry in enumerate(entries):
-        loc = f"$.proposals[{i}]"
-        if not isinstance(entry, dict):
-            raise FileFormatError("proposal must be an object", path, location=loc)
-        box = tuple(_floats(_expect(entry, "box", loc, path), 4, f"{loc}.box", path))
-        score = entry.get("score")
-        if score is not None and not isinstance(score, (int, float)):
-            raise FileFormatError("score must be a number or null", path, location=f"{loc}.score")
-        out.append((box, float(score) if score is not None else None))
-    return out
-
+# Bin sets
 
 def write_binset(path, bins: BinSet) -> None:
     doc = {

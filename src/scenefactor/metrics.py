@@ -159,16 +159,7 @@ def layout_depth_error(pred: DepthMap, gt_scene: FactoredScene, mode: str = "amo
     else:
         gt_depth, ids = render_surface_ids(gt_scene)
         mask = ids == -1
-    gt_pts = _masked_points(gt_depth, mask)
-    pred_pts = _masked_points(pred, mask)
+    gt_pts = depth_to_pointcloud(DepthMap(np.where(mask, gt_depth.depth, 0.0), gt_depth.camera))
+    pred_pts = depth_to_pointcloud(DepthMap(np.where(mask, pred.depth, 0.0), pred.camera))
     return visible_surface_error(pred_pts, gt_pts)
 
-
-def _masked_points(d: DepthMap, mask: np.ndarray) -> np.ndarray:
-    from .geometry import backproject
-
-    keep = mask & d.valid
-    if not keep.any():
-        return np.zeros((0, 3))
-    rows, cols = np.nonzero(keep)
-    return backproject(d.camera, cols + 0.5, rows + 0.5, d.depth[rows, cols])

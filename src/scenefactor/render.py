@@ -74,12 +74,9 @@ def _pixel_rays(cam: Camera) -> np.ndarray:
     return np.stack([gu, gv, np.ones_like(gu)], axis=-1)
 
 
-def _slab_hit(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> np.ndarray:
-    """First positive ray parameter hitting an axis-aligned box, else inf.
-
-    A ray starting inside the box reports the exit face, which is what an
-    interior camera should see of the room shell.
-    """
+def _slab(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Entry and exit ray parameters of an axis-aligned box (Kay & Kajiya
+    slab test); the ray misses unless ``t_near <= t_far``."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -91,8 +88,16 @@ def _slab_hit(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> np.ndarray:
     # treat it as inside that slab.
     tmin = np.where(np.isnan(tmin), -np.inf, tmin)
     tmax = np.where(np.isnan(tmax), np.inf, tmax)
-    t_near = tmin.max(axis=-1)
-    t_far = tmax.min(axis=-1)
+    return tmin.max(axis=-1), tmax.min(axis=-1)
+
+
+def _slab_hit(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> np.ndarray:
+    """First positive ray parameter hitting an axis-aligned box, else inf.
+
+    A ray starting inside the box reports the exit face, which is what an
+    interior camera should see of the room shell.
+    """
+    t_near, t_far = _slab(origin, dirs, lo, hi)
     hit = (t_near <= t_far) & (t_far > 0.0)
     t = np.where(t_near > 0.0, t_near, t_far)
     return np.where(hit, t, np.inf)
@@ -164,14 +169,7 @@ def _march_grid(occ: np.ndarray, origin: float, cell: float,
     """
     n = np.array(occ.shape)
     lo = np.full(3, origin)
-    hi = lo + n * cell
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - start) / dirs
-        t2 = (hi - start) / dirs
-    tmin = np.where(np.isnan(np.fmin(t1, t2)), -np.inf, np.fmin(t1, t2))
-    tmax = np.where(np.isnan(np.fmax(t1, t2)), np.inf, np.fmax(t1, t2))
-    t_near = tmin.max(axis=-1)
-    t_far = tmax.min(axis=-1)
+    t_near, t_far = _slab(start, dirs, lo, lo + n * cell)
     alive = (t_near <= t_far) & (t_far > 0.0)
     t_enter = np.maximum(t_near, 0.0)
 
@@ -257,14 +255,15 @@ def render_depth_voxel(scene: FactoredScene, tau: float = 0.5,
     if scene.layout is not None:
         if (scene.layout.height, scene.layout.width) != (cam.height, cam.width):
             raise ValueError("layout resolution does not match the render camera")
-        background = np.where(scene.layout.disparity > 0.0,
-                              _safe_reciprocal(scene.layout.disparity), np.inf)
+        background = disparity_to_depth(scene.layout, cam).depth
+        background = np.where(background > 0.0, background, np.inf)
         depth = np.minimum(depth, background)
     return DepthMap(np.where(np.isfinite(depth), depth, 0.0), cam)
 
 
-def _safe_reciprocal(values: np.ndarray) -> np.ndarray:
-    out = np.full(values.shape, np.inf)
+def _reciprocal(values: np.ndarray) -> np.ndarray:
+    """Elementwise 1/x over positive entries; every other entry is 0."""
+    out = np.zeros_like(values)
     mask = values > 0.0
     out[mask] = 1.0 / values[mask]
     return out
@@ -272,20 +271,12 @@ def _safe_reciprocal(values: np.ndarray) -> np.ndarray:
 
 def depth_to_disparity(d: DepthMap) -> Layout:
     """Elementwise reciprocal; empty markers (0) are preserved."""
-    if np.any(d.depth < 0.0):
-        raise ValueError("depth values must be non-negative")
-    disp = np.zeros_like(d.depth)
-    mask = d.depth > 0.0
-    disp[mask] = 1.0 / d.depth[mask]
-    return Layout(disp)
+    return Layout(_reciprocal(d.depth))
 
 
 def disparity_to_depth(layout: Layout, camera: Camera) -> DepthMap:
     """Elementwise reciprocal; zero-disparity pixels stay empty."""
-    depth = np.zeros_like(layout.disparity)
-    mask = layout.disparity > 0.0
-    depth[mask] = 1.0 / layout.disparity[mask]
-    return DepthMap(depth, camera)
+    return DepthMap(_reciprocal(layout.disparity), camera)
 
 
 def depth_to_pointcloud(d: DepthMap) -> np.ndarray:
@@ -298,27 +289,27 @@ def depth_to_pointcloud(d: DepthMap) -> np.ndarray:
     return backproject(d.camera, cols + 0.5, rows + 0.5, d.depth[rows, cols])
 
 
+def _grid_index(points: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index of every point, and whether it lies inside the grid."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    idx = np.floor((pts - np.asarray(spec.origin)) / spec.cell_size).astype(int)
+    return idx, np.all((idx >= 0) & (idx < np.array(spec.dims)), axis=1)
+
+
 def pointcloud_to_voxels(points: np.ndarray, spec: GridSpec = DEFAULT_SCENE_SPEC) -> VoxelGrid:
     """Scene grid with a cell occupied iff at least one point lies inside it.
 
-    Points outside the grid extent are ignored; see
-    :func:`points_outside_extent` to count them.
+    Points outside the grid extent are dropped; :func:`points_outside_extent`
+    counts them.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    idx, inside = _grid_index(points, spec)
+    idx = idx[inside]
     occ = np.zeros(spec.dims, dtype=np.float32)
-    if len(pts):
-        idx = np.floor((pts - np.asarray(spec.origin)) / spec.cell_size).astype(int)
-        ok = np.all((idx >= 0) & (idx < np.array(spec.dims)), axis=1)
-        idx = idx[ok]
-        occ[idx[:, 0], idx[:, 1], idx[:, 2]] = 1.0
+    occ[idx[:, 0], idx[:, 1], idx[:, 2]] = 1.0
     return VoxelGrid(occ, "scene", spec.origin, spec.cell_size)
 
 
 def points_outside_extent(points: np.ndarray, spec: GridSpec = DEFAULT_SCENE_SPEC) -> int:
     """How many points fall outside the grid (dropped by voxelization)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if not len(pts):
-        return 0
-    idx = np.floor((pts - np.asarray(spec.origin)) / spec.cell_size).astype(int)
-    ok = np.all((idx >= 0) & (idx < np.array(spec.dims)), axis=1)
-    return int((~ok).sum())
+    _, inside = _grid_index(points, spec)
+    return int((~inside).sum())

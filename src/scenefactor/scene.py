@@ -136,34 +136,16 @@ class FactoredScene:
 
 
 def compose_scene_voxels(scene: FactoredScene, spec: GridSpec = DEFAULT_SCENE_SPEC,
-                         tau: float = 0.5, include_layout_shell: bool = False,
-                         method: str = "trilinear") -> VoxelGrid:
-    """Scene-grid occupancy of the whole scene: cell-wise maximum over every
-    object resampled into the grid.
-
-    Layout surfaces are excluded by default (objects-only occupancy).  With
-    ``include_layout_shell`` the room boundary is added as an occupied shell
-    of cells whose centers lie within half a cell of a room face.
+                         tau: float = 0.5) -> VoxelGrid:
+    """Scene-grid occupancy of the objects: cell-wise maximum over every
+    object resampled into the grid with :func:`resample_to_scene`.  Layout
+    surfaces are not included.
     """
     occ = np.zeros(spec.dims, dtype=np.float32)
     for obj in scene.objects:
-        placed = resample_to_scene(obj.shape, obj.pose, spec, tau=tau, method=method)
+        placed = resample_to_scene(obj.shape, obj.pose, spec, tau=tau)
         occ = np.maximum(occ, placed.occupancy)
-    if include_layout_shell:
-        if scene.room is None:
-            raise ValueError("layout shell requested but the scene has no room box")
-        occ = np.maximum(occ, _room_shell(scene.room, spec))
     return VoxelGrid(occ, "scene", spec.origin, spec.cell_size)
-
-
-def _room_shell(room: Cuboid, spec: GridSpec) -> np.ndarray:
-    """Cells whose centers lie inside the room but within half a cell of a face."""
-    centers = spec.center_grid()
-    lo, hi = room.bounds
-    inside = np.all((centers >= lo) & (centers <= hi), axis=-1)
-    margin = spec.cell_size / 2.0
-    near_face = np.any((centers - lo <= margin) | (hi - centers <= margin), axis=-1)
-    return (inside & near_face).astype(np.float32)
 
 
 # Parametric shape builders.  All cuboids are expressed in the canonical

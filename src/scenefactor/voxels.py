@@ -222,9 +222,7 @@ class Cuboid:
         return np.all(np.abs(pts - self.center) <= self.half_extents, axis=-1)
 
     def corners(self) -> np.ndarray:
-        lo, hi = self.bounds
-        xs, ys, zs = np.meshgrid(*[(lo[k], hi[k]) for k in range(3)], indexing="ij")
-        return np.stack([xs, ys, zs], axis=-1).reshape(-1, 3)
+        return _box_corners(*self.bounds)
 
 
 def cuboid_voxelize(cuboids, spec: GridSpec, frame: str = "canonical") -> VoxelGrid:
@@ -238,6 +236,7 @@ def cuboid_voxelize(cuboids, spec: GridSpec, frame: str = "canonical") -> VoxelG
 
 
 def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The eight corners of the box [lo, hi], x slowest and z fastest."""
     xs, ys, zs = np.meshgrid(*[(lo[k], hi[k]) for k in range(3)], indexing="ij")
     return np.stack([xs, ys, zs], axis=-1).reshape(-1, 3)
 
@@ -316,38 +315,24 @@ def _trilinear_sample(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
     return np.where(inside, out, 0.0)
 
 
-def _nearest_sample(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
-    lo, hi = grid.extent
-    pts = np.asarray(points, dtype=float)
-    inside = np.all((pts >= lo) & (pts <= hi), axis=-1)
-    idx = np.floor((pts - np.asarray(grid.origin)) / grid.cell_size).astype(int)
-    idx = np.clip(idx, 0, np.array(grid.dims) - 1)
-    vals = grid.occupancy.astype(float)[idx[..., 0], idx[..., 1], idx[..., 2]]
-    return np.where(inside, vals, 0.0)
-
-
 def resample_to_scene(obj: VoxelGrid, pose: Pose, spec: GridSpec = DEFAULT_SCENE_SPEC,
-                      tau: float = 0.5, method: str = "trilinear") -> VoxelGrid:
+                      tau: float = 0.5) -> VoxelGrid:
     """Place a canonical object grid into a scene grid under a pose.
 
     Every scene-cell center is mapped through the pose inverse into the
-    canonical frame; the object's occupancy is sampled there and the cell
-    is marked occupied iff the sample reaches ``tau``.  Trilinear sampling
-    is the default (less aliasing under rotation); nearest-neighbor is
-    available as an option.
+    canonical frame; the object's occupancy is sampled there by trilinear
+    interpolation (less aliasing under rotation than nearest-neighbor) and
+    the cell is marked occupied iff the sample reaches ``tau``.
     """
     if obj.frame != "canonical":
         raise ValueError("resample_to_scene expects a canonical-frame object grid")
     _check_tau(tau)
-    if method not in ("trilinear", "nearest"):
-        raise ValueError(f"unknown sampling method {method!r}")
-    sampler = _trilinear_sample if method == "trilinear" else _nearest_sample
     occ = np.zeros(spec.dims, dtype=bool)
     lo, hi = obj.extent
     slices = _crop_slices(spec, pose, lo, hi)
     if slices is not None:
         centers = _crop_centers(spec, slices)
         local = apply_pose(pose, centers.reshape(-1, 3), inverse=True)
-        vals = sampler(obj, local)
+        vals = _trilinear_sample(obj, local)
         occ[slices] = (vals >= tau).reshape(centers.shape[:-1])
     return VoxelGrid(occ.astype(np.float32), "scene", spec.origin, spec.cell_size)

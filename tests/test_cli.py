@@ -51,6 +51,21 @@ class TestGen:
         scene = read_scene(next(out.glob("*.json")))
         assert scene.objects == ()
 
+    @pytest.mark.parametrize("config, key", [({"bogus": 1}, "bogus"), ({"seed": 3}, "seed")])
+    def test_config_unknown_key(self, tmp_path, capsys, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"max_televisions": 0, **config}))
+        assert run(["gen", "--config", path, "--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert run(["gen", "--config", path, "--out-dir", tmp_path / "out"]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
 
 class TestRender:
     def test_depth_and_layout(self, scene_dir, tmp_path):
@@ -129,6 +144,36 @@ class TestEval:
                     "--objects", 0, 0]) == 0
         assert run(["eval", "--pred", empty, "--gt", scene_dir,
                     "--out", tmp_path / "r.json"]) == 1
+
+
+class TestPairing:
+    @pytest.fixture()
+    def renamed(self, scene_dir, tmp_path):
+        """The three scenes of ``scene_dir`` with one file renamed."""
+        out = tmp_path / "renamed"
+        out.mkdir()
+        files = sorted(scene_dir.glob("*.json"))
+        for f in files[:-1]:
+            (out / f.name).write_bytes(f.read_bytes())
+        (out / "zz_other.json").write_bytes(files[-1].read_bytes())
+        return out, files[-1].stem
+
+    @pytest.mark.parametrize("command", ["eval", "ap"])
+    def test_stem_mismatch_with_equal_counts(self, scene_dir, renamed, tmp_path, capsys,
+                                             command):
+        other, missing = renamed
+        flag = "--pred" if command == "eval" else "--dets"
+        assert run([command, flag, other, "--gt", scene_dir,
+                    "--out", tmp_path / "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(missing) in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_two_single_files_pair(self, scene_dir, tmp_path):
+        gt = sorted(scene_dir.glob("*.json"))[0]
+        pred = tmp_path / "prediction.json"
+        pred.write_bytes(gt.read_bytes())
+        assert run(["eval", "--pred", pred, "--gt", gt, "--out", tmp_path / "r.json"]) == 0
 
 
 class TestAp:

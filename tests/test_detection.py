@@ -8,12 +8,11 @@ from scenefactor.detection import (
     DEFAULT_THRESHOLDS,
     ThresholdTuple,
     ap_sweep,
-    assign_proposals,
     evaluate_dataset,
     evaluate_detections,
 )
 from scenefactor.geometry import Pose, UnitQuaternion, rotation_about_y
-from scenefactor.metrics import box_iou_2d, component_errors
+from scenefactor.metrics import component_errors
 from scenefactor.scene import SceneObject, shape_voxels
 from scenefactor.voxels import Cuboid
 
@@ -37,33 +36,6 @@ def spread_gts(n, spacing=2.5):
         box = (10.0 * i, 0.0, 10.0 * i + 8.0, 8.0)
         gts.append(make_object([spacing * i, 0.0, 3.0], box2d=box))
     return gts
-
-
-class TestAssignProposals:
-    def test_exact_match_is_foreground(self):
-        labels = assign_proposals([(0, 0, 10, 10)], [(0, 0, 10, 10)])
-        assert labels[0].kind == "foreground"
-        assert labels[0].gt_index == 0
-        assert labels[0].iou == 1.0
-
-    def test_zero_overlap_is_background(self):
-        labels = assign_proposals([(20, 20, 30, 30)], [(0, 0, 10, 10)])
-        assert labels[0].kind == "background"
-
-    def test_half_iou_is_ignored(self):
-        # Boxes (0,0,4,1) vs (1,0,3,1): intersection 2, union 4, IoU 0.5.
-        assert box_iou_2d((0, 0, 4, 1), (1, 0, 3, 1)) == 0.5
-        labels = assign_proposals([(0, 0, 4, 1)], [(1, 0, 3, 1)])
-        assert labels[0].kind == "ignore"
-
-    def test_argmax_tie_lowest_gt(self):
-        gts = [(0, 0, 10, 10), (0, 0, 10, 10)]
-        labels = assign_proposals([(0, 0, 10, 10)], gts)
-        assert labels[0].gt_index == 0
-
-    def test_no_gts_everything_background(self):
-        labels = assign_proposals([(0, 0, 10, 10)], [])
-        assert labels[0].kind == "background"
 
 
 def naive_reference_matcher(dets, gts, thresholds, n_gt_total=None):
@@ -249,3 +221,35 @@ class TestApSweep:
         rows = {r.name: r.ap for r in ap_sweep([(dets, gts)])}
         for name in ("all-shape", "all-rotation", "all-translation", "all-scale", "all-box2d"):
             assert rows[name] >= rows["all"] - 1e-12
+
+    def test_rows_match_separate_evaluations(self, rng, monkeypatch):
+        import scenefactor.detection as detection
+
+        gts = spread_gts(3)
+        dets = [make_object(gt.pose.translation + rng.normal(scale=0.6, size=3),
+                            score=float(rng.uniform(0.1, 1.0)), theta=float(rng.uniform(0, 1)),
+                            box2d=gt.box2d)
+                for gt in gts for _ in range(2)]
+        pairs = [(dets[:4], gts[:2]), (dets[4:], gts[2:])]
+        calls = []
+
+        def counted(det, gt, tau):
+            calls.append((det, gt))
+            return component_errors(det, gt, tau)
+
+        monkeypatch.setattr(detection, "component_errors", counted)
+        rows = ap_sweep(pairs)
+        # One evaluation per (detection, ground truth) pair in each scene.
+        assert len(calls) == 4 * 2 + 2 * 1
+        for row in rows:
+            alone = evaluate_dataset(pairs, row.thresholds)
+            assert row.ap == alone.ap
+            assert row.outcome.matches == alone.matches
+            assert np.array_equal(row.outcome.precision, alone.precision)
+            assert np.array_equal(row.outcome.recall, alone.recall)
+
+    def test_box_only_row(self):
+        base = ThresholdTuple(box2d=0.3)
+        rows = {r.name: r.thresholds for r in ap_sweep([([], spread_gts(1))], base)}
+        assert rows["box2d"] == ThresholdTuple.box_only(0.3)
+        assert rows["box2d+rotation"].rotation == base.rotation

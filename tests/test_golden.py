@@ -5,6 +5,7 @@ any other change must reproduce them exactly.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -68,8 +69,7 @@ RENDER_CONVERT_SHA256 = {
 def generated(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     config = root / "furniture.json"
-    config.write_text('{"anchor_classes": [], '
-                      '"class_mix": {"chair": 1.0, "desk": 1.0, "table": 1.0}}')
+    config.write_text(json.dumps(FURNITURE))
     out = root / "gen"
     run("gen", "--seed", 7, "--count", 2, "--objects", 3, 3, "--config", config,
         "--out-dir", out)

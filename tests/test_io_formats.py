@@ -6,14 +6,15 @@ import pytest
 
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import DEFAULT_CAMERA, random_unit_quaternion
+from scenefactor import render
 from scenefactor.io_formats import (
+    MAX_IMAGE_SIDE,
     BadMagicError,
     FileFormatError,
     TruncatedFileError,
     UnknownVersionError,
     read_binset,
     read_pfm,
-    read_proposals,
     read_scene,
     read_voxels,
     write_binset,
@@ -207,6 +208,15 @@ class TestSceneJson:
         back = read_scene(tmp_path / "layout.json")
         assert np.array_equal(back.layout.disparity, disparity)
 
+    def test_invalid_layout_pfm_names_location(self, tmp_path):
+        disparity = np.full((DEFAULT_CAMERA.height, DEFAULT_CAMERA.width), 0.25)
+        write_scene(FactoredScene(camera=DEFAULT_CAMERA, layout=Layout(disparity)),
+                    tmp_path / "layout.json")
+        write_pfm(tmp_path / "layout.layout.pfm", np.full(disparity.shape, np.nan))
+        with pytest.raises(FileFormatError) as err:
+            read_scene(tmp_path / "layout.json")
+        assert err.value.location == "$.layout.pfm"
+
     def test_truncated_json_reports_location(self, tmp_path):
         scene = generate_scene(GeneratorConfig(seed=2))
         write_scene(scene, tmp_path / "x.json")
@@ -268,24 +278,60 @@ class TestSceneJson:
         jsonschema.validate(doc, schema)
 
 
+    def _edited(self, tmp_path, edit):
+        """Write a generated scene (layout stored ``from_room``), apply
+        ``edit`` to its JSON document, and return the edited file."""
+        scene = generate_scene(GeneratorConfig(seed=2))
+        write_scene(scene, tmp_path / "e.json")
+        doc = json.loads((tmp_path / "e.json").read_text())
+        assert doc["layout"] == {"from_room": True}
+        edit(doc)
+        (tmp_path / "e.json").write_text(json.dumps(doc))
+        return tmp_path / "e.json"
+
+    def test_camera_outside_room_names_location(self, tmp_path):
+        def move_room(doc):
+            doc["room"]["center"][2] += 100.0
+
+        with pytest.raises(FileFormatError) as err:
+            read_scene(self._edited(tmp_path, move_room))
+        assert err.value.location == "$.room"
+        assert "inside the room box" in str(err.value)
+
+    def test_box2d_out_of_bounds_names_location(self, tmp_path):
+        def widen_box(doc):
+            doc["objects"][0]["box2d"][2] = doc["camera"]["width"] + 5.0
+
+        with pytest.raises(FileFormatError) as err:
+            read_scene(self._edited(tmp_path, widen_box))
+        assert err.value.location == "$.objects"
+        assert "image bounds" in str(err.value)
+
+    @pytest.mark.parametrize("key, value", [("width", 2**40), ("height", 2**40),
+                                            ("width", 1e309)])
+    def test_huge_camera_rejected_before_allocation(self, tmp_path, monkeypatch, key, value):
+        def grow(doc):
+            doc["camera"][key] = value
+
+        def no_rays(cam):
+            raise AssertionError("pixel rays allocated for an oversized camera")
+
+        path = self._edited(tmp_path, grow)
+        monkeypatch.setattr(render, "_pixel_rays", no_rays)
+        with pytest.raises(FileFormatError) as err:
+            read_scene(path)
+        assert err.value.location == "$.camera"
+        assert str(MAX_IMAGE_SIDE) in str(err.value)
+
+    def test_largest_camera_accepted(self, tmp_path):
+        def largest(doc):
+            doc["camera"]["width"] = MAX_IMAGE_SIDE
+            doc["layout"] = None
+
+        assert read_scene(self._edited(tmp_path, largest)).camera.width == MAX_IMAGE_SIDE
+
+
 class TestProposalsAndBinset:
-    def test_proposals_roundtrip(self, tmp_path):
-        doc = {"format_version": 1, "proposals": [
-            {"box": [0.0, 0.0, 10.0, 10.0], "score": 0.7},
-            {"box": [5.0, 5.0, 6.0, 9.0]},
-        ]}
-        p = tmp_path / "props.json"
-        p.write_text(json.dumps(doc))
-        props = read_proposals(p)
-        assert props[0] == ((0.0, 0.0, 10.0, 10.0), 0.7)
-        assert props[1][1] is None
-
-    def test_proposals_malformed(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"format_version": 1, "proposals": [{"box": [1, 2, 3]}]}))
-        with pytest.raises(FileFormatError):
-            read_proposals(p)
-
     def test_binset_roundtrip(self, tmp_path, rng):
         samples = [random_unit_quaternion(rng) for _ in range(100)]
         bins = cluster_quaternions(samples, k=8, seed=5)

@@ -117,15 +117,3 @@ class TestComposeSceneVoxels:
                                        objects=tuple(reversed(scene.objects)),
                                        layout=scene.layout, room=scene.room)
         assert compose_scene_voxels(scene) == compose_scene_voxels(reversed_scene)
-
-    def test_layout_shell(self, scene_batch):
-        scene = scene_batch[0]
-        plain = compose_scene_voxels(scene)
-        shelled = compose_scene_voxels(scene, include_layout_shell=True)
-        assert shelled.count() > plain.count()
-        assert np.all(shelled.occupancy >= plain.occupancy)
-
-    def test_layout_shell_needs_room(self):
-        scene = FactoredScene(camera=DEFAULT_CAMERA.scaled(64, 48))
-        with pytest.raises(ValueError):
-            compose_scene_voxels(scene, include_layout_shell=True)

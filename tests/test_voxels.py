@@ -202,15 +202,6 @@ class TestResampleToScene:
         with pytest.raises(ValueError):
             resample_to_scene(g, Pose.identity())
 
-    def test_nearest_method(self):
-        obj = VoxelGrid.canonical(np.ones((32, 32, 32)))
-        pose = Pose(np.ones(3), UnitQuaternion.identity(), np.array([0.0, 0.0, 2.56]))
-        tri = resample_to_scene(obj, pose, method="trilinear")
-        near = resample_to_scene(obj, pose, method="nearest")
-        assert voxel_iou(tri, near) > 0.8
-        with pytest.raises(ValueError):
-            resample_to_scene(obj, pose, method="cubic")
-
 
 class TestGridSpec:
     def test_extent(self):
