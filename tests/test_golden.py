@@ -141,3 +141,14 @@ def test_eval_and_ap_digests(tmp_path):
     run("ap", "--dets", tmp_path / "dets", "--gt", tmp_path / "gt",
         "--out", tmp_path / "ap.json", "--csv", tmp_path / "ap.csv")
     assert {name: sha256(tmp_path / name) for name in EVAL_AP_SHA256} == EVAL_AP_SHA256
+
+
+# ---------------------------------------------------------------------------
+# grad-check at its default step and tolerance.
+
+GRAD_CHECK_SHA256 = "c14b3ee8ef1d7658eb776975c36d0f5c8962757721abf419c3ecf45baf0bc046"
+
+
+def test_grad_check_digest(tmp_path):
+    run("grad-check", "--seed", 0, "--points", 10, "--out", tmp_path / "report.json")
+    assert sha256(tmp_path / "report.json") == GRAD_CHECK_SHA256
