@@ -1,11 +1,11 @@
 """Command-line surface tying the modules into reproducible pipelines.
 
 Commands: ``gen`` (synthetic scenes), ``render`` (depth/disparity/layout),
-``convert`` (between factored scenes, scene voxels, depth maps, and point
-clouds), ``eval`` (component metrics with summary columns), ``ap``
+``convert`` (a factored scene to scene voxels; a depth map to voxels or a
+point cloud), ``eval`` (component metrics with summary columns), ``ap``
 (detection AP with the relaxation sweep), ``compare-reps`` (the five-task
-cross-representation evaluation as CSV), and ``grad-check`` (loss-kernel
-gradient verification).
+cross-representation evaluation of a directory of scenes, as CSV), and
+``grad-check`` (loss-kernel gradient verification).
 
 Exit codes: 0 success, 1 validation failure, 2 I/O failure.  Diagnostics
 go to stderr; files are written atomically.  Every command driven by a
@@ -20,14 +20,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .compare import REPRESENTATIONS, compare_representations, cumulative_curve
 from .detection import ThresholdTuple, ap_sweep
 from .generator import GeneratorConfig, generate_scene
 from .io_formats import (
-    FileFormatError,
     atomic_write_text,
     read_depth_pfm,
     read_scene,
@@ -87,28 +86,27 @@ def _cmd_gen(args) -> int:
         overrides = json.loads(Path(args.config).read_text())
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: the config must be a JSON object")
-        known = {f.name for f in fields(GeneratorConfig)} - {"seed"}
+        # --seed sets the seed and --width/--height the camera.
+        known = {f.name for f in fields(GeneratorConfig)} - {"seed", "camera"}
         unknown = sorted(set(overrides) - known)
         if unknown:
             raise ValueError(f"{args.config}: {unknown[0]!r} is not a GeneratorConfig field "
                              "that --config can set")
     if args.objects is not None:
         overrides["object_count_range"] = tuple(args.objects)
-    if "camera" in overrides:
-        from .geometry import Camera
-
-        overrides["camera"] = Camera(**overrides["camera"])
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.width or args.height:
         from .geometry import DEFAULT_CAMERA
 
-        width = args.width or 64
-        height = args.height or 48
-        overrides["camera"] = DEFAULT_CAMERA.scaled(width, height)
+        overrides["camera"] = DEFAULT_CAMERA.scaled(args.width or 64, args.height or 48)
+    try:
+        config = GeneratorConfig(seed=args.seed, **overrides)
+    except (TypeError, OverflowError) as exc:
+        # Only a --config value can have the wrong type or overflow an int.
+        raise ValueError(f"{args.config}: {exc}") from exc
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
-        cfg = GeneratorConfig(seed=args.seed + i, **overrides)
-        scene = generate_scene(cfg)
+        scene = generate_scene(replace(config, seed=args.seed + i))
         out = out_dir / f"scene_{args.seed + i:05d}.json"
         write_scene(scene, out)
         for warning in scene.warnings:
@@ -145,8 +143,6 @@ def _cmd_convert(args) -> int:
         scene = read_scene(args.scene)
         if args.to == "scene-voxels":
             write_voxels(args.out, compose_scene_voxels(scene, tau=args.tau))
-        elif args.to == "depth":
-            write_depth_pfm(args.out, render_depth_voxel(scene, tau=args.tau))
         else:
             raise ValueError(f"cannot convert a scene to {args.to!r}")
         return 0
@@ -220,13 +216,8 @@ def _cmd_eval(args) -> int:
         "translation": stats("trans_err_m", DEFAULT_DELTAS["translation"], "below", "meters"),
         "scale": stats("scale_err_log2", DEFAULT_DELTAS["scale"], "below", "log2"),
     }
-    boxes = [r["box_iou"] for r in per_instance if r["box_iou"] is not None]
-    if len(boxes) == len(per_instance):
-        s = summarize(boxes, DEFAULT_DELTAS["box2d"], "above")
-        summary["box2d"] = {"median": s.median, "fraction_within": s.fraction_within,
-                            "threshold": s.threshold, "direction": s.direction, "units": "iou"}
-    else:
-        summary["box2d"] = None
+    boxed = all(r["box_iou"] is not None for r in per_instance)
+    summary["box2d"] = stats("box_iou", DEFAULT_DELTAS["box2d"], "above", "iou") if boxed else None
 
     report = {"format_version": 1, "tau": args.tau, "count": len(per_instance),
               "per_instance": per_instance, "summary": summary}
@@ -287,16 +278,7 @@ def _cmd_ap(args) -> int:
 # compare-reps
 
 def _cmd_compare_reps(args) -> int:
-    scenes = []
-    if args.scenes:
-        for f in _scene_files(args.scenes):
-            scenes.append((f.stem, read_scene(f)))
-    else:
-        for i in range(args.gen_count):
-            seed = args.gen_seed + i
-            scenes.append((f"seed_{seed:05d}", generate_scene(GeneratorConfig(seed=seed))))
-    if not scenes:
-        raise ValueError("no scenes to compare")
+    scenes = [(f.stem, read_scene(f)) for f in _scene_files(args.scenes)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -332,8 +314,7 @@ def _cmd_compare_reps(args) -> int:
 # grad-check
 
 def _cmd_grad_check(args) -> int:
-    report = gradient_report(seed=args.seed, n_points=args.points, step=args.step,
-                             tolerance=args.tolerance)
+    report = gradient_report(seed=args.seed, n_points=args.points)
     _write_json(args.out, report)
     for entry in report["kernels"]:
         status = "ok" if entry["passed"] else "FAIL"
@@ -374,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth")
     p.add_argument("--camera-scene", help="scene JSON supplying intrinsics for --depth")
     p.add_argument("--to", required=True,
-                   choices=["scene-voxels", "depth", "voxels", "pointcloud"])
+                   choices=["scene-voxels", "voxels", "pointcloud"])
     p.add_argument("--out", required=True)
     p.add_argument("--tau", type=float, default=0.5)
     p.set_defaults(func=_cmd_convert)
@@ -401,9 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ap)
 
     p = sub.add_parser("compare-reps", help="five-task representation comparison")
-    p.add_argument("--scenes", help="directory of scene JSON files")
-    p.add_argument("--gen-seed", type=int, default=0)
-    p.add_argument("--gen-count", type=int, default=0)
+    p.add_argument("--scenes", required=True, help="directory of scene JSON files")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--tau", type=float, default=0.5)
     p.set_defaults(func=_cmd_compare_reps)
@@ -412,8 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", type=int, default=100)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-5)
     p.set_defaults(func=_cmd_grad_check)
     return parser
 
@@ -422,9 +399,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        _log(f"error: {exc}")
-        return 1
     except ValueError as exc:
         _log(f"error: {exc}")
         return 1

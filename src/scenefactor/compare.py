@@ -35,7 +35,7 @@ from .render import (
     render_depth_voxel,
 )
 from .scene import FactoredScene, compose_scene_voxels
-from .voxels import DEFAULT_SCENE_SPEC, GridSpec, VoxelGrid, voxel_centers, voxel_iou, voxelize_posed_cuboids
+from .voxels import DEFAULT_SCENE_SPEC, VoxelGrid, voxel_centers, voxel_iou, voxelize_posed_cuboids
 
 __all__ = ["ComparisonRow", "compare_representations", "cumulative_curve", "gt_scene_voxels"]
 
@@ -52,21 +52,22 @@ class ComparisonRow:
     object_index: int | None = None
 
 
-def gt_scene_voxels(scene: FactoredScene, spec: GridSpec = DEFAULT_SCENE_SPEC) -> VoxelGrid:
-    """Exact objects-only scene occupancy from the analytic solids."""
-    occ = np.zeros(spec.dims, dtype=np.float32)
+def gt_scene_voxels(scene: FactoredScene) -> VoxelGrid:
+    """Exact objects-only occupancy of the default scene grid, from the
+    analytic solids."""
+    occ = np.zeros(DEFAULT_SCENE_SPEC.dims, dtype=np.float32)
     for obj in scene.objects:
         if obj.solid is None:
             raise ValueError("ground-truth scene voxels need objects with cuboid solids")
-        occ = np.maximum(occ, voxelize_posed_cuboids(obj.solid, obj.pose, spec).occupancy)
-    return VoxelGrid(occ, "scene", spec.origin, spec.cell_size)
+        occ = np.maximum(occ, voxelize_posed_cuboids(obj.solid, obj.pose).occupancy)
+    return VoxelGrid.scene(occ)
 
 
-def compare_representations(scene: FactoredScene, scene_id: str = "scene",
-                            spec: GridSpec = DEFAULT_SCENE_SPEC, tau: float = 0.5,
+def compare_representations(scene: FactoredScene, scene_id: str = "scene", tau: float = 0.5,
                             icp_max_iter: int = 50) -> list[ComparisonRow]:
     """Score the three representations of one ground-truth scene on the
     five tasks; returns one row per (task, representation[, object]).
+    Scene voxels live on the default scene grid.
 
     Objects with an empty shape and representations with an empty cloud get
     no ``object_fitness`` row.  The per-object ICP registrations run
@@ -80,7 +81,7 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene",
 
     gt_depth = render_depth_analytic(scene, include_objects=True)
     gt_cloud = depth_to_pointcloud(gt_depth)
-    gt_grid = gt_scene_voxels(scene, spec)
+    gt_grid = gt_scene_voxels(scene)
 
     factored_depth = render_depth_voxel(scene, tau=tau)
     factored_cloud = depth_to_pointcloud(factored_depth)
@@ -92,8 +93,8 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene",
                                   visible_surface_error(clouds[rep], gt_cloud)))
 
     grids = {
-        "factored": compose_scene_voxels(scene, spec, tau=tau),
-        "depth": pointcloud_to_voxels(gt_cloud, spec),
+        "factored": compose_scene_voxels(scene, tau=tau),
+        "depth": pointcloud_to_voxels(gt_cloud),
         "voxels": gt_grid,
     }
     for rep in REPRESENTATIONS:

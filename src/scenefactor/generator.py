@@ -13,6 +13,7 @@ capped at one per scene.  Both are configurable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -90,6 +91,10 @@ class GeneratorConfig:
         if any(a not in CLASS_LABELS for a in anchors):
             raise ValueError(f"unknown anchor class in {anchors}")
         object.__setattr__(self, "anchor_classes", anchors)
+        for name in ("max_televisions", "max_attempts"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name in ("placement_margin", "min_object_z"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
 

@@ -99,9 +99,6 @@ class UnitQuaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
-    def dot(self, other: "UnitQuaternion") -> float:
-        return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-
     def conjugate(self) -> "UnitQuaternion":
         return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
 
@@ -267,8 +264,8 @@ class Camera:
             object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("width", "height"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be finite and positive")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

@@ -222,6 +222,8 @@ def read_voxels(path) -> VoxelGrid:
             location=f"byte {min(len(data), expected)}")
     occ = np.frombuffer(data, dtype="<f4", offset=_FVOX_HEADER.size)
     occ = occ.reshape((nx, ny, nz), order="F")
+    if not np.all(np.isfinite(extent)):
+        raise FileFormatError(f"extent {extent} is not finite", path, location="extent")
     lo = np.array(extent[:3])
     hi = np.array(extent[3:])
     frame = _TAG_FRAMES[tag]
@@ -253,10 +255,39 @@ def _expect(doc, key, loc, path, kind=None, allow_none=False):
 
 
 def _floats(value, n, loc, path) -> list[float]:
-    if not isinstance(value, list) or len(value) != n or \
+    """A JSON list of ``n`` numbers (any length when ``n`` is None)."""
+    if not isinstance(value, list) or n not in (None, len(value)) or \
             not all(isinstance(v, (int, float)) for v in value):
-        raise FileFormatError(f"expected a list of {n} numbers", path, location=loc)
+        raise FileFormatError(f"expected a list of {n or 'any number of'} numbers", path,
+                              location=loc)
     return [float(v) for v in value]
+
+
+def _load_json(path):
+    try:
+        return json.loads(Path(path).read_bytes())
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not UTF-8 text: {exc.reason}", path,
+                              location=f"byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}",
+                              path, location=f"byte {exc.pos}") from exc
+
+
+def _reference(doc, key, loc, path) -> Path:
+    """The file a scene names under ``doc[key]``: a regular file inside the
+    scene's directory (subdirectories allowed)."""
+    name = str(doc[key])
+    base = Path(path).parent.resolve()
+    try:
+        ref = (base / name).resolve()
+        inside = ref.is_relative_to(base) and ref.is_file()
+    except (OSError, ValueError):  # a name the file system rejects
+        inside = False
+    if not inside:
+        raise FileFormatError(f"reference {name!r} is not a file in the scene's directory",
+                              path, location=f"{loc}.{key}")
+    return ref
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +309,9 @@ def _camera_from_dict(doc, loc, path) -> Camera:
         if vals[key] > MAX_IMAGE_SIDE:
             raise FileFormatError(f"camera {key} {vals[key]!r} exceeds the limit of "
                                   f"{MAX_IMAGE_SIDE} pixels", path, location=loc)
+        if not isinstance(vals[key], int):
+            raise FileFormatError(f"field {key!r} must be an integer", path,
+                                  location=f"{loc}.{key}")
     try:
         return Camera(**vals)
     except ValueError as exc:
@@ -316,7 +350,7 @@ def _object_to_dict(obj: SceneObject) -> dict:
     }
 
 
-def _object_from_dict(doc, loc, path, base_dir: Path) -> SceneObject:
+def _object_from_dict(doc, loc, path) -> SceneObject:
     if not isinstance(doc, dict):
         raise FileFormatError("object entry must be a JSON object", path, location=loc)
     label = _expect(doc, "class_label", loc, path, allow_none=True)
@@ -341,8 +375,11 @@ def _object_from_dict(doc, loc, path, base_dir: Path) -> SceneObject:
     box2d = tuple(_floats(box, 4, f"{loc}.box2d", path)) if box is not None else None
 
     vox = _expect(doc, "voxels", loc, path, kind=dict)
-    dims = [int(v) for v in _floats(_expect(vox, "dims", f"{loc}.voxels", path), 3,
-                                    f"{loc}.voxels.dims", path)]
+    dims = _expect(vox, "dims", f"{loc}.voxels", path)
+    if not (isinstance(dims, list) and len(dims) == 3
+            and all(isinstance(d, int) and d > 0 for d in dims)):
+        raise FileFormatError(f"dims must be three positive integers, got {dims!r}", path,
+                              location=f"{loc}.voxels.dims")
     if "b64" in vox and vox["b64"] is not None:
         if not isinstance(vox["b64"], str):
             raise FileFormatError("voxel payload must be a base64 string", path,
@@ -363,11 +400,7 @@ def _object_from_dict(doc, loc, path, base_dir: Path) -> SceneObject:
         except ValueError as exc:
             raise FileFormatError(str(exc), path, location=f"{loc}.voxels") from exc
     elif "fvox" in vox and vox["fvox"] is not None:
-        ref = base_dir / str(vox["fvox"])
-        if not ref.exists():
-            raise FileFormatError(f"unresolvable voxel reference {str(vox['fvox'])!r}", path,
-                                  location=f"{loc}.voxels.fvox")
-        shape = read_voxels(ref)
+        shape = read_voxels(_reference(vox, "fvox", f"{loc}.voxels", path))
         if list(shape.dims) != dims:
             raise FileFormatError("referenced grid dims do not match the document", path,
                                   location=f"{loc}.voxels.fvox")
@@ -425,11 +458,7 @@ def write_scene(scene: FactoredScene, path) -> None:
 
 def read_scene(path) -> FactoredScene:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}",
-                              path, location=f"byte {exc.pos}") from exc
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object", path, location="$")
     version = _expect(doc, "format_version", "$", path)
@@ -441,7 +470,7 @@ def read_scene(path) -> FactoredScene:
     room = _cuboid_from_dict(room_doc, "$.room", path) if room_doc is not None else None
     warnings_doc = _expect(doc, "warnings", "$", path, kind=list)
     objects_doc = _expect(doc, "objects", "$", path, kind=list)
-    objects = tuple(_object_from_dict(o, f"$.objects[{i}]", path, path.parent)
+    objects = tuple(_object_from_dict(o, f"$.objects[{i}]", path)
                     for i, o in enumerate(objects_doc))
     try:
         scene = FactoredScene(camera=camera, objects=objects, room=room,
@@ -463,12 +492,7 @@ def read_scene(path) -> FactoredScene:
         except ValueError as exc:
             raise FileFormatError(str(exc), path, location="$.room") from exc
     elif "pfm" in layout_doc:
-        ref = path.parent / str(layout_doc["pfm"])
-        if not ref.exists():
-            raise FileFormatError(
-                f"unresolvable layout reference {str(layout_doc['pfm'])!r}", path,
-                location="$.layout.pfm")
-        disparity = read_pfm(ref)
+        disparity = read_pfm(_reference(layout_doc, "pfm", "$.layout", path))
         try:
             layout = Layout(disparity)
         except ValueError as exc:
@@ -498,17 +522,16 @@ def write_binset(path, bins: BinSet) -> None:
 
 def read_binset(path) -> BinSet:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"invalid JSON: {exc.msg}", path, location=f"byte {exc.pos}") from exc
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise FileFormatError("top level must be a JSON object", path, location="$")
     reps = _expect(doc, "representatives", "$", path, kind=list)
     quats = [_floats(q, 4, f"$.representatives[{i}]", path) for i, q in enumerate(reps)]
-    seed = _expect(doc, "seed", "$", path)
-    inertia = _expect(doc, "inertia", "$", path)
-    history = doc.get("inertia_history", [])
+    seed = _expect(doc, "seed", "$", path, kind=int)
+    inertia = _expect(doc, "inertia", "$", path, kind=(int, float))
+    history = _floats(doc.get("inertia_history", []), None, "$.inertia_history", path)
     try:
-        return BinSet(representatives=np.array(quats), seed=int(seed),
+        return BinSet(representatives=np.array(quats), seed=seed,
                       inertia=float(inertia), inertia_history=tuple(history))
     except ValueError as exc:
         raise FileFormatError(str(exc), path, location="$.representatives") from exc

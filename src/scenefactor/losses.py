@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import UnitQuaternion
+from .rotation_bins import DEFAULT_BIN_COUNT
 
 __all__ = [
     "CLAMP_EPS",
@@ -38,7 +39,10 @@ __all__ = [
 ]
 
 CLAMP_EPS = 1e-7
-N_ROTATION_BINS = 24
+# Central-difference step, and the largest relative gradient error that
+# gradient_report passes.
+FD_STEP = 1e-5
+GRAD_TOLERANCE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ def voxel_bce(pred, gt) -> LossValueGrad:
     return LossValueGrad(value, grad)
 
 
-def validate_bin_distribution(probs, n_bins: int = N_ROTATION_BINS) -> np.ndarray:
+def validate_bin_distribution(probs, n_bins: int = DEFAULT_BIN_COUNT) -> np.ndarray:
     """Check a rotation-bin distribution: length, non-negativity, unit sum."""
     p = np.asarray(probs, dtype=float)
     if p.shape != (n_bins,):
@@ -222,7 +226,7 @@ def combined_objective(terms: Sequence[LossValueGrad],
 
 
 def finite_diff_check(loss: Callable[[np.ndarray], LossValueGrad],
-                      point: np.ndarray, step: float = 1e-5) -> float:
+                      point: np.ndarray, step: float = FD_STEP) -> float:
     """Max componentwise relative error between the analytic gradient and
     central finite differences.
 
@@ -246,16 +250,16 @@ def finite_diff_check(loss: Callable[[np.ndarray], LossValueGrad],
     return worst
 
 
-def _report_entry(name: str, errs: list[float], tolerance: float) -> dict:
+def _report_entry(name: str, errs: list[float]) -> dict:
     worst = max(errs)
     return {"kernel": name, "max_rel_err": worst, "n_points": len(errs),
-            "tolerance": tolerance, "passed": bool(worst < tolerance)}
+            "tolerance": GRAD_TOLERANCE, "passed": bool(worst < GRAD_TOLERANCE)}
 
 
-def gradient_report(seed: int = 0, n_points: int = 100, step: float = 1e-5,
-                    tolerance: float = 1e-5) -> dict:
-    """Run central-difference checks for every kernel at seeded random
-    points, staying clear of each kernel's documented kinks."""
+def gradient_report(seed: int = 0, n_points: int = 100) -> dict:
+    """Run central-difference checks (step ``FD_STEP``, pass below
+    ``GRAD_TOLERANCE``) for every kernel at seeded random points, staying
+    clear of each kernel's documented kinks."""
     rng = np.random.default_rng(seed)
     entries = []
 
@@ -265,24 +269,24 @@ def gradient_report(seed: int = 0, n_points: int = 100, step: float = 1e-5,
         offset = rng.uniform(0.05, 0.5, size=(4, 4)) * rng.choice([-1.0, 1.0], size=(4, 4))
         pred = gt + offset
         errs.append(finite_diff_check(
-            lambda x, g=gt: layout_l1(x.reshape(4, 4), g), pred.ravel(), step))
-    entries.append(_report_entry("layout_l1", errs, tolerance))
+            lambda x, g=gt: layout_l1(x.reshape(4, 4), g), pred.ravel()))
+    entries.append(_report_entry("layout_l1", errs))
 
     errs = []
     for _ in range(n_points):
         g = (rng.random(size=(3, 3, 3)) < 0.5).astype(float)
         pred = rng.uniform(0.05, 0.95, size=(3, 3, 3))
         errs.append(finite_diff_check(
-            lambda x, g=g: voxel_bce(x.reshape(3, 3, 3), g), pred.ravel(), step))
-    entries.append(_report_entry("voxel_bce", errs, tolerance))
+            lambda x, g=g: voxel_bce(x.reshape(3, 3, 3), g), pred.ravel()))
+    entries.append(_report_entry("voxel_bce", errs))
 
     errs = []
     for _ in range(n_points):
-        dist = rng.uniform(0.2, 1.0, size=N_ROTATION_BINS)
+        dist = rng.uniform(0.2, 1.0, size=DEFAULT_BIN_COUNT)
         dist = dist / dist.sum()
-        k = int(rng.integers(N_ROTATION_BINS))
-        errs.append(finite_diff_check(lambda x, k=k: rot_class_nll(x, k), dist, step))
-    entries.append(_report_entry("rot_class_nll", errs, tolerance))
+        k = int(rng.integers(DEFAULT_BIN_COUNT))
+        errs.append(finite_diff_check(lambda x, k=k: rot_class_nll(x, k), dist))
+    entries.append(_report_entry("rot_class_nll", errs))
 
     errs = []
     from .geometry import random_unit_quaternion
@@ -300,9 +304,9 @@ def gradient_report(seed: int = 0, n_points: int = 100, step: float = 1e-5,
         # Stay away from the antipodal decision boundary and a perfect match.
         if abs(d_plus - d_minus) < 0.05 or min(d_plus, d_minus) < 0.05:
             continue
-        errs.append(finite_diff_check(lambda x, g=gt: rot_regression(x, g), p, step))
+        errs.append(finite_diff_check(lambda x, g=gt: rot_regression(x, g), p))
         count += 1
-    entries.append(_report_entry("rot_regression", errs, tolerance))
+    entries.append(_report_entry("rot_regression", errs))
 
     errs_t, errs_c = [], []
     for _ in range(n_points):
@@ -311,19 +315,19 @@ def gradient_report(seed: int = 0, n_points: int = 100, step: float = 1e-5,
         pred_t = gt_t + rng.normal(size=3)
         pred_c = rng.uniform(0.3, 3.0, size=3)
         errs_t.append(finite_diff_check(
-            lambda x: trans_scale_l2(x, gt_t, pred_c, gt_c)[0], pred_t, step))
+            lambda x: trans_scale_l2(x, gt_t, pred_c, gt_c)[0], pred_t))
         errs_c.append(finite_diff_check(
-            lambda x: trans_scale_l2(pred_t, gt_t, x, gt_c)[1], pred_c, step))
-    entries.append(_report_entry("translation_l2", errs_t, tolerance))
-    entries.append(_report_entry("scale_log_l2", errs_c, tolerance))
+            lambda x: trans_scale_l2(pred_t, gt_t, x, gt_c)[1], pred_c))
+    entries.append(_report_entry("translation_l2", errs_t))
+    entries.append(_report_entry("scale_log_l2", errs_c))
 
     errs = []
     for _ in range(n_points):
         f = float(rng.uniform(0.05, 0.95))
         label = "fg" if rng.random() < 0.5 else "bg"
         errs.append(finite_diff_check(
-            lambda x, label=label: foreground_ce(float(x[0]), label), np.array([f]), step))
-    entries.append(_report_entry("foreground_ce", errs, tolerance))
+            lambda x, label=label: foreground_ce(float(x[0]), label), np.array([f])))
+    entries.append(_report_entry("foreground_ce", errs))
 
     errs = []
     for _ in range(n_points):
@@ -340,13 +344,13 @@ def gradient_report(seed: int = 0, n_points: int = 100, step: float = 1e-5,
         point = np.concatenate([gt_t + rng.normal(size=3),
                                 rng.uniform(0.3, 3.0, size=3),
                                 [rng.uniform(0.05, 0.95)]])
-        errs.append(finite_diff_check(combined, point, step))
-    entries.append(_report_entry("combined_objective", errs, tolerance))
+        errs.append(finite_diff_check(combined, point))
+    entries.append(_report_entry("combined_objective", errs))
 
     return {
         "format_version": 1,
         "seed": int(seed),
-        "step": float(step),
+        "step": FD_STEP,
         "points_per_kernel": int(n_points),
         "kernels": entries,
         "all_passed": bool(all(e["passed"] for e in entries)),

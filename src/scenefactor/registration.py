@@ -25,6 +25,10 @@ __all__ = [
     "kabsch_align",
 ]
 
+# ICP stops once an iteration improves the fitness by less than this
+# fraction of its previous value.
+ICP_REL_TOL = 1e-6
+
 
 class NNIndex:
     """Exact Euclidean nearest-neighbor lookup over a fixed point set."""
@@ -156,16 +160,16 @@ class IcpResult:
 
 
 def icp(src: np.ndarray, dst: np.ndarray, size_norm: float,
-        max_iter: int = 50, rel_tol: float = 1e-6) -> IcpResult:
+        max_iter: int = 50) -> IcpResult:
     """Point-to-point ICP from identity initialization.
 
     Alternates exact nearest-neighbor correspondence against ``dst`` with a
     full Kabsch refit of the global transform applied to the original
     ``src``.  Stops at ``max_iter`` or when the relative fitness
-    improvement drops below ``rel_tol`` (relative, so the trajectory does
-    not depend on the normalization).  ``size_norm`` (meters) is the object
-    size used to normalize the fitness; the bounding-box diagonal of the
-    ground-truth object is the package convention (:func:`bbox_diagonal`).
+    improvement drops below ``ICP_REL_TOL`` (relative, so the trajectory
+    does not depend on the normalization).  ``size_norm`` (meters) is the
+    object size used to normalize the fitness; the bounding-box diagonal of
+    the ground-truth object is the package convention (:func:`bbox_diagonal`).
     Each nearest-neighbor query runs on every visible CPU; the result does
     not depend on how the work is scheduled.
     """
@@ -209,7 +213,7 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float,
         improvement = (fitness - new_fitness) / max(fitness, 1e-300)
         rotation, translation, fitness, corr = R, t, new_fitness, new_corr
         history.append(fitness)
-        if improvement < rel_tol:
+        if improvement < ICP_REL_TOL:
             converged = True
             break
     return IcpResult(transform=RigidTransform(rotation, translation), fitness=fitness,

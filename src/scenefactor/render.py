@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import Camera, apply_pose, backproject
 from .scene import FactoredScene, Layout
-from .voxels import DEFAULT_SCENE_SPEC, GridSpec, VoxelGrid
+from .voxels import DEFAULT_SCENE_SPEC, GridSpec, VoxelGrid, _check_tau
 
 __all__ = [
     "DepthMap",
@@ -103,11 +103,11 @@ def _slab_hit(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> np.ndarray:
     return np.where(hit, t, np.inf)
 
 
-def _raycast_analytic(scene: FactoredScene, include_objects: bool,
-                      cam: Camera) -> tuple[np.ndarray, np.ndarray]:
+def _raycast_analytic(scene: FactoredScene,
+                      include_objects: bool) -> tuple[np.ndarray, np.ndarray]:
     if scene.room is None:
         raise ValueError("analytic rendering needs a scene with room geometry")
-    dirs = _pixel_rays(cam)
+    dirs = _pixel_rays(scene.camera)
     origin = np.zeros(3)
     lo, hi = scene.room.bounds
     if np.any(lo >= 0.0) or np.any(hi <= 0.0):
@@ -136,27 +136,26 @@ def _raycast_analytic(scene: FactoredScene, include_objects: bool,
     return depth, ids
 
 
-def render_depth_analytic(scene: FactoredScene, include_objects: bool = True,
-                          camera: Camera | None = None) -> DepthMap:
-    """Exact ray-cast depth of the room and (optionally) the object solids.
+def render_depth_analytic(scene: FactoredScene, include_objects: bool = True) -> DepthMap:
+    """Exact ray-cast depth of the room and (optionally) the object solids,
+    seen by the scene's camera.
 
     With ``include_objects=False`` this is the amodal layout depth: the
     scene as if there were no objects.
     """
-    cam = camera or scene.camera
-    depth, _ = _raycast_analytic(scene, include_objects, cam)
-    return DepthMap(depth, cam)
+    depth, _ = _raycast_analytic(scene, include_objects)
+    return DepthMap(depth, scene.camera)
 
 
-def render_surface_ids(scene: FactoredScene, camera: Camera | None = None) -> tuple[DepthMap, np.ndarray]:
-    """Full analytic render plus a per-pixel surface id image.
+def render_surface_ids(scene: FactoredScene) -> tuple[DepthMap, np.ndarray]:
+    """Full analytic render from the scene's camera plus a per-pixel
+    surface id image.
 
     Ids: object index for object surfaces, -1 for room surfaces, -2 for
     rays that miss everything (impossible inside a closed room).
     """
-    cam = camera or scene.camera
-    depth, ids = _raycast_analytic(scene, True, cam)
-    return DepthMap(depth, cam), ids
+    depth, ids = _raycast_analytic(scene, True)
+    return DepthMap(depth, scene.camera), ids
 
 
 def _march_grid(occ: np.ndarray, origin: float, cell: float,
@@ -227,18 +226,17 @@ def _march_grid(occ: np.ndarray, origin: float, cell: float,
     return result
 
 
-def render_depth_voxel(scene: FactoredScene, tau: float = 0.5,
-                       camera: Camera | None = None) -> DepthMap:
-    """Depth image of every occupied voxel's world-space cube, z-buffered.
+def render_depth_voxel(scene: FactoredScene, tau: float = 0.5) -> DepthMap:
+    """Depth image of every occupied voxel's world-space cube, z-buffered,
+    seen by the scene's camera.
 
     Voxels at or above ``tau`` are rasterized as full-size cubes (occupancy
     probability only gates through the threshold).  The scene layout, if
     present, is composited behind the objects; otherwise pixels that miss
     every object are empty.
     """
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"binarization threshold must lie in (0, 1), got {tau}")
-    cam = camera or scene.camera
+    _check_tau(tau)
+    cam = scene.camera
     dirs = _pixel_rays(cam).reshape(-1, 3)
     origin = np.zeros(3)
     best = np.full(len(dirs), np.inf)
@@ -253,8 +251,6 @@ def render_depth_voxel(scene: FactoredScene, tau: float = 0.5,
         best = np.minimum(best, t)
     depth = best.reshape(cam.height, cam.width)
     if scene.layout is not None:
-        if (scene.layout.height, scene.layout.width) != (cam.height, cam.width):
-            raise ValueError("layout resolution does not match the render camera")
         background = disparity_to_depth(scene.layout, cam).depth
         background = np.where(background > 0.0, background, np.inf)
         depth = np.minimum(depth, background)

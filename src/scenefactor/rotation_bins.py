@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 DEFAULT_BIN_COUNT = 24
+# Lloyd iterations stop here even if assignments still change.
+_MAX_LLOYD_ITER = 100
 
 
 def _as_quat_array(samples) -> np.ndarray:
@@ -77,7 +79,7 @@ class BinSet:
         if reps.ndim != 2 or reps.shape[1] != 4 or len(reps) == 0:
             raise ValueError("representatives must be a non-empty (K, 4) array")
         norms = np.linalg.norm(reps, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.isfinite(reps)) or np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("representatives must be unit quaternions")
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
@@ -91,20 +93,13 @@ class BinSet:
         return len(self.representatives)
 
 
-def _pairwise_antipodal(samples: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Distance matrix (N, K) under the folded chordal metric."""
-    d_plus = np.linalg.norm(samples[:, None, :] - centers[None, :, :], axis=-1)
-    d_minus = np.linalg.norm(samples[:, None, :] + centers[None, :, :], axis=-1)
-    return np.minimum(d_plus, d_minus)
-
-
 def _seed_centers(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ style D^2 seeding under the antipodal metric."""
     n = len(samples)
     centers = np.empty((k, 4))
     first = int(rng.integers(n))
     centers[0] = samples[first]
-    d2 = _pairwise_antipodal(samples, centers[:1])[:, 0] ** 2
+    d2 = antipodal_distance(samples, centers[0][None, :]) ** 2
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -117,12 +112,11 @@ def _seed_centers(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def cluster_quaternions(samples, k: int = DEFAULT_BIN_COUNT, seed: int = 0,
-                        max_iter: int = 100) -> BinSet:
+def cluster_quaternions(samples, k: int = DEFAULT_BIN_COUNT, seed: int = 0) -> BinSet:
     """Cluster rotations into ``k`` bins; deterministic given the seed.
 
-    Lloyd iterations stop when assignments no longer change (or at
-    ``max_iter``).  An empty cluster is reseeded to the sample farthest
+    Lloyd iterations stop when assignments no longer change (or after
+    100 updates).  An empty cluster is reseeded to the sample farthest
     from its current centroid.
     """
     arr = _as_quat_array(samples)
@@ -133,8 +127,8 @@ def cluster_quaternions(samples, k: int = DEFAULT_BIN_COUNT, seed: int = 0,
 
     assignment = np.full(len(arr), -1)
     history = []
-    for _ in range(max_iter):
-        dists = _pairwise_antipodal(arr, centers)
+    for _ in range(_MAX_LLOYD_ITER):
+        dists = antipodal_distance(arr[:, None, :], centers[None, :, :])
         new_assignment = np.argmin(dists, axis=1)
 
         for cluster in range(k):
@@ -150,14 +144,15 @@ def cluster_quaternions(samples, k: int = DEFAULT_BIN_COUNT, seed: int = 0,
             if norm > 1e-12:
                 centers[cluster] = mean / norm
 
-        dists = _pairwise_antipodal(arr, centers)
+        dists = antipodal_distance(arr[:, None, :], centers[None, :, :])
         history.append(float((dists[np.arange(len(arr)), new_assignment] ** 2).sum()))
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
 
-    final = np.argmin(_pairwise_antipodal(arr, centers), axis=1)
-    inertia = float((_pairwise_antipodal(arr, centers)[np.arange(len(arr)), final] ** 2).sum())
+    dists = antipodal_distance(arr[:, None, :], centers[None, :, :])
+    final = np.argmin(dists, axis=1)
+    inertia = float((dists[np.arange(len(arr)), final] ** 2).sum())
 
     canonical = np.array([_canonical_sign(c / np.linalg.norm(c)) for c in centers])
     order = np.lexsort(canonical.T[::-1])

@@ -68,14 +68,6 @@ class GridSpec:
         hi = lo + np.array(self.dims) * self.cell_size
         return lo, hi
 
-    def center_grid(self) -> np.ndarray:
-        """Cell centers as an array of shape (nx, ny, nz, 3)."""
-        nx, ny, nz = self.dims
-        ax = [self.origin[k] + (np.arange(d) + 0.5) * self.cell_size
-              for k, d in enumerate((nx, ny, nz))]
-        gx, gy, gz = np.meshgrid(*ax, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1)
-
 
 CANONICAL_SPEC = GridSpec(dims=(32, 32, 32), origin=(-0.5, -0.5, -0.5), cell_size=CANONICAL_CELL_SIZE)
 DEFAULT_SCENE_SPEC = GridSpec(dims=(64, 32, 64), origin=(-2.56, -1.28, 0.0), cell_size=SCENE_CELL_SIZE)
@@ -120,10 +112,6 @@ class VoxelGrid:
     def scene(cls, occupancy, origin=DEFAULT_SCENE_SPEC.origin) -> "VoxelGrid":
         return cls(occupancy, "scene", origin, SCENE_CELL_SIZE)
 
-    @classmethod
-    def empty(cls, spec: GridSpec, frame: str) -> "VoxelGrid":
-        return cls(np.zeros(spec.dims, dtype=np.float32), frame, spec.origin, spec.cell_size)
-
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.occupancy.shape
@@ -142,9 +130,6 @@ class VoxelGrid:
 
     def count(self, tau: float = 0.5) -> int:
         return int(self.binarize(tau).sum())
-
-    def with_occupancy(self, occupancy) -> "VoxelGrid":
-        return VoxelGrid(occupancy, self.frame, self.origin, self.cell_size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VoxelGrid):
@@ -228,10 +213,7 @@ class Cuboid:
 def cuboid_voxelize(cuboids, spec: GridSpec, frame: str = "canonical") -> VoxelGrid:
     """Binary voxelization: a cell is occupied iff its center lies inside
     the union of the cuboids (boundary inclusive)."""
-    centers = spec.center_grid()
-    occ = np.zeros(spec.dims, dtype=bool)
-    for c in cuboids:
-        occ |= c.contains(centers)
+    occ = _cuboid_occupancy(cuboids, Pose.identity(), spec)
     return VoxelGrid(occ.astype(np.float32), frame, spec.origin, spec.cell_size)
 
 
@@ -263,6 +245,21 @@ def _crop_centers(spec: GridSpec, slices) -> np.ndarray:
     return np.stack([gx, gy, gz], axis=-1)
 
 
+def _cuboid_occupancy(cuboids, pose: Pose, spec: GridSpec) -> np.ndarray:
+    """Boolean lattice of the cells whose centers, mapped back through the
+    pose, lie inside the union of the cuboids (boundary inclusive).  Each
+    cuboid tests only the cells around its own posed bounding box."""
+    occ = np.zeros(spec.dims, dtype=bool)
+    for c in cuboids:
+        slices = _crop_slices(spec, pose, *c.bounds)
+        if slices is None:
+            continue
+        centers = _crop_centers(spec, slices)
+        local = apply_pose(pose, centers.reshape(-1, 3), inverse=True)
+        occ[slices] |= c.contains(local).reshape(centers.shape[:-1])
+    return occ
+
+
 def voxelize_posed_cuboids(cuboids, pose: Pose, spec: GridSpec = DEFAULT_SCENE_SPEC) -> VoxelGrid:
     """Exact scene voxelization of canonical-frame cuboids under a pose.
 
@@ -270,19 +267,7 @@ def voxelize_posed_cuboids(cuboids, pose: Pose, spec: GridSpec = DEFAULT_SCENE_S
     against the cuboid union, so the result is free of resampling error.
     Serves as the analytic reference for :func:`resample_to_scene`.
     """
-    cuboids = list(cuboids)
-    occ = np.zeros(spec.dims, dtype=bool)
-    if cuboids:
-        lows = np.array([c.bounds[0] for c in cuboids])
-        highs = np.array([c.bounds[1] for c in cuboids])
-        slices = _crop_slices(spec, pose, lows.min(axis=0), highs.max(axis=0))
-        if slices is not None:
-            centers = _crop_centers(spec, slices)
-            local = apply_pose(pose, centers.reshape(-1, 3), inverse=True)
-            hit = np.zeros(len(local), dtype=bool)
-            for c in cuboids:
-                hit |= c.contains(local)
-            occ[slices] = hit.reshape(centers.shape[:-1])
+    occ = _cuboid_occupancy(cuboids, pose, spec)
     return VoxelGrid(occ.astype(np.float32), "scene", spec.origin, spec.cell_size)
 
 

@@ -51,13 +51,25 @@ class TestGen:
         scene = read_scene(next(out.glob("*.json")))
         assert scene.objects == ()
 
-    @pytest.mark.parametrize("config, key", [({"bogus": 1}, "bogus"), ({"seed": 3}, "seed")])
+    @pytest.mark.parametrize("config, key", [({"bogus": 1}, "bogus"), ({"seed": 3}, "seed"),
+                                             ({"camera": {"fx": 1}}, "camera")])
     def test_config_unknown_key(self, tmp_path, capsys, config, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"max_televisions": 0, **config}))
         assert run(["gen", "--config", path, "--out-dir", tmp_path / "out"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config", [{"max_attempts": "x"}, {"class_mix": 5},
+                                        {"max_televisions": "x"},
+                                        {"object_count_range": [1e999, 2]}])
+    def test_config_mistyped_value(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run(["gen", "--config", path, "--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err
         assert not (tmp_path / "out").exists()
 
     def test_config_not_an_object(self, tmp_path, capsys):
@@ -197,10 +209,9 @@ class TestAp:
 
 
 class TestCompareReps:
-    def test_generates_and_writes_csv(self, tmp_path):
-        out_dir = tmp_path / "cmp"
-        assert run(["compare-reps", "--gen-seed", 60, "--gen-count", 2,
-                    "--out-dir", out_dir]) == 0
+    def test_scene_dir_input(self, scene_dir, tmp_path):
+        out_dir = tmp_path / "cmp2"
+        assert run(["compare-reps", "--scenes", scene_dir, "--out-dir", out_dir]) == 0
         values = (out_dir / "values.csv").read_text().splitlines()
         curves = (out_dir / "curves.csv").read_text().splitlines()
         assert values[0] == "scene,task,representation,object_index,value"
@@ -208,11 +219,6 @@ class TestCompareReps:
         tasks = {line.split(",")[1] for line in values[1:]}
         assert tasks == {"visible_depth", "scene_voxel_iou", "object_fitness",
                          "modal_layout", "amodal_layout"}
-
-    def test_scene_dir_input(self, scene_dir, tmp_path):
-        out_dir = tmp_path / "cmp2"
-        assert run(["compare-reps", "--scenes", scene_dir, "--out-dir", out_dir]) == 0
-        assert (out_dir / "values.csv").exists()
 
     def test_skipped_registrations_reported(self, tmp_path, capsys):
         scene = generate_scene(GeneratorConfig(seed=3, object_count_range=(2, 2),
@@ -245,6 +251,20 @@ class TestCompareReps:
         assert curves[1:] == ["visible_depth,depth,0.5,0.3333333333333333",
                               "visible_depth,depth,0.5,0.6666666666666666",
                               "visible_depth,depth,0.5,1.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare-reps", "--gen-count", "1", "--out-dir", "d"],
+    ["compare-reps", "--out-dir", "d"],
+    ["convert", "--scene", "s.json", "--to", "depth", "--out", "x.pfm"],
+    ["grad-check", "--step", "1e-4", "--out", "r.json"],
+])
+def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 class TestGradCheck:

@@ -191,6 +191,10 @@ class TestCamera:
             Camera(fx=-1.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=10)
         with pytest.raises(ValueError):
             Camera(fx=1.0, fy=1.0, cx=10.0, cy=0.0, width=10, height=10)
+        with pytest.raises(ValueError):
+            Camera(fx=float("nan"), fy=1.0, cx=0.0, cy=0.0, width=10, height=10)
+        with pytest.raises(ValueError):
+            Camera(fx=1.0, fy=float("inf"), cx=0.0, cy=0.0, width=10, height=10)
 
     def test_scaled_preserves_fov(self):
         cam = DEFAULT_CAMERA.scaled(64, 48)

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import DEFAULT_CAMERA, random_unit_quaternion
 from scenefactor import render
+from scenefactor.cli import main
 from scenefactor.io_formats import (
     MAX_IMAGE_SIDE,
     BadMagicError,
@@ -323,12 +325,72 @@ class TestSceneJson:
         assert err.value.location == "$.camera"
         assert str(MAX_IMAGE_SIDE) in str(err.value)
 
+    @pytest.mark.parametrize("dims", [[math.inf, 32, 32], [math.nan, 32, 32], [32.5, 32, 32],
+                                      [-32, -32, 32]])
+    def test_bad_voxel_dims_name_location(self, tmp_path, dims):
+        def set_dims(doc):
+            doc["objects"][0]["voxels"]["dims"] = dims
+
+        with pytest.raises(FileFormatError) as err:
+            read_scene(self._edited(tmp_path, set_dims))
+        assert err.value.location == "$.objects[0].voxels.dims"
+
+    @pytest.mark.parametrize("key, value", [("fx", math.nan), ("fy", math.inf)])
+    def test_nonfinite_focal_length_rejected(self, tmp_path, key, value):
+        def set_focal(doc):
+            doc["camera"][key] = value
+
+        with pytest.raises(FileFormatError) as err:
+            read_scene(self._edited(tmp_path, set_focal))
+        assert err.value.location == "$.camera"
+
     def test_largest_camera_accepted(self, tmp_path):
         def largest(doc):
             doc["camera"]["width"] = MAX_IMAGE_SIDE
             doc["layout"] = None
 
         assert read_scene(self._edited(tmp_path, largest)).camera.width == MAX_IMAGE_SIDE
+
+
+class TestReferences:
+    """``voxels.fvox`` and ``layout.pfm`` name regular files inside the
+    scene's directory; subdirectories are allowed."""
+
+    def _scene(self, tmp_path, fvox, pfm):
+        scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
+        scenes = tmp_path / "scenes"
+        (scenes / "sub").mkdir(parents=True)
+        for folder in (tmp_path, scenes / "sub"):
+            write_voxels(folder / "obj.fvox", scene.objects[0].shape)
+            write_pfm(folder / "layout.pfm", scene.layout.disparity)
+        write_scene(scene, scenes / "s.json")
+        doc = json.loads((scenes / "s.json").read_text())
+        doc["objects"][0]["voxels"] = {"dims": [32, 32, 32], "fvox": fvox}
+        doc["layout"] = {"pfm": pfm}
+        (scenes / "s.json").write_text(json.dumps(doc))
+        return scene, scenes / "s.json"
+
+    def test_subdirectory_reference_read(self, tmp_path):
+        scene, path = self._scene(tmp_path, "sub/obj.fvox", "sub/layout.pfm")
+        back = read_scene(path)
+        assert back.objects[0].shape == scene.objects[0].shape
+        assert np.array_equal(back.layout.disparity,
+                              scene.layout.disparity.astype(np.float32))
+
+    @pytest.mark.parametrize("which", ["fvox", "pfm"])
+    @pytest.mark.parametrize("where", ["absolute", "parent", "directory"])
+    def test_reference_outside_directory_rejected(self, tmp_path, capsys, which, where):
+        target = {"fvox": "obj.fvox", "pfm": "layout.pfm"}[which]
+        name = {"absolute": str(tmp_path / target), "parent": f"../{target}",
+                "directory": "sub"}[where]
+        refs = {"fvox": "sub/obj.fvox", "pfm": "sub/layout.pfm", which: name}
+        _, path = self._scene(tmp_path, refs["fvox"], refs["pfm"])
+        with pytest.raises(FileFormatError) as err:
+            read_scene(path)
+        assert err.value.location == {"fvox": "$.objects[0].voxels.fvox",
+                                      "pfm": "$.layout.pfm"}[which]
+        assert main(["render", "--scene", str(path), "--out", str(tmp_path / "d.pfm")]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestProposalsAndBinset:
@@ -351,3 +413,20 @@ class TestProposalsAndBinset:
         schema = json.loads(
             resources.files("scenefactor").joinpath("schemas/binset.schema.json").read_text())
         jsonschema.validate(json.loads((tmp_path / "b.json").read_text()), schema)
+
+    @pytest.mark.parametrize("edit, location", [
+        (lambda doc: 5, "$"),
+        (lambda doc: {**doc, "seed": [1]}, "$.seed"),
+        (lambda doc: {**doc, "inertia": {}}, "$.inertia"),
+        (lambda doc: {**doc, "inertia_history": [1.0, "x"]}, "$.inertia_history"),
+        (lambda doc: {**doc, "representatives": [[math.nan, 1.0, 0.0, 0.0]]},
+         "$.representatives"),
+    ])
+    def test_binset_bad_field_names_location(self, tmp_path, rng, edit, location):
+        samples = [random_unit_quaternion(rng) for _ in range(20)]
+        write_binset(tmp_path / "b.json", cluster_quaternions(samples, k=3, seed=1))
+        doc = json.loads((tmp_path / "b.json").read_text())
+        (tmp_path / "b.json").write_text(json.dumps(edit(doc)))
+        with pytest.raises(FileFormatError) as err:
+            read_binset(tmp_path / "b.json")
+        assert err.value.location == location

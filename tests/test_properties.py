@@ -1,0 +1,171 @@
+"""Property tests of the file readers and the CLI on damaged input.
+
+Whatever the bytes, ``read_scene``, ``read_voxels``, ``read_pfm`` and
+``read_binset`` fail only with a ``FileFormatError`` that names a location,
+and ``render`` on a damaged scene exits 1 or 2 instead of raising.  The
+damage is a random JSON value put at a random path of a valid document,
+or random bytes written over a valid file.  Examples are derandomized and
+capped, so every run checks the same inputs.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scenefactor.cli import main
+from scenefactor.generator import GeneratorConfig, generate_scene
+from scenefactor.geometry import random_unit_quaternion
+from scenefactor.io_formats import (
+    FileFormatError,
+    read_binset,
+    read_pfm,
+    read_scene,
+    read_voxels,
+    write_binset,
+    write_pfm,
+    write_scene,
+    write_voxels,
+)
+from scenefactor.rotation_bins import cluster_quaternions
+from scenefactor.voxels import VoxelGrid
+
+EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=6)
+
+
+def json_paths(doc, prefix=()):
+    """Every path (tuple of keys and indices) into a JSON document."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def damaged_bytes(data: bytes, header: int):
+    """Random bytes, or ``data`` with some bytes overwritten (mostly within
+    the first ``header`` bytes) and possibly truncated."""
+    position = st.integers(0, header - 1) | st.integers(0, len(data) - 1)
+    edits = st.lists(st.tuples(position, st.integers(0, 255)), min_size=1, max_size=4)
+
+    def apply(args):
+        changes, cut = args
+        out = bytearray(data)
+        for pos, byte in changes:
+            out[pos] = byte
+        return bytes(out[:cut])
+
+    return st.binary(max_size=2 * header) | \
+        st.tuples(edits, st.integers(0, len(data))).map(apply)
+
+
+def only_format_errors(read, path) -> bool:
+    """True if ``read(path)`` succeeds; False if it raises a located
+    FileFormatError.  Any other exception propagates."""
+    try:
+        read(path)
+    except FileFormatError as exc:
+        assert exc.location, f"no location in {exc}"
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def scene_docs(tmp_path_factory):
+    """Two valid 64x48 scene documents in one directory: one fully inline,
+    one whose first object and layout are stored in sibling files."""
+    root = tmp_path_factory.mktemp("damaged")
+    scene = generate_scene(GeneratorConfig(seed=5, object_count_range=(2, 2)))
+    write_scene(scene, root / "base.json")
+    inline = json.loads((root / "base.json").read_text())
+    write_voxels(root / "obj0.fvox", scene.objects[0].shape)
+    write_pfm(root / "layout.pfm", scene.layout.disparity)
+    referenced = replaced(inline, ("objects", 0, "voxels"),
+                          {"dims": [32, 32, 32], "fvox": "obj0.fvox"})
+    referenced = replaced(referenced, ("layout",), {"pfm": "layout.pfm"})
+    return root, [inline, referenced]
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_damaged_scene_json(scene_docs, data):
+    root, docs = scene_docs
+    doc = data.draw(st.sampled_from(docs))
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    damaged = replaced(doc, path, data.draw(JSON_VALUES))
+    scene_file = root / "damaged.json"
+    scene_file.write_text(json.dumps(damaged))
+    readable = only_format_errors(read_scene, scene_file)
+    code = main(["render", "--scene", str(scene_file), "--out", str(root / "depth.pfm")])
+    assert code in ((0, 1) if readable else (1,))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_damaged_scene_bytes(scene_docs, data):
+    root, _ = scene_docs
+    original = (root / "base.json").read_bytes()
+    scene_file = root / "damaged_bytes.json"
+    scene_file.write_bytes(data.draw(damaged_bytes(original, 200)))
+    only_format_errors(read_scene, scene_file)
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    rng = np.random.default_rng(1)
+    write_voxels(root / "grid.fvox", VoxelGrid.scene(rng.random((4, 3, 2)), origin=(0, 0, 0)))
+    write_pfm(root / "image.pfm", rng.random((4, 5)))
+    samples = [random_unit_quaternion(rng) for _ in range(20)]
+    write_binset(root / "bins.json", cluster_quaternions(samples, k=3, seed=2))
+    return root
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_damaged_fvox(small_files, data):
+    damaged = small_files / "damaged.fvox"
+    damaged.write_bytes(data.draw(damaged_bytes((small_files / "grid.fvox").read_bytes(), 64)))
+    only_format_errors(read_voxels, damaged)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_damaged_pfm(small_files, data):
+    damaged = small_files / "damaged.pfm"
+    damaged.write_bytes(data.draw(damaged_bytes((small_files / "image.pfm").read_bytes(), 16)))
+    only_format_errors(read_pfm, damaged)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_damaged_binset(small_files, data):
+    doc = json.loads((small_files / "bins.json").read_text())
+    damaged = small_files / "damaged_bins.json"
+    if data.draw(st.booleans()):
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        damaged.write_text(json.dumps(replaced(doc, path, data.draw(JSON_VALUES))))
+    else:
+        damaged.write_bytes(data.draw(damaged_bytes((small_files / "bins.json").read_bytes(),
+                                                    100)))
+    only_format_errors(read_binset, damaged)

@@ -134,6 +134,8 @@ class TestBinSet:
         q = UnitQuaternion.identity().as_array()
         with pytest.raises(ValueError):
             BinSet(representatives=np.stack([q, -q]), seed=0, inertia=0.0)
+        with pytest.raises(ValueError):
+            BinSet(representatives=np.array([[np.nan, 1.0, 0.0, 0.0]]), seed=0, inertia=0.0)
 
     def test_representatives_sorted_and_sign_canonical(self, rng):
         samples = [random_unit_quaternion(rng) for _ in range(100)]

@@ -190,7 +190,7 @@ class TestResampleToScene:
             mismatch = resampled.occupancy.astype(bool) ^ exact.occupancy.astype(bool)
             if not mismatch.any():
                 continue
-            centers = DEFAULT_SCENE_SPEC.center_grid()[mismatch]
+            centers = voxel_centers(VoxelGrid.scene(mismatch))
             local = (centers - pose.translation) / pose.scale
             # Distance from the cuboid surface along each axis, in world units.
             gap = (np.abs(local) - half) * pose.scale
