@@ -27,6 +27,7 @@ from .compare import REPRESENTATIONS, compare_representations, cumulative_curve
 from .detection import ThresholdTuple, ap_sweep
 from .generator import GeneratorConfig, generate_scene
 from .io_formats import (
+    MAX_IMAGE_SIDE,
     atomic_write_text,
     read_depth_pfm,
     read_scene,
@@ -45,6 +46,7 @@ from .render import (
     render_depth_voxel,
 )
 from .scene import compose_scene_voxels
+from .voxels import OCCUPANCY_THRESHOLD
 
 __all__ = ["main"]
 
@@ -125,7 +127,7 @@ def _cmd_render(args) -> int:
     elif args.method == "analytic":
         depth = render_depth_analytic(scene, include_objects=True)
     else:
-        depth = render_depth_voxel(scene, tau=args.tau)
+        depth = render_depth_voxel(scene)
     if args.unit == "disparity":
         write_pfm(args.out, depth_to_disparity(depth).disparity)
     else:
@@ -142,7 +144,7 @@ def _cmd_convert(args) -> int:
     if args.scene:
         scene = read_scene(args.scene)
         if args.to == "scene-voxels":
-            write_voxels(args.out, compose_scene_voxels(scene, tau=args.tau))
+            write_voxels(args.out, compose_scene_voxels(scene))
         else:
             raise ValueError(f"cannot convert a scene to {args.to!r}")
         return 0
@@ -195,7 +197,7 @@ def _cmd_eval(args) -> int:
                 f"({len(pred_scene.objects)} vs {len(gt_scene.objects)}); "
                 "eval pairs objects by index")
         for i, (p, g) in enumerate(zip(pred_scene.objects, gt_scene.objects)):
-            err = component_errors(p, g, tau=args.tau)
+            err = component_errors(p, g)
             per_instance.append({
                 "scene": name, "index": i, "class_label": g.class_label,
                 "shape_iou": err.shape_iou, "rot_err_rad": err.rot_err,
@@ -219,7 +221,7 @@ def _cmd_eval(args) -> int:
     boxed = all(r["box_iou"] is not None for r in per_instance)
     summary["box2d"] = stats("box_iou", DEFAULT_DELTAS["box2d"], "above", "iou") if boxed else None
 
-    report = {"format_version": 1, "tau": args.tau, "count": len(per_instance),
+    report = {"format_version": 1, "tau": OCCUPANCY_THRESHOLD, "count": len(per_instance),
               "per_instance": per_instance, "summary": summary}
     _write_json(args.out, report)
     if args.csv:
@@ -250,7 +252,7 @@ def _cmd_ap(args) -> int:
                           rotation=args.delta_rot, translation=args.delta_trans,
                           scale=args.delta_scale)
     rows = []
-    for row in ap_sweep(pairs, base, tau=args.tau):
+    for row in ap_sweep(pairs, base):
         rows.append({
             "name": row.name,
             "thresholds": {
@@ -264,7 +266,7 @@ def _cmd_ap(args) -> int:
         })
     n_gt = sum(len(g) for _, g in pairs)
     n_det = sum(len(d) for d, _ in pairs)
-    report = {"format_version": 1, "tau": args.tau, "n_gt": n_gt,
+    report = {"format_version": 1, "tau": OCCUPANCY_THRESHOLD, "n_gt": n_gt,
               "n_detections": n_det, "rows": rows}
     _write_json(args.out, report)
     if args.csv:
@@ -283,7 +285,7 @@ def _cmd_compare_reps(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, scene in scenes:
-        rows.extend(compare_representations(scene, name, tau=args.tau))
+        rows.extend(compare_representations(scene, name))
     # compare_representations leaves out registrations of empty shapes or
     # clouds, and curves.csv leaves out non-finite values; both are counted.
     registrations = len(REPRESENTATIONS) * sum(len(scene.objects) for _, scene in scenes)
@@ -327,17 +329,31 @@ def _cmd_grad_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
+    return n
+
+
+def _image_side(value: str) -> int:
+    n = _positive_int(value)
+    if n > MAX_IMAGE_SIDE:
+        raise argparse.ArgumentTypeError(f"image sides are at most {MAX_IMAGE_SIDE}, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scenefactor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate synthetic ground-truth scenes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--objects", type=int, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
+    p.add_argument("--width", type=_image_side)
+    p.add_argument("--height", type=_image_side)
     p.add_argument("--config", help="JSON file with GeneratorConfig fields")
     p.set_defaults(func=_cmd_gen)
 
@@ -347,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=["visible", "layout"], default="visible")
     p.add_argument("--method", choices=["analytic", "voxel"], default="analytic")
     p.add_argument("--unit", choices=["depth", "disparity"], default="depth")
-    p.add_argument("--tau", type=float, default=0.5)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("convert", help="convert between representations")
@@ -357,7 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True,
                    choices=["scene-voxels", "voxels", "pointcloud"])
     p.add_argument("--out", required=True)
-    p.add_argument("--tau", type=float, default=0.5)
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("eval", help="component metrics for paired scenes")
@@ -365,7 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv")
-    p.add_argument("--tau", type=float, default=0.5)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ap", help="detection AP with the relaxation sweep")
@@ -373,7 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv")
-    p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--delta-box2d", type=_threshold_arg, default=DEFAULT_DELTAS["box2d"])
     p.add_argument("--delta-shape", type=_threshold_arg, default=DEFAULT_DELTAS["shape"])
     p.add_argument("--delta-rot", type=_threshold_arg, default=DEFAULT_DELTAS["rotation"])
@@ -384,13 +396,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-reps", help="five-task representation comparison")
     p.add_argument("--scenes", required=True, help="directory of scene JSON files")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--tau", type=float, default=0.5)
     p.set_defaults(func=_cmd_compare_reps)
 
     p = sub.add_parser("grad-check", help="verify loss-kernel gradients")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_positive_int, default=100)
     p.set_defaults(func=_cmd_grad_check)
     return parser
 

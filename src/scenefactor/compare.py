@@ -14,6 +14,10 @@ tasks only apply to representations that can say anything about layout
 (factored and depth).  Point clouds come from each representation the way
 its consumers would build them: depth images backproject, voxel grids
 contribute occupied-cell centers.
+
+The protocol is fixed: every grid is binarized at
+``voxels.OCCUPANCY_THRESHOLD``, scene voxels live on the default scene grid,
+and ICP runs at most ``registration.ICP_MAX_ITER`` iterations.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .voxels import DEFAULT_SCENE_SPEC, VoxelGrid, voxel_centers, voxel_iou, vox
 __all__ = ["ComparisonRow", "compare_representations", "cumulative_curve", "gt_scene_voxels"]
 
 REPRESENTATIONS = ("factored", "depth", "voxels")
-TASKS = ("visible_depth", "scene_voxel_iou", "object_fitness", "modal_layout", "amodal_layout")
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,7 @@ def gt_scene_voxels(scene: FactoredScene) -> VoxelGrid:
     return VoxelGrid.scene(occ)
 
 
-def compare_representations(scene: FactoredScene, scene_id: str = "scene", tau: float = 0.5,
-                            icp_max_iter: int = 50) -> list[ComparisonRow]:
+def compare_representations(scene: FactoredScene, scene_id: str = "scene") -> list[ComparisonRow]:
     """Score the three representations of one ground-truth scene on the
     five tasks; returns one row per (task, representation[, object]).
     Scene voxels live on the default scene grid.
@@ -83,9 +85,9 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene", tau: 
     gt_cloud = depth_to_pointcloud(gt_depth)
     gt_grid = gt_scene_voxels(scene)
 
-    factored_depth = render_depth_voxel(scene, tau=tau)
+    factored_depth = render_depth_voxel(scene)
     factored_cloud = depth_to_pointcloud(factored_depth)
-    voxel_cloud = voxel_centers(gt_grid, tau)
+    voxel_cloud = voxel_centers(gt_grid)
 
     clouds = {"factored": factored_cloud, "depth": gt_cloud, "voxels": voxel_cloud}
     for rep in REPRESENTATIONS:
@@ -93,19 +95,19 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene", tau: 
                                   visible_surface_error(clouds[rep], gt_cloud)))
 
     grids = {
-        "factored": compose_scene_voxels(scene, tau=tau),
+        "factored": compose_scene_voxels(scene),
         "depth": pointcloud_to_voxels(gt_cloud),
         "voxels": gt_grid,
     }
     for rep in REPRESENTATIONS:
         rows.append(ComparisonRow(scene_id, "scene_voxel_iou", rep,
-                                  voxel_iou(grids[rep], gt_grid, tau)))
+                                  voxel_iou(grids[rep], gt_grid)))
 
     # Registrations are independent: they run on a pool as wide as the
     # visible CPUs, and pool.map returns them in submission order.
     keys, jobs = [], []
     for index, obj in enumerate(scene.objects):
-        local = voxel_centers(obj.shape, tau)
+        local = voxel_centers(obj.shape)
         if len(local) == 0:
             continue
         src = apply_pose(obj.pose, local)
@@ -113,7 +115,7 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene", tau: 
         for rep in REPRESENTATIONS:
             if len(clouds[rep]):
                 keys.append((index, rep))
-                jobs.append((src, clouds[rep], size, icp_max_iter))
+                jobs.append((src, clouds[rep], size))
     if jobs:
         workers = min(len(jobs), len(os.sched_getaffinity(0)))
         with ThreadPoolExecutor(workers, thread_name_prefix="scenefactor-icp") as pool:

@@ -52,7 +52,7 @@ class ThresholdTuple:
                 raise ValueError(f"{name} threshold must lie in (0, 1], got {v}")
         for name in ("rotation", "translation", "scale"):
             v = getattr(self, name)
-            if v is not None and v <= 0.0:
+            if v is not None and not v > 0.0:
                 raise ValueError(f"{name} threshold must be positive, got {v}")
 
     def relax(self, name: str) -> "ThresholdTuple":
@@ -108,7 +108,7 @@ def _passes(errors, thresholds: ThresholdTuple) -> bool:
     return True
 
 
-def _scene_errors(scene_pairs, tau: float) -> list[tuple[list[SceneObject], int, list]]:
+def _scene_errors(scene_pairs) -> list[tuple[list[SceneObject], int, list]]:
     """Per scene: its detections, its ground-truth count, and the
     (detections x ground truths) matrix of component errors."""
     scenes = []
@@ -117,7 +117,7 @@ def _scene_errors(scene_pairs, tau: float) -> list[tuple[list[SceneObject], int,
         for d in dets:
             if d.score is None or not math.isfinite(d.score):
                 raise ValueError("detections must carry finite scores")
-        errors = [[component_errors(d, g, tau) for g in gts] for d in dets]
+        errors = [[component_errors(d, g) for g in gts] for d in dets]
         scenes.append((dets, len(gts), errors))
     return scenes
 
@@ -171,21 +171,19 @@ def _evaluate(scenes, thresholds: ThresholdTuple) -> EvalOutcome:
     return EvalOutcome(tuple(ordered), precision, recall, ap, n_gt)
 
 
-def evaluate_dataset(scene_pairs, thresholds: ThresholdTuple = DEFAULT_THRESHOLDS,
-                     tau: float = 0.5) -> EvalOutcome:
+def evaluate_dataset(scene_pairs, thresholds: ThresholdTuple = DEFAULT_THRESHOLDS) -> EvalOutcome:
     """Match every (detections, ground_truths) pair and pool the records
     into one precision-recall curve and AP.
 
     Pooled detections sort by descending score; equal scores keep scene
     order then insertion order.  AP needs at least one ground truth.
     """
-    return _evaluate(_scene_errors(scene_pairs, tau), thresholds)
+    return _evaluate(_scene_errors(scene_pairs), thresholds)
 
 
-def evaluate_detections(dets, gts, thresholds: ThresholdTuple = DEFAULT_THRESHOLDS,
-                        tau: float = 0.5) -> EvalOutcome:
+def evaluate_detections(dets, gts, thresholds: ThresholdTuple = DEFAULT_THRESHOLDS) -> EvalOutcome:
     """Single-collection evaluation; see :func:`evaluate_dataset`."""
-    return evaluate_dataset([(dets, gts)], thresholds, tau)
+    return evaluate_dataset([(dets, gts)], thresholds)
 
 
 def _envelope_ap(precision: np.ndarray, recall: np.ndarray) -> float:
@@ -212,8 +210,7 @@ class ApRow:
         return self.outcome.ap
 
 
-def ap_sweep(scene_pairs, base: ThresholdTuple = DEFAULT_THRESHOLDS,
-             tau: float = 0.5) -> list[ApRow]:
+def ap_sweep(scene_pairs, base: ThresholdTuple = DEFAULT_THRESHOLDS) -> list[ApRow]:
     """AP table over the standard relaxation families.
 
     Emits the full tuple, each single-predicate relaxation, the box-only
@@ -221,7 +218,7 @@ def ap_sweep(scene_pairs, base: ThresholdTuple = DEFAULT_THRESHOLDS,
     errors are computed once per (detection, ground truth) pair and shared
     by every row.
     """
-    scenes = _scene_errors(scene_pairs, tau)
+    scenes = _scene_errors(scene_pairs)
     box_only = ThresholdTuple.box_only(base.box2d)
     named = [("all", base)]
     named += [(f"all-{name}", base.relax(name))

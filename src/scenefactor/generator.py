@@ -21,8 +21,8 @@ import numpy as np
 
 from .geometry import Camera, DEFAULT_CAMERA, Pose, apply_pose, project, rotation_about_y
 from .render import depth_to_disparity, render_depth_analytic
-from .scene import CLASS_LABELS, FactoredScene, SceneObject, parametric_shape, shape_voxels
-from .voxels import Cuboid
+from .scene import CLASS_LABELS, FactoredScene, SceneObject, parametric_shape
+from .voxels import Cuboid, cuboid_voxelize
 
 __all__ = ["GeneratorConfig", "generate_scene"]
 
@@ -241,7 +241,7 @@ def generate_scene(cfg: GeneratorConfig) -> FactoredScene:
                 # truth for image-based evaluation.
                 continue
             objects.append(SceneObject(
-                shape=shape_voxels(solid),
+                shape=cuboid_voxelize(solid),
                 pose=pose,
                 score=1.0,
                 class_label=kind,

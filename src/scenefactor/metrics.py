@@ -75,12 +75,13 @@ class ComponentErrors:
             raise ValueError(f"box_iou out of range: {self.box_iou}")
 
 
-def component_errors(pred: SceneObject, gt: SceneObject, tau: float = 0.5) -> ComponentErrors:
+def component_errors(pred: SceneObject, gt: SceneObject) -> ComponentErrors:
     """All five component errors between a prediction and its ground truth.
 
-    Box IoU is present only when both objects carry a 2D box.
+    Shape IoU compares occupied cells (:attr:`VoxelGrid.occupied`).  Box
+    IoU is present only when both objects carry a 2D box.
     """
-    shape_iou = voxel_iou(pred.shape, gt.shape, tau)
+    shape_iou = voxel_iou(pred.shape, gt.shape)
     rot = rotation_geodesic(pred.pose.rotation, gt.pose.rotation)
     trans = float(np.linalg.norm(pred.pose.translation - gt.pose.translation))
     scale = float(np.mean(np.abs(np.log2(pred.pose.scale) - np.log2(gt.pose.scale))))
@@ -148,10 +149,7 @@ def layout_depth_error(pred: DepthMap, gt_scene: FactoredScene, mode: str = "amo
     """
     if mode not in ("modal", "amodal"):
         raise ValueError(f"mode must be 'modal' or 'amodal', got {mode!r}")
-    cam = gt_scene.camera
-    if (pred.camera.width, pred.camera.height) != (cam.width, cam.height) or \
-            (pred.camera.fx, pred.camera.fy, pred.camera.cx, pred.camera.cy) != \
-            (cam.fx, cam.fy, cam.cx, cam.cy):
+    if pred.camera != gt_scene.camera:
         raise ValueError("prediction and ground truth must share the camera")
     if mode == "amodal":
         gt_depth = render_depth_analytic(gt_scene, include_objects=False)

@@ -26,8 +26,9 @@ __all__ = [
 ]
 
 # ICP stops once an iteration improves the fitness by less than this
-# fraction of its previous value.
+# fraction of its previous value, or after ICP_MAX_ITER iterations.
 ICP_REL_TOL = 1e-6
+ICP_MAX_ITER = 50
 
 
 class NNIndex:
@@ -159,17 +160,17 @@ class IcpResult:
     fitness_history: tuple[float, ...]
 
 
-def icp(src: np.ndarray, dst: np.ndarray, size_norm: float,
-        max_iter: int = 50) -> IcpResult:
+def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
     """Point-to-point ICP from identity initialization.
 
     Alternates exact nearest-neighbor correspondence against ``dst`` with a
     full Kabsch refit of the global transform applied to the original
-    ``src``.  Stops at ``max_iter`` or when the relative fitness
-    improvement drops below ``ICP_REL_TOL`` (relative, so the trajectory
-    does not depend on the normalization).  ``size_norm`` (meters) is the
-    object size used to normalize the fitness; the bounding-box diagonal of
-    the ground-truth object is the package convention (:func:`bbox_diagonal`).
+    ``src``.  Stops after ``ICP_MAX_ITER`` iterations (read at each call)
+    or when the relative fitness improvement drops below ``ICP_REL_TOL``
+    (relative, so the trajectory does not depend on the normalization).
+    ``size_norm`` (meters) is the object size used to normalize the
+    fitness; the bounding-box diagonal of the ground-truth object is the
+    package convention (:func:`bbox_diagonal`).
     Each nearest-neighbor query runs on every visible CPU; the result does
     not depend on how the work is scheduled.
     """
@@ -198,7 +199,7 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float,
     history = [fitness]
     converged = False
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(ICP_MAX_ITER):
         iterations += 1
         try:
             R, t = _kabsch(src_centered, src_mean, corr)

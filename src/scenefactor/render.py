@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import Camera, apply_pose, backproject
 from .scene import FactoredScene, Layout
-from .voxels import DEFAULT_SCENE_SPEC, GridSpec, VoxelGrid, _check_tau
+from .voxels import DEFAULT_SCENE_SPEC, GridSpec, VoxelGrid
 
 __all__ = [
     "DepthMap",
@@ -226,22 +226,22 @@ def _march_grid(occ: np.ndarray, origin: float, cell: float,
     return result
 
 
-def render_depth_voxel(scene: FactoredScene, tau: float = 0.5) -> DepthMap:
+def render_depth_voxel(scene: FactoredScene) -> DepthMap:
     """Depth image of every occupied voxel's world-space cube, z-buffered,
     seen by the scene's camera.
 
-    Voxels at or above ``tau`` are rasterized as full-size cubes (occupancy
-    probability only gates through the threshold).  The scene layout, if
+    Occupied voxels (:attr:`VoxelGrid.occupied`, at or above
+    ``OCCUPANCY_THRESHOLD``) are rasterized as full-size cubes; occupancy
+    probability only gates through the threshold.  The scene layout, if
     present, is composited behind the objects; otherwise pixels that miss
     every object are empty.
     """
-    _check_tau(tau)
     cam = scene.camera
     dirs = _pixel_rays(cam).reshape(-1, 3)
     origin = np.zeros(3)
     best = np.full(len(dirs), np.inf)
     for obj in scene.objects:
-        occ = obj.shape.binarize(tau)
+        occ = obj.shape.occupied
         if not occ.any():
             continue
         local_origin = apply_pose(obj.pose, origin, inverse=True)
@@ -292,20 +292,22 @@ def _grid_index(points: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndar
     return idx, np.all((idx >= 0) & (idx < np.array(spec.dims)), axis=1)
 
 
-def pointcloud_to_voxels(points: np.ndarray, spec: GridSpec = DEFAULT_SCENE_SPEC) -> VoxelGrid:
-    """Scene grid with a cell occupied iff at least one point lies inside it.
+def pointcloud_to_voxels(points: np.ndarray) -> VoxelGrid:
+    """Default scene grid with a cell occupied iff at least one point lies
+    inside it.
 
     Points outside the grid extent are dropped; :func:`points_outside_extent`
     counts them.
     """
-    idx, inside = _grid_index(points, spec)
+    idx, inside = _grid_index(points, DEFAULT_SCENE_SPEC)
     idx = idx[inside]
-    occ = np.zeros(spec.dims, dtype=np.float32)
+    occ = np.zeros(DEFAULT_SCENE_SPEC.dims, dtype=np.float32)
     occ[idx[:, 0], idx[:, 1], idx[:, 2]] = 1.0
-    return VoxelGrid(occ, "scene", spec.origin, spec.cell_size)
+    return VoxelGrid.scene(occ)
 
 
-def points_outside_extent(points: np.ndarray, spec: GridSpec = DEFAULT_SCENE_SPEC) -> int:
-    """How many points fall outside the grid (dropped by voxelization)."""
-    _, inside = _grid_index(points, spec)
+def points_outside_extent(points: np.ndarray) -> int:
+    """How many points fall outside the default scene grid (dropped by
+    voxelization)."""
+    _, inside = _grid_index(points, DEFAULT_SCENE_SPEC)
     return int((~inside).sum())

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Camera, Pose
-from .voxels import (
-    CANONICAL_SPEC,
-    DEFAULT_SCENE_SPEC,
-    Cuboid,
-    GridSpec,
-    VoxelGrid,
-    resample_to_scene,
-)
+from .voxels import DEFAULT_SCENE_SPEC, Cuboid, VoxelGrid, resample_to_scene
 
 __all__ = [
     "CLASS_LABELS",
@@ -132,17 +125,15 @@ class FactoredScene:
         return False
 
 
-def compose_scene_voxels(scene: FactoredScene, spec: GridSpec = DEFAULT_SCENE_SPEC,
-                         tau: float = 0.5) -> VoxelGrid:
-    """Scene-grid occupancy of the objects: cell-wise maximum over every
-    object resampled into the grid with :func:`resample_to_scene`.  Layout
-    surfaces are not included.
+def compose_scene_voxels(scene: FactoredScene) -> VoxelGrid:
+    """Default scene-grid occupancy of the objects: cell-wise maximum over
+    every object resampled into the grid with :func:`resample_to_scene`.
+    Layout surfaces are not included.
     """
-    occ = np.zeros(spec.dims, dtype=np.float32)
+    occ = np.zeros(DEFAULT_SCENE_SPEC.dims, dtype=np.float32)
     for obj in scene.objects:
-        placed = resample_to_scene(obj.shape, obj.pose, spec, tau=tau)
-        occ = np.maximum(occ, placed.occupancy)
-    return VoxelGrid(occ, "scene", spec.origin, spec.cell_size)
+        occ = np.maximum(occ, resample_to_scene(obj.shape, obj.pose).occupancy)
+    return VoxelGrid.scene(occ)
 
 
 # Parametric shape builders.  All cuboids are expressed in the canonical
@@ -251,10 +242,3 @@ def parametric_shape(kind: str, **params) -> list[Cuboid]:
         if lo.min() < -0.5 - 1e-9 or hi.max() > 0.5 + 1e-9:
             raise ValueError(f"shape {kind!r} does not fit the canonical box")
     return cuboids
-
-
-def shape_voxels(cuboids) -> VoxelGrid:
-    """Voxelize a canonical cuboid solid onto the 32^3 canonical lattice."""
-    from .voxels import cuboid_voxelize
-
-    return cuboid_voxelize(cuboids, CANONICAL_SPEC, frame="canonical")

@@ -1,14 +1,17 @@
 """Occupancy voxel grids: canonical object shapes and camera-frame scene grids.
 
-Two grid families exist.  Canonical grids hold object shapes: always 32^3
-cells spanning [-0.5, 0.5]^3 in the canonical object frame.  Scene grids
-live in the camera frame with 8 cm cells; the default spans
-x in [-2.56, 2.56], y in [-1.28, 1.28], z in [0, 5.12], which centers the
-grid laterally on the optical axis and covers the forward frustum.
+Two grid families exist, one lattice each.  Canonical grids hold object
+shapes: always 32^3 cells spanning [-0.5, 0.5]^3 in the canonical object
+frame (:data:`CANONICAL_SPEC`).  Scene grids live in the camera frame with
+8 cm cells; every scene grid built here is :data:`DEFAULT_SCENE_SPEC`,
+spanning x in [-2.56, 2.56], y in [-1.28, 1.28], z in [0, 5.12], which
+centers the grid laterally on the optical axis and covers the forward
+frustum.  Grids read from FVOX files carry their own extent.
 
 Occupancy is stored as a dense float32 array in [0, 1], indexed
 ``[ix, iy, iz]``; files serialize it x-fastest.  Grids are immutable after
-construction.
+construction.  Every consumer binarizes at one fixed threshold,
+:data:`OCCUPANCY_THRESHOLD`: a cell is occupied iff its value reaches it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .geometry import Pose, apply_pose
 __all__ = [
     "CANONICAL_SPEC",
     "DEFAULT_SCENE_SPEC",
+    "OCCUPANCY_THRESHOLD",
     "SCENE_CELL_SIZE",
     "Cuboid",
     "GridSpec",
@@ -35,6 +39,8 @@ __all__ = [
 
 SCENE_CELL_SIZE = 0.08
 CANONICAL_CELL_SIZE = 1.0 / 32.0
+# A cell whose occupancy probability reaches this value is occupied.
+OCCUPANCY_THRESHOLD = 0.5
 
 
 def _dims_tuple(dims) -> tuple[int, int, int]:
@@ -124,12 +130,13 @@ class VoxelGrid:
     def extent(self) -> tuple[np.ndarray, np.ndarray]:
         return self.spec.extent
 
-    def binarize(self, tau: float) -> np.ndarray:
-        _check_tau(tau)
-        return self.occupancy >= tau
+    @property
+    def occupied(self) -> np.ndarray:
+        """Boolean mask of the cells at or above :data:`OCCUPANCY_THRESHOLD`."""
+        return self.occupancy >= OCCUPANCY_THRESHOLD
 
-    def count(self, tau: float = 0.5) -> int:
-        return int(self.binarize(tau).sum())
+    def count(self) -> int:
+        return int(self.occupied.sum())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VoxelGrid):
@@ -137,11 +144,6 @@ class VoxelGrid:
         return (self.frame == other.frame and self.origin == other.origin
                 and self.cell_size == other.cell_size
                 and np.array_equal(self.occupancy, other.occupancy))
-
-
-def _check_tau(tau: float) -> None:
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"binarization threshold must lie in (0, 1), got {tau}")
 
 
 def _same_lattice(a: VoxelGrid, b: VoxelGrid) -> None:
@@ -153,14 +155,14 @@ def _same_lattice(a: VoxelGrid, b: VoxelGrid) -> None:
         raise ValueError("grids do not share the same lattice geometry")
 
 
-def voxel_iou(a: VoxelGrid, b: VoxelGrid, tau: float = 0.5) -> float:
-    """Intersection over union of two grids binarized at ``tau``.
+def voxel_iou(a: VoxelGrid, b: VoxelGrid) -> float:
+    """Intersection over union of the occupied cells of two grids.
 
     Both grids empty counts as perfect agreement (1.0).
     """
     _same_lattice(a, b)
-    occ_a = a.binarize(tau)
-    occ_b = b.binarize(tau)
+    occ_a = a.occupied
+    occ_b = b.occupied
     union = int(np.logical_or(occ_a, occ_b).sum())
     if union == 0:
         return 1.0
@@ -168,9 +170,9 @@ def voxel_iou(a: VoxelGrid, b: VoxelGrid, tau: float = 0.5) -> float:
     return inter / union
 
 
-def voxel_centers(grid: VoxelGrid, tau: float = 0.5) -> np.ndarray:
+def voxel_centers(grid: VoxelGrid) -> np.ndarray:
     """Centers of occupied cells, shape (M, 3), ordered by (ix, iy, iz)."""
-    idx = np.argwhere(grid.binarize(tau))
+    idx = np.argwhere(grid.occupied)
     if idx.size == 0:
         return np.zeros((0, 3))
     return np.array(grid.origin) + (idx + 0.5) * grid.cell_size
@@ -210,11 +212,11 @@ class Cuboid:
         return _box_corners(*self.bounds)
 
 
-def cuboid_voxelize(cuboids, spec: GridSpec, frame: str = "canonical") -> VoxelGrid:
-    """Binary voxelization: a cell is occupied iff its center lies inside
-    the union of the cuboids (boundary inclusive)."""
-    occ = _cuboid_occupancy(cuboids, Pose.identity(), spec)
-    return VoxelGrid(occ.astype(np.float32), frame, spec.origin, spec.cell_size)
+def cuboid_voxelize(cuboids) -> VoxelGrid:
+    """Binary voxelization of a canonical-frame solid onto the 32^3
+    canonical lattice: a cell is occupied iff its center lies inside the
+    union of the cuboids (boundary inclusive)."""
+    return VoxelGrid.canonical(_cuboid_occupancy(cuboids, Pose.identity(), CANONICAL_SPEC))
 
 
 def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -260,15 +262,15 @@ def _cuboid_occupancy(cuboids, pose: Pose, spec: GridSpec) -> np.ndarray:
     return occ
 
 
-def voxelize_posed_cuboids(cuboids, pose: Pose, spec: GridSpec = DEFAULT_SCENE_SPEC) -> VoxelGrid:
-    """Exact scene voxelization of canonical-frame cuboids under a pose.
+def voxelize_posed_cuboids(cuboids, pose: Pose) -> VoxelGrid:
+    """Exact voxelization of canonical-frame cuboids under a pose onto the
+    default scene grid.
 
     Each scene-cell center is mapped back to the canonical frame and tested
     against the cuboid union, so the result is free of resampling error.
     Serves as the analytic reference for :func:`resample_to_scene`.
     """
-    occ = _cuboid_occupancy(cuboids, pose, spec)
-    return VoxelGrid(occ.astype(np.float32), "scene", spec.origin, spec.cell_size)
+    return VoxelGrid.scene(_cuboid_occupancy(cuboids, pose, DEFAULT_SCENE_SPEC))
 
 
 def _trilinear_sample(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
@@ -300,24 +302,23 @@ def _trilinear_sample(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
     return np.where(inside, out, 0.0)
 
 
-def resample_to_scene(obj: VoxelGrid, pose: Pose, spec: GridSpec = DEFAULT_SCENE_SPEC,
-                      tau: float = 0.5) -> VoxelGrid:
-    """Place a canonical object grid into a scene grid under a pose.
+def resample_to_scene(obj: VoxelGrid, pose: Pose) -> VoxelGrid:
+    """Place a canonical object grid into the default scene grid under a pose.
 
     Every scene-cell center is mapped through the pose inverse into the
     canonical frame; the object's occupancy is sampled there by trilinear
     interpolation (less aliasing under rotation than nearest-neighbor) and
-    the cell is marked occupied iff the sample reaches ``tau``.
+    the cell is marked occupied iff the sample reaches
+    :data:`OCCUPANCY_THRESHOLD`.
     """
     if obj.frame != "canonical":
         raise ValueError("resample_to_scene expects a canonical-frame object grid")
-    _check_tau(tau)
-    occ = np.zeros(spec.dims, dtype=bool)
+    occ = np.zeros(DEFAULT_SCENE_SPEC.dims, dtype=bool)
     lo, hi = obj.extent
-    slices = _crop_slices(spec, pose, lo, hi)
+    slices = _crop_slices(DEFAULT_SCENE_SPEC, pose, lo, hi)
     if slices is not None:
-        centers = _crop_centers(spec, slices)
+        centers = _crop_centers(DEFAULT_SCENE_SPEC, slices)
         local = apply_pose(pose, centers.reshape(-1, 3), inverse=True)
         vals = _trilinear_sample(obj, local)
-        occ[slices] = (vals >= tau).reshape(centers.shape[:-1])
-    return VoxelGrid(occ.astype(np.float32), "scene", spec.origin, spec.cell_size)
+        occ[slices] = (vals >= OCCUPANCY_THRESHOLD).reshape(centers.shape[:-1])
+    return VoxelGrid.scene(occ)

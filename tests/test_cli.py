@@ -10,6 +10,7 @@ import pytest
 import scenefactor.cli as cli
 from scenefactor.cli import main
 from scenefactor.compare import ComparisonRow
+from scenefactor.detection import ThresholdTuple
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.io_formats import read_pfm, read_scene, read_voxels, write_scene
 
@@ -207,6 +208,19 @@ class TestAp:
         assert row["thresholds"]["rotation"] is None
         assert row["thresholds"]["translation"] == 0.5
 
+    @pytest.mark.parametrize("name, flag", [
+        ("box2d", "--delta-box2d"), ("shape", "--delta-shape"), ("rotation", "--delta-rot"),
+        ("translation", "--delta-trans"), ("scale", "--delta-scale"),
+    ])
+    def test_nan_threshold_rejected(self, scene_dir, tmp_path, capsys, name, flag):
+        with pytest.raises(ValueError, match=name):
+            ThresholdTuple(**{name: math.nan})
+        out = tmp_path / "ap.json"
+        assert run(["ap", "--dets", scene_dir, "--gt", scene_dir, "--out", out,
+                    flag, "nan"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestCompareReps:
     def test_scene_dir_input(self, scene_dir, tmp_path):
@@ -239,7 +253,7 @@ class TestCompareReps:
         assert sum(",object_fitness," in line for line in values) == 3
 
     def test_nonfinite_values_reported(self, scene_dir, tmp_path, capsys, monkeypatch):
-        def fake_compare(scene, scene_id, tau):
+        def fake_compare(scene, scene_id):
             return [ComparisonRow(scene_id, "visible_depth", "depth", value)
                     for value in (math.nan, 0.5)]
 
@@ -253,18 +267,44 @@ class TestCompareReps:
                               "visible_depth,depth,0.5,1.0"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["compare-reps", "--gen-count", "1", "--out-dir", "d"],
-    ["compare-reps", "--out-dir", "d"],
-    ["convert", "--scene", "s.json", "--to", "depth", "--out", "x.pfm"],
-    ["grad-check", "--step", "1e-4", "--out", "r.json"],
-])
-def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch):
+def assert_usage_error(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare-reps", "--gen-count", "1", "--out-dir", "d"],
+    ["compare-reps", "--out-dir", "d"],
+    ["convert", "--scene", "s.json", "--to", "depth", "--out", "x.pfm"],
+    ["grad-check", "--step", "1e-4", "--out", "r.json"],
+    ["render", "--scene", "s.json", "--out", "d.pfm", "--tau", "0.5"],
+    ["convert", "--scene", "s.json", "--to", "scene-voxels", "--out", "v.fvox", "--tau", "0.5"],
+    ["eval", "--pred", "p", "--gt", "g", "--out", "e.json", "--tau", "0.5"],
+    ["ap", "--dets", "d", "--gt", "g", "--out", "a.json", "--tau", "0.5"],
+    ["compare-reps", "--scenes", "s", "--out-dir", "d", "--tau", "0.5"],
+])
+def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch):
+    assert_usage_error(argv, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--count", "-2", "--out-dir", "d"],
+    ["gen", "--width", "0", "--height", "30", "--out-dir", "d"],
+    ["gen", "--width", "9000", "--out-dir", "d"],
+    ["gen", "--height", "8193", "--out-dir", "d"],
+    ["grad-check", "--points", "0", "--out", "r.json"],
+])
+def test_bad_sizes_are_usage_errors(argv, tmp_path, monkeypatch):
+    assert_usage_error(argv, tmp_path, monkeypatch)
+
+
+def test_largest_image_side_accepted(tmp_path):
+    assert run(["gen", "--width", 8192, "--height", 1, "--objects", 0, 0,
+                "--out-dir", tmp_path]) == 0
+    assert read_scene(tmp_path / "scene_00000.json").camera.width == 8192
 
 
 class TestGradCheck:

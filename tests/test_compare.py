@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 import scenefactor.compare as compare
+import scenefactor.registration as registration
 from scenefactor.compare import REPRESENTATIONS, compare_representations, gt_scene_voxels
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import apply_pose
 from scenefactor.registration import IcpResult, RigidTransform, bbox_diagonal, icp
 from scenefactor.render import depth_to_pointcloud, render_depth_analytic, render_depth_voxel
 from scenefactor.voxels import voxel_centers
-
-# A few iterations exercise the pool and its ordering without full ICP cost.
-MAX_ITER = 4
 
 
 @pytest.fixture(scope="module")
@@ -23,11 +21,11 @@ def two_object_scene():
     return scene
 
 
-def representation_clouds(scene, tau=0.5):
+def representation_clouds(scene):
     return {
-        "factored": depth_to_pointcloud(render_depth_voxel(scene, tau=tau)),
+        "factored": depth_to_pointcloud(render_depth_voxel(scene)),
         "depth": depth_to_pointcloud(render_depth_analytic(scene, include_objects=True)),
-        "voxels": voxel_centers(gt_scene_voxels(scene), tau),
+        "voxels": voxel_centers(gt_scene_voxels(scene)),
     }
 
 
@@ -35,16 +33,18 @@ def icp_threads():
     return [t for t in threading.enumerate() if t.name.startswith("scenefactor-icp")]
 
 
-def test_pooled_fitness_rows_equal_serial_icp(two_object_scene):
+def test_pooled_fitness_rows_equal_serial_icp(two_object_scene, monkeypatch):
+    # A few iterations exercise the pool and its ordering without full ICP cost.
+    monkeypatch.setattr(registration, "ICP_MAX_ITER", 4)
     clouds = representation_clouds(two_object_scene)
     expected = []
     for index, obj in enumerate(two_object_scene.objects):
-        src = apply_pose(obj.pose, voxel_centers(obj.shape, 0.5))
+        src = apply_pose(obj.pose, voxel_centers(obj.shape))
         size = bbox_diagonal(src)
         for rep in REPRESENTATIONS:
-            result = icp(src, clouds[rep], size_norm=size, max_iter=MAX_ITER)
+            result = icp(src, clouds[rep], size_norm=size)
             expected.append((index, rep, result.fitness))
-    rows = compare_representations(two_object_scene, "s3", icp_max_iter=MAX_ITER)
+    rows = compare_representations(two_object_scene, "s3")
     got = [(r.object_index, r.representation, r.value)
            for r in rows if r.task == "object_fitness"]
     assert got == expected
@@ -53,7 +53,7 @@ def test_pooled_fitness_rows_equal_serial_icp(two_object_scene):
 def test_registration_error_propagates_and_pool_drains(two_object_scene, monkeypatch):
     depth_cloud = representation_clouds(two_object_scene)["depth"]
 
-    def flaky_icp(src, dst, size_norm, max_iter):
+    def flaky_icp(src, dst, size_norm):
         if np.array_equal(dst, depth_cloud):
             raise RuntimeError("registration failed")
         return IcpResult(RigidTransform.identity(), 0.0, 1, True, (0.0,))

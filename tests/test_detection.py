@@ -13,15 +13,15 @@ from scenefactor.detection import (
 )
 from scenefactor.geometry import Pose, UnitQuaternion, rotation_about_y
 from scenefactor.metrics import component_errors
-from scenefactor.scene import SceneObject, shape_voxels
-from scenefactor.voxels import Cuboid
+from scenefactor.scene import SceneObject
+from scenefactor.voxels import Cuboid, cuboid_voxelize
 
 
 def make_object(translation, score=1.0, box2d=None, theta=0.0, scale=1.0,
                 half=(0.4, 0.4, 0.4)):
     solid = [Cuboid((0, 0, 0), half)]
     return SceneObject(
-        shape=shape_voxels(solid),
+        shape=cuboid_voxelize(solid),
         pose=Pose(np.full(3, float(scale)), rotation_about_y(theta),
                   np.asarray(translation, dtype=float)),
         score=score,
@@ -233,9 +233,9 @@ class TestApSweep:
         pairs = [(dets[:4], gts[:2]), (dets[4:], gts[2:])]
         calls = []
 
-        def counted(det, gt, tau):
+        def counted(det, gt):
             calls.append((det, gt))
-            return component_errors(det, gt, tau)
+            return component_errors(det, gt)
 
         monkeypatch.setattr(detection, "component_errors", counted)
         rows = ap_sweep(pairs)

@@ -20,15 +20,15 @@ from scenefactor.render import (
     render_depth_analytic,
     render_surface_ids,
 )
-from scenefactor.scene import FactoredScene, SceneObject, shape_voxels
-from scenefactor.voxels import Cuboid
+from scenefactor.scene import FactoredScene, SceneObject
+from scenefactor.voxels import Cuboid, cuboid_voxelize
 
 CAM = DEFAULT_CAMERA.scaled(64, 48)
 
 
 def make_object(pose, half=(0.4, 0.4, 0.4), box2d=None):
     solid = [Cuboid((0, 0, 0), half)]
-    return SceneObject(shape=shape_voxels(solid), pose=pose, box2d=box2d, solid=tuple(solid))
+    return SceneObject(shape=cuboid_voxelize(solid), pose=pose, box2d=box2d, solid=tuple(solid))
 
 
 class TestComponentErrors:

@@ -84,7 +84,7 @@ class TestNNIndex:
 
         scene = generate_scene(GeneratorConfig(seed=105))
         depth_cloud = depth_to_pointcloud(render_depth_analytic(scene, include_objects=True))
-        voxel_cloud = voxel_centers(gt_scene_voxels(scene), 0.5)
+        voxel_cloud = voxel_centers(gt_scene_voxels(scene))
         d, i = NNIndex(depth_cloud).query(voxel_cloud)
         gap = np.linalg.norm(depth_cloud - voxel_cloud[1408], axis=1)
         assert np.flatnonzero(gap == gap.min()).tolist() == [1638, 1953]

@@ -15,7 +15,7 @@ from scenefactor.render import (
     render_depth_voxel,
     render_surface_ids,
 )
-from scenefactor.scene import FactoredScene, Layout, SceneObject, shape_voxels
+from scenefactor.scene import FactoredScene, Layout, SceneObject
 from scenefactor.voxels import DEFAULT_SCENE_SPEC, Cuboid, VoxelGrid
 
 CAM = DEFAULT_CAMERA.scaled(64, 48)

@@ -9,14 +9,13 @@ from scenefactor.scene import (
     SceneObject,
     compose_scene_voxels,
     parametric_shape,
-    shape_voxels,
 )
-from scenefactor.voxels import CANONICAL_SPEC, Cuboid, VoxelGrid, resample_to_scene
+from scenefactor.voxels import Cuboid, VoxelGrid, cuboid_voxelize, resample_to_scene
 
 
 def make_object(center, half, translation, label=None):
     solid = [Cuboid(center, half)]
-    return SceneObject(shape=shape_voxels(solid),
+    return SceneObject(shape=cuboid_voxelize(solid),
                        pose=Pose(np.ones(3), UnitQuaternion.identity(), translation),
                        class_label=label, solid=tuple(solid))
 
@@ -43,7 +42,7 @@ class TestParametricShapes:
 
     @pytest.mark.parametrize("kind", CLASS_LABELS)
     def test_voxelization_nonempty(self, kind):
-        assert shape_voxels(parametric_shape(kind)).count() > 0
+        assert cuboid_voxelize(parametric_shape(kind)).count() > 0
 
     def test_out_of_range_params_rejected(self):
         with pytest.raises(ValueError):

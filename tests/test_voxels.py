@@ -76,10 +76,10 @@ class TestVoxelIou:
         with pytest.raises(ValueError):
             voxel_iou(a, b)
 
-    def test_bad_tau_rejected(self):
-        g = small_scene_grid(np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError):
-            voxel_iou(g, g, tau=1.0)
+    def test_occupied_at_threshold(self):
+        g = small_scene_grid(np.array([0.0, 0.4999, 0.5, 1.0]).reshape(1, 2, 2))
+        assert g.occupied.tolist() == [[[False, False], [True, True]]]
+        assert g.count() == 2
 
 
 class TestVoxelCenters:
@@ -104,13 +104,13 @@ class TestVoxelCenters:
 
 class TestCuboidVoxelize:
     def test_full_extent_all_ones(self):
-        g = cuboid_voxelize([Cuboid((0, 0, 0), (0.5, 0.5, 0.5))], CANONICAL_SPEC)
+        g = cuboid_voxelize([Cuboid((0, 0, 0), (0.5, 0.5, 0.5))])
         assert g.count() == 32 ** 3
 
     def test_half_cube_exact_count(self):
         # Count oracle: centers with every coordinate in [-0.5, 0].
         cub = Cuboid((-0.25, -0.25, -0.25), (0.25, 0.25, 0.25))
-        g = cuboid_voxelize([cub], CANONICAL_SPEC)
+        g = cuboid_voxelize([cub])
         expected = 0
         axis = CANONICAL_SPEC.origin[0] + (np.arange(32) + 0.5) * CANONICAL_SPEC.cell_size
         inside = (axis >= -0.5) & (axis <= 0.0)
@@ -119,16 +119,15 @@ class TestCuboidVoxelize:
         assert g.count() == 4096
 
     def test_empty_shape_list(self):
-        g = cuboid_voxelize([], CANONICAL_SPEC)
+        g = cuboid_voxelize([])
         assert g.count() == 0
 
     def test_monotone_under_growth(self, rng):
         for _ in range(20):
             center = rng.uniform(-0.2, 0.2, 3)
             half = rng.uniform(0.05, 0.2, 3)
-            small = cuboid_voxelize([Cuboid(center, half)], CANONICAL_SPEC)
-            grown = cuboid_voxelize([Cuboid(center, half * rng.uniform(1.0, 1.5))],
-                                    CANONICAL_SPEC)
+            small = cuboid_voxelize([Cuboid(center, half)])
+            grown = cuboid_voxelize([Cuboid(center, half * rng.uniform(1.0, 1.5))])
             assert grown.count() >= small.count()
             assert np.all(grown.occupancy >= small.occupancy)
 
@@ -181,7 +180,7 @@ class TestResampleToScene:
         for trial in range(5):
             half = rng.uniform(0.15, 0.45, 3)
             cub = Cuboid((0.0, 0.0, 0.0), half)
-            obj = cuboid_voxelize([cub], CANONICAL_SPEC)
+            obj = cuboid_voxelize([cub])
             pose = Pose(rng.uniform(0.8, 1.8, 3), UnitQuaternion.identity(),
                         np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4),
                                   rng.uniform(1.5, 3.5)]))
