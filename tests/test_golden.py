@@ -97,6 +97,35 @@ def test_render_and_convert_digests(generated, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# gen and render on two 333x217 default-mix scenes: a size that is neither
+# square nor a multiple of 64x48, with objects cut by the image border.
+
+WIDE_SHA256 = {
+    "scene_00012.json": "e7b22848aae404218ae93d21598a7e7379db194e8beb940d60d55e36c29aa67d",
+    "scene_00013.json": "3f13249b694d428be5cc58d3036ae37ae3d1813bd9af49fb0e626eafbb4ef37b",
+    "analytic_00012.pfm": "a4556c3e14aefa87edc1684e3b62815ca91636bf218aefad5c1410d46035dde8",
+    "voxel_00012.pfm": "a4556c3e14aefa87edc1684e3b62815ca91636bf218aefad5c1410d46035dde8",
+    "layout_00012.pfm": "594bfebcff5f78b0617b7f4a409fcaaec65f3f0910bac18f246811c53751e94a",
+    "analytic_00013.pfm": "630699ec31388db084d673f0258d54a6d143e7203b57048ad570c4da69f7c10f",
+    "voxel_00013.pfm": "630699ec31388db084d673f0258d54a6d143e7203b57048ad570c4da69f7c10f",
+    "layout_00013.pfm": "a389d4bdf25a70e7cc254fb532bdd2de8abb289107448aafa661fb29bc885755",
+}
+
+
+def test_non_square_render_digests(tmp_path):
+    run("gen", "--seed", 12, "--count", 2, "--width", 333, "--height", 217,
+        "--out-dir", tmp_path)
+    for seed in (12, 13):
+        scene = tmp_path / f"scene_{seed:05d}.json"
+        run("render", "--scene", scene, "--out", tmp_path / f"analytic_{seed:05d}.pfm")
+        run("render", "--scene", scene, "--out", tmp_path / f"voxel_{seed:05d}.pfm",
+            "--method", "voxel")
+        run("render", "--scene", scene, "--out", tmp_path / f"layout_{seed:05d}.pfm",
+            "--what", "layout", "--unit", "disparity")
+    assert {name: sha256(tmp_path / name) for name in WIDE_SHA256} == WIDE_SHA256
+
+
+# ---------------------------------------------------------------------------
 # eval and ap on perturbed predictions and detections of three scenes.
 
 EVAL_AP_SHA256 = {
