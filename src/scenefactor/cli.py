@@ -157,8 +157,8 @@ def _cmd_convert(args) -> int:
         if args.to == "voxels":
             write_voxels(args.out, pointcloud_to_voxels(points))
         elif args.to == "pointcloud":
-            _write_csv(args.out, ["x", "y", "z"],
-                       [[repr(float(v)) for v in p] for p in points])
+            atomic_write_text(args.out, "x,y,z\n" + "".join(
+                f"{x!r},{y!r},{z!r}\n" for x, y, z in points.tolist()))
         else:
             raise ValueError(f"cannot convert a depth map to {args.to!r}")
         return 0
@@ -336,6 +336,13 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _seed(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {n}")
+    return n
+
+
 def _image_side(value: str) -> int:
     n = _positive_int(value)
     if n > MAX_IMAGE_SIDE:
@@ -348,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate synthetic ground-truth scenes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--objects", type=int, nargs=2, metavar=("LO", "HI"))
@@ -400,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="verify loss-kernel gradients")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--points", type=_positive_int, default=100)
     p.set_defaults(func=_cmd_grad_check)
     return parser

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .geometry import Camera, DEFAULT_CAMERA, Pose, apply_pose, project, rotation_about_y
+from .geometry import Camera, DEFAULT_CAMERA, Pose, image_extent, rotation_about_y
 from .render import depth_to_disparity, render_depth_analytic
 from .scene import CLASS_LABELS, FactoredScene, SceneObject, parametric_shape
 from .voxels import Cuboid, cuboid_voxelize
@@ -149,15 +149,14 @@ def _solid_bounds(cuboids) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _project_box(cuboids, pose: Pose, cam: Camera):
-    corners = np.concatenate([c.corners() for c in cuboids])
-    world = apply_pose(pose, corners)
-    if np.any(world[:, 2] <= 1e-6):
+    extent = image_extent(cam, pose, np.concatenate([c.corners() for c in cuboids]))
+    if extent is None:
         return None
-    u, v, _ = project(cam, world)
-    x0 = max(0.0, float(u.min()))
-    y0 = max(0.0, float(v.min()))
-    x1 = min(float(cam.width), float(u.max()))
-    y1 = min(float(cam.height), float(v.max()))
+    u0, v0, u1, v1 = extent
+    x0 = max(0.0, u0)
+    y0 = max(0.0, v0)
+    x1 = min(float(cam.width), u1)
+    y1 = min(float(cam.height), v1)
     if x0 >= x1 or y0 >= y1:
         return None
     return (x0, y0, x1, y1)

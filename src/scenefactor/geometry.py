@@ -27,6 +27,7 @@ __all__ = [
     "UnitQuaternion",
     "apply_pose",
     "backproject",
+    "image_extent",
     "matrix_to_quat",
     "project",
     "quat_to_matrix",
@@ -305,3 +306,17 @@ def project(cam: Camera, points: np.ndarray):
     u = pts[..., 0] * cam.fx / z + cam.cx
     v = pts[..., 1] * cam.fy / z + cam.cy
     return u, v, z
+
+
+def image_extent(cam: Camera, pose: Pose, points: np.ndarray):
+    """Image-plane bounds ``(u_min, v_min, u_max, v_max)`` of local-frame
+    points under ``pose``, not clipped to the image.
+
+    None when any posed point lies at or behind z = 1e-6, where the
+    projection is unbounded or flips.
+    """
+    world = apply_pose(pose, points)
+    if np.any(world[:, 2] <= 1e-6):
+        return None
+    u, v, _ = project(cam, world)
+    return float(u.min()), float(v.min()), float(u.max()), float(v.max())

@@ -7,18 +7,31 @@ each object's canonical occupancy grid, which is a z-buffer over the
 world-space cubes of occupied voxels and works for arbitrary predicted
 shapes.  Both sample rays at pixel centers, (u, v) = (j + 0.5, i + 0.5).
 
+Rays have unit z, so the ray parameter is the z-depth.  The camera sits
+inside the room box, so every ray leaves the room through its exit face,
+and that slab-test exit splits by axis: x depends on the pixel column only,
+y on the row only, and z is the far wall.  The room depth is therefore
+computed in closed form from one value per column, one per row and one
+scalar.  An object can only be hit by rays whose pixel centers fall inside
+the projection of its posed bounding box (its cuboids' corners, or its
+grid's extent), so each renderer casts an object's rays only inside that
+window, padded by one pixel against rounding.  A box with a corner at or
+behind the camera plane, or one whose projection overflows, gets the whole
+image.  Both shortcuts give the same bits as casting every ray.
+
 Depth maps use 0 as the empty marker; valid depths are strictly positive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera, apply_pose, backproject
+from .geometry import Camera, Pose, apply_pose, backproject, image_extent
 from .scene import FactoredScene, Layout
-from .voxels import DEFAULT_SCENE_SPEC, GridSpec, VoxelGrid
+from .voxels import DEFAULT_SCENE_SPEC, Cuboid, GridSpec, VoxelGrid, _box_corners
 
 __all__ = [
     "DepthMap",
@@ -62,16 +75,48 @@ class DepthMap:
         return self.depth > 0.0
 
 
+def _pixel_slopes(cam: Camera) -> tuple[np.ndarray, np.ndarray]:
+    """x/z of the ray through each pixel column's center, and y/z of the
+    ray through each row's center."""
+    u = (np.arange(cam.width) + 0.5 - cam.cx) / cam.fx
+    v = (np.arange(cam.height) + 0.5 - cam.cy) / cam.fy
+    return u, v
+
+
 def _pixel_rays(cam: Camera) -> np.ndarray:
-    """Ray directions through pixel centers, normalized to unit z.
+    """(H, W, 3) ray directions through pixel centers, normalized to unit z.
 
     With this parametrization the ray parameter t is the z-depth directly,
     and it is preserved by the affine map into any object's local frame.
     """
-    u = (np.arange(cam.width) + 0.5 - cam.cx) / cam.fx
-    v = (np.arange(cam.height) + 0.5 - cam.cy) / cam.fy
-    gu, gv = np.meshgrid(u, v)
+    gu, gv = np.meshgrid(*_pixel_slopes(cam))
     return np.stack([gu, gv, np.ones_like(gu)], axis=-1)
+
+
+def _centers_within(lo: float, hi: float) -> slice:
+    """Pixel indices i with center i + 0.5 in [lo, hi], padded by one
+    index on each side; the caller's array bounds clip the stop."""
+    return slice(max(math.ceil(lo - 0.5) - 1, 0), max(math.floor(hi - 0.5) + 2, 0))
+
+
+def _window_rays(cam: Camera, dirs: np.ndarray, pose: Pose, corners: np.ndarray):
+    """The pixel window whose rays can meet the posed box with local-frame
+    ``corners`` (possibly empty; the whole image when the box reaches the
+    camera plane or its projection overflows), and that window's rays in
+    the local frame.
+
+    Returns ``(rows, cols), local_origin, local_dirs`` with ``local_dirs``
+    flattened in row-major window order.
+    """
+    extent = image_extent(cam, pose, corners)
+    if extent is None or not np.all(np.isfinite(extent)):
+        window = slice(None), slice(None)
+    else:
+        u0, v0, u1, v1 = extent
+        window = _centers_within(v0, v1), _centers_within(u0, u1)
+    local_origin = apply_pose(pose, np.zeros(3), inverse=True)
+    local_dirs = (dirs[window].reshape(-1, 3) @ pose.rotation_matrix) / pose.scale
+    return window, local_origin, local_dirs
 
 
 def _slab(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -103,33 +148,47 @@ def _slab_hit(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> np.ndarray:
     return np.where(hit, t, np.inf)
 
 
+def _room_depth(cam: Camera, room: Cuboid) -> np.ndarray:
+    """``_slab_hit(0, _pixel_rays(cam), *room.bounds)`` for a camera inside
+    the room, bit for bit: the exit parameter min(tx, ty, tz).
+
+    With lo < 0 < hi on every axis no quotient is 0/0, an entry parameter
+    is never positive, and the z exit of a unit-z ray is hi_z.
+    """
+    lo, hi = room.bounds
+    if np.any(lo >= 0.0) or np.any(hi <= 0.0):
+        raise ValueError("camera (the origin) must lie inside the room box")
+    u, v = _pixel_slopes(cam)
+    with np.errstate(divide="ignore"):
+        tx = np.fmax(lo[0] / u, hi[0] / u)
+        ty = np.fmax(lo[1] / v, hi[1] / v)
+    return np.minimum(np.minimum(ty[:, None], tx[None, :]), hi[2])
+
+
 def _raycast_analytic(scene: FactoredScene,
                       include_objects: bool) -> tuple[np.ndarray, np.ndarray]:
     if scene.room is None:
         raise ValueError("analytic rendering needs a scene with room geometry")
-    dirs = _pixel_rays(scene.camera)
-    origin = np.zeros(3)
-    lo, hi = scene.room.bounds
-    if np.any(lo >= 0.0) or np.any(hi <= 0.0):
-        raise ValueError("camera (the origin) must lie inside the room box")
-    depth = _slab_hit(origin, dirs, lo, hi)
+    cam = scene.camera
+    depth = _room_depth(cam, scene.room)
     ids = np.full(depth.shape, ROOM_SURFACE, dtype=np.int32)
     if include_objects:
-        flat_dirs = dirs.reshape(-1, 3)
+        dirs = _pixel_rays(cam)
         for index, obj in enumerate(scene.objects):
             if obj.solid is None:
                 raise ValueError("analytic rendering needs objects with cuboid solids")
-            local_origin = apply_pose(obj.pose, origin, inverse=True)
-            R = obj.pose.rotation_matrix
-            local_dirs = (flat_dirs @ R) / obj.pose.scale
-            t_obj = np.full(len(flat_dirs), np.inf)
+            window, local_origin, local_dirs = _window_rays(
+                cam, dirs, obj.pose, np.concatenate([c.corners() for c in obj.solid]))
+            t_obj = np.full(len(local_dirs), np.inf)
             for c in obj.solid:
                 clo, chi = c.bounds
                 t_obj = np.minimum(t_obj, _slab_hit(local_origin, local_dirs, clo, chi))
-            t_obj = t_obj.reshape(depth.shape)
-            closer = t_obj < depth
-            depth = np.where(closer, t_obj, depth)
-            ids = np.where(closer, np.int32(index), ids)
+            # Views: writing them writes the window of depth and ids.
+            near, near_ids = depth[window], ids[window]
+            t_obj = t_obj.reshape(near.shape)
+            closer = t_obj < near
+            near[closer] = t_obj[closer]
+            near_ids[closer] = index
     miss = ~np.isfinite(depth)
     ids = np.where(miss, np.int32(NO_SURFACE), ids)
     depth = np.where(miss, 0.0, depth)
@@ -211,9 +270,7 @@ def _march_grid(occ: np.ndarray, origin: float, cell: float,
         axis = np.argmin(t_max, axis=-1)
         rows = np.arange(len(idx_alive))
         t_in = t_max[rows, axis]
-        cell_idx = cell_idx.copy()
         cell_idx[rows, axis] += step[rows, axis]
-        t_max = t_max.copy()
         t_max[rows, axis] += t_delta[rows, axis]
 
         inside = (cell_idx[rows, axis] >= 0) & (cell_idx[rows, axis] < n[axis])
@@ -237,19 +294,17 @@ def render_depth_voxel(scene: FactoredScene) -> DepthMap:
     every object are empty.
     """
     cam = scene.camera
-    dirs = _pixel_rays(cam).reshape(-1, 3)
-    origin = np.zeros(3)
-    best = np.full(len(dirs), np.inf)
+    dirs = _pixel_rays(cam)
+    depth = np.full((cam.height, cam.width), np.inf)
     for obj in scene.objects:
         occ = obj.shape.occupied
         if not occ.any():
             continue
-        local_origin = apply_pose(obj.pose, origin, inverse=True)
-        R = obj.pose.rotation_matrix
-        local_dirs = (dirs @ R) / obj.pose.scale
+        window, local_origin, local_dirs = _window_rays(
+            cam, dirs, obj.pose, _box_corners(*obj.shape.extent))
         t = _march_grid(occ, obj.shape.origin[0], obj.shape.cell_size, local_origin, local_dirs)
-        best = np.minimum(best, t)
-    depth = best.reshape(cam.height, cam.width)
+        near = depth[window]
+        np.minimum(near, t.reshape(near.shape), out=near)
     if scene.layout is not None:
         background = disparity_to_depth(scene.layout, cam).depth
         background = np.where(background > 0.0, background, np.inf)

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -12,7 +14,17 @@ from scenefactor.cli import main
 from scenefactor.compare import ComparisonRow
 from scenefactor.detection import ThresholdTuple
 from scenefactor.generator import GeneratorConfig, generate_scene
-from scenefactor.io_formats import read_pfm, read_scene, read_voxels, write_scene
+from scenefactor.geometry import Camera
+from scenefactor.io_formats import (
+    read_depth_pfm,
+    read_pfm,
+    read_scene,
+    read_voxels,
+    write_pfm,
+    write_scene,
+)
+from scenefactor.render import depth_to_pointcloud
+from scenefactor.scene import FactoredScene
 
 
 def run(args):
@@ -126,6 +138,36 @@ class TestConvert:
         scene = read_scene(scene_file)
         assert lines[0] == "x,y,z"
         assert len(lines) == 1 + scene.camera.width * scene.camera.height
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["mixed", "all_empty"])
+    def test_pointcloud_bytes(self, tmp_path, empty):
+        """The point cloud is the text csv.writer makes of repr(float(v))
+        per coordinate."""
+        # Column 3 and row 2 have their centers on the principal point, so
+        # their points have 0.0 coordinates.  -0.0 depths are empty pixels
+        # that the reader accepts.
+        cam = Camera(fx=7.0, fy=9.0, cx=3.5, cy=2.5, width=8, height=5)
+        depth = np.random.default_rng(5).uniform(0.1, 9.0, (5, 8)).astype(np.float32)
+        depth[0, :3] = -0.0
+        depth[4, 5] = 0.0
+        depth[1, 1] = 1e-30
+        depth[3, 6] = 3e38
+        if empty:
+            depth[depth > 0.0] = -0.0
+        write_pfm(tmp_path / "d.pfm", depth)
+        write_scene(FactoredScene(camera=cam), tmp_path / "cam.json")
+        out = tmp_path / "points.csv"
+        assert run(["convert", "--depth", tmp_path / "d.pfm", "--camera-scene",
+                    tmp_path / "cam.json", "--to", "pointcloud", "--out", out]) == 0
+        points = depth_to_pointcloud(read_depth_pfm(tmp_path / "d.pfm", cam))
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["x", "y", "z"])
+        writer.writerows([repr(float(v)) for v in p] for p in points)
+        assert out.read_bytes() == expected.getvalue().encode()
+        assert len(points) == (0 if empty else 5 * 8 - 4)
+        if empty:
+            assert out.read_bytes() == b"x,y,z\n"
 
     def test_invalid_combination(self, scene_dir, tmp_path):
         scene_file = sorted(scene_dir.glob("*.json"))[0]
@@ -296,6 +338,8 @@ def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch):
     ["gen", "--width", "9000", "--out-dir", "d"],
     ["gen", "--height", "8193", "--out-dir", "d"],
     ["grad-check", "--points", "0", "--out", "r.json"],
+    ["gen", "--seed", "-3", "--out-dir", "d"],
+    ["grad-check", "--seed", "-1", "--out", "r.json"],
 ])
 def test_bad_sizes_are_usage_errors(argv, tmp_path, monkeypatch):
     assert_usage_error(argv, tmp_path, monkeypatch)

@@ -319,7 +319,7 @@ class TestSceneJson:
             raise AssertionError("pixel rays allocated for an oversized camera")
 
         path = self._edited(tmp_path, grow)
-        monkeypatch.setattr(render, "_pixel_rays", no_rays)
+        monkeypatch.setattr(render, "_pixel_slopes", no_rays)
         with pytest.raises(FileFormatError) as err:
             read_scene(path)
         assert err.value.location == "$.camera"

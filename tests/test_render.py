@@ -3,9 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from scenefactor.geometry import DEFAULT_CAMERA, Camera, Pose, UnitQuaternion, backproject
+from scenefactor.geometry import (
+    DEFAULT_CAMERA,
+    Camera,
+    Pose,
+    UnitQuaternion,
+    apply_pose,
+    backproject,
+    rotation_about_y,
+)
 from scenefactor.render import (
     DepthMap,
+    _march_grid,
+    _pixel_rays,
+    _room_depth,
+    _slab_hit,
     depth_to_disparity,
     depth_to_pointcloud,
     disparity_to_depth,
@@ -16,7 +28,7 @@ from scenefactor.render import (
     render_surface_ids,
 )
 from scenefactor.scene import FactoredScene, Layout, SceneObject
-from scenefactor.voxels import DEFAULT_SCENE_SPEC, Cuboid, VoxelGrid
+from scenefactor.voxels import DEFAULT_SCENE_SPEC, Cuboid, VoxelGrid, cuboid_voxelize
 
 CAM = DEFAULT_CAMERA.scaled(64, 48)
 
@@ -86,6 +98,85 @@ class TestAnalyticRender:
                 residual = min(
                     abs(np.max(np.abs(local - c.center) - c.half_extents)) for c in obj.solid)
                 assert residual < 1e-6
+
+
+# Column 20 and row 10 have their centers on the principal point: u = v = 0.
+AXIS_CAMERA = Camera(fx=40.0, fy=40.0, cx=20.5, cy=10.5, width=48, height=32)
+
+
+@pytest.mark.parametrize("cam", [DEFAULT_CAMERA, CAM, DEFAULT_CAMERA.scaled(333, 217),
+                                 AXIS_CAMERA])
+def test_room_exit_matches_slab_test(scene_batch, cam):
+    for scene in scene_batch:
+        lo, hi = scene.room.bounds
+        expected = _slab_hit(np.zeros(3), _pixel_rays(cam), lo, hi)
+        assert np.array_equal(_room_depth(cam, scene.room), expected)
+
+
+def all_rays(scene):
+    """Analytic depth and surface ids, and voxel depth, from casting every
+    pixel ray at the room and at every object: the reference for the
+    per-object pixel windows."""
+    dirs = _pixel_rays(scene.camera)
+    flat = dirs.reshape(-1, 3)
+    origin = np.zeros(3)
+    depth = _slab_hit(origin, dirs, *scene.room.bounds)
+    ids = np.full(depth.shape, -1, dtype=np.int32)
+    voxel = np.full(depth.shape, np.inf)
+    for index, obj in enumerate(scene.objects):
+        local_origin = apply_pose(obj.pose, origin, inverse=True)
+        local_dirs = (flat @ obj.pose.rotation_matrix) / obj.pose.scale
+        t = np.full(len(flat), np.inf)
+        for c in obj.solid:
+            t = np.minimum(t, _slab_hit(local_origin, local_dirs, *c.bounds))
+        t = t.reshape(depth.shape)
+        ids = np.where(t < depth, np.int32(index), ids)
+        depth = np.minimum(depth, t)
+        t = _march_grid(obj.shape.occupied, obj.shape.origin[0], obj.shape.cell_size,
+                        local_origin, local_dirs)
+        voxel = np.minimum(voxel, t.reshape(depth.shape))
+    return depth, ids, np.where(np.isfinite(voxel), voxel, 0.0)
+
+
+# A table: a top slab on one leg, in the canonical frame.
+TABLE = (Cuboid((0.0, -0.4, 0.0), (0.5, 0.1, 0.5)), Cuboid((0.1, 0.1, 0.0), (0.1, 0.4, 0.1)))
+UNIT_CUBE = (Cuboid((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)),)
+
+
+def solid_object(solid, scale, theta, translation):
+    pose = Pose(np.array(scale, dtype=float), rotation_about_y(theta),
+                np.array(translation, dtype=float))
+    return SceneObject(shape=cuboid_voxelize(solid), pose=pose, solid=solid)
+
+
+@pytest.mark.parametrize("obj", [
+    # Cut by the left image border.
+    solid_object(TABLE, (0.8, 0.6, 0.7), 0.6, (-1.1, 0.3, 2.0)),
+    # Left of the view frustum: an empty window.
+    solid_object(TABLE, (0.3, 0.3, 0.3), 0.0, (-1.7, 0.0, 1.0)),
+    # Below the camera and reaching behind its plane (z from -0.3 to 0.7):
+    # no bounded projection, so the whole image is cast.
+    solid_object(TABLE, (0.8, 0.3, 1.0), 0.0, (0.0, 0.45, 0.2)),
+    # The left face's far edge passes exactly through the centers of
+    # column 61.  The rays there graze it and hit, while the rounded
+    # projection puts that edge just right of the centers, at
+    # u = 61.50000000000001: only the one-pixel pad keeps the column.
+    solid_object(UNIT_CUBE, (0.3, 0.5, 0.5), 0.0, (1.4289017341040462, 0.0, 2.0)),
+    # So far to the side that its projected u overflows to inf.
+    solid_object(UNIT_CUBE, (1.0, 1.0, 1.0), 0.0, (1e307, 0.0, 1.0)),
+], ids=["image_border", "off_screen", "behind_camera_plane", "grazing_edge",
+        "projection_overflow"])
+def test_pixel_windows_match_all_rays(obj):
+    scene = room_scene([obj])
+    # The far object's slab and march parameters overflow to inf, with or
+    # without windows.
+    with np.errstate(over="ignore"):
+        depth, ids = render_surface_ids(scene)
+        voxel = render_depth_voxel(scene)
+        expected_depth, expected_ids, expected_voxel = all_rays(scene)
+    assert np.array_equal(depth.depth, expected_depth)
+    assert np.array_equal(ids, expected_ids)
+    assert np.array_equal(voxel.depth, expected_voxel)
 
 
 class TestVoxelRender:
