@@ -29,6 +29,7 @@ from .generator import GeneratorConfig, generate_scene
 from .io_formats import (
     MAX_IMAGE_SIDE,
     atomic_write_text,
+    load_json,
     read_depth_pfm,
     read_scene,
     write_depth_pfm,
@@ -85,7 +86,7 @@ def _scene_files(spec: str) -> list[Path]:
 def _cmd_gen(args) -> int:
     overrides = {}
     if args.config:
-        overrides = json.loads(Path(args.config).read_text())
+        overrides = load_json(args.config)
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: the config must be a JSON object")
         # --seed sets the seed and --width/--height the camera.

@@ -2,13 +2,17 @@
 
 Formats
 -------
-* Scene JSON (``format_version`` 1): camera, optional room cuboid,
+* Scene JSON (``format_version`` 2): camera, optional room cuboid,
   layout policy, warnings, and objects (pose, score, class, optional 2D
-  box, voxel payload inline as base64 float32 or as an FVOX reference,
-  optional analytic cuboid solid).  A layout that matches the analytic
-  room render is stored as ``{"from_room": true}`` and regenerated on
-  parse, which keeps the round trip exact at float64; otherwise the
-  disparity goes to a single-precision PFM next to the scene file.
+  box, voxel payload inline or as an FVOX reference, optional analytic
+  cuboid solid).  An inline payload is a canonical 32^3 grid stored as
+  ``base64(zlib.compress(<f4 bytes, x-fastest>))`` at zlib's default
+  level.  The reader checks the dims first and inflates at most one byte
+  past the grid's 131,072, whatever the file holds.  A layout that
+  matches the analytic room render is stored as ``{"from_room": true}``
+  and regenerated on parse, which keeps the round trip exact at float64;
+  otherwise the disparity goes to a single-precision PFM next to the
+  scene file.
 * FVOX: magic ``FVOX``, u32 version, u32 dims[3], u32 frame tag
   (0 canonical, 1 scene), f64 extent[6] (min then max), then float32
   occupancy, x-fastest, little-endian.
@@ -23,9 +27,11 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +40,7 @@ import numpy as np
 from .geometry import Camera, Pose, UnitQuaternion
 from .scene import CLASS_LABELS, FactoredScene, Layout, SceneObject
 from .rotation_bins import BinSet
-from .voxels import Cuboid, VoxelGrid
+from .voxels import CANONICAL_SPEC, Cuboid, VoxelGrid
 
 __all__ = [
     "BadMagicError",
@@ -43,6 +49,7 @@ __all__ = [
     "UnknownVersionError",
     "atomic_write_bytes",
     "atomic_write_text",
+    "load_json",
     "read_binset",
     "read_depth_pfm",
     "read_pfm",
@@ -55,13 +62,16 @@ __all__ = [
     "write_voxels",
 ]
 
-SCENE_FORMAT_VERSION = 1
+SCENE_FORMAT_VERSION = 2
 FVOX_MAGIC = b"FVOX"
 FVOX_VERSION = 1
 # Largest camera width or height a scene file may declare; checked before
 # any image-sized array is allocated.
 MAX_IMAGE_SIDE = 8192
 _FVOX_HEADER = struct.Struct("<4sI3II6d")
+# Inline scene voxels are canonical grids: their dims and inflated size.
+_INLINE_DIMS = list(CANONICAL_SPEC.dims)
+_INLINE_BYTES = 4 * math.prod(CANONICAL_SPEC.dims)
 
 
 class FileFormatError(ValueError):
@@ -263,9 +273,12 @@ def _floats(value, n, loc, path) -> list[float]:
     return [float(v) for v in value]
 
 
-def _load_json(path):
+def load_json(path):
+    """Parse a JSON file; every malformed input raises a located FileFormatError."""
     try:
         return json.loads(Path(path).read_bytes())
+    except RecursionError as exc:
+        raise FileFormatError("JSON nested too deeply", path, location="$") from exc
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"not UTF-8 text: {exc.reason}", path,
                               location=f"byte {exc.start}") from exc
@@ -334,8 +347,8 @@ def _cuboid_from_dict(doc, loc, path) -> Cuboid:
 
 
 def _object_to_dict(obj: SceneObject) -> dict:
-    payload = base64.b64encode(
-        obj.shape.occupancy.astype("<f4").ravel(order="F").tobytes()).decode("ascii")
+    payload = base64.b64encode(zlib.compress(
+        obj.shape.occupancy.astype("<f4").ravel(order="F").tobytes())).decode("ascii")
     return {
         "class_label": obj.class_label,
         "score": obj.score,
@@ -348,6 +361,34 @@ def _object_to_dict(obj: SceneObject) -> dict:
         "voxels": {"dims": list(obj.shape.dims), "b64": payload},
         "solid": [_cuboid_to_dict(c) for c in obj.solid] if obj.solid is not None else None,
     }
+
+
+def _inflate(payload, loc, path) -> bytes:
+    """The ``_INLINE_BYTES`` of an inline voxel payload; inflating stops one
+    byte past that size, so an oversized stream costs no more memory."""
+    if not isinstance(payload, str):
+        raise FileFormatError("voxel payload must be a base64 string", path, location=loc)
+    try:
+        packed = base64.b64decode(payload, validate=True)
+    except ValueError as exc:
+        raise FileFormatError(f"invalid base64 payload: {exc}", path, location=loc) from exc
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(packed, _INLINE_BYTES + 1)
+    except zlib.error as exc:
+        raise FileFormatError(f"invalid zlib stream: {exc}", path, location=loc) from exc
+    if len(raw) > _INLINE_BYTES:
+        raise FileFormatError(f"voxel payload inflates past {_INLINE_BYTES} bytes", path,
+                              location=loc)
+    if not inflater.eof:
+        raise TruncatedFileError("zlib stream ends early", path, location=loc)
+    if inflater.unused_data:
+        raise FileFormatError(f"{len(inflater.unused_data)} bytes after the zlib stream",
+                              path, location=loc)
+    if len(raw) != _INLINE_BYTES:
+        raise TruncatedFileError(f"voxel payload inflates to {len(raw)} bytes, expected "
+                                 f"{_INLINE_BYTES}", path, location=loc)
+    return raw
 
 
 def _object_from_dict(doc, loc, path) -> SceneObject:
@@ -381,20 +422,11 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
         raise FileFormatError(f"dims must be three positive integers, got {dims!r}", path,
                               location=f"{loc}.voxels.dims")
     if "b64" in vox and vox["b64"] is not None:
-        if not isinstance(vox["b64"], str):
-            raise FileFormatError("voxel payload must be a base64 string", path,
-                                  location=f"{loc}.voxels.b64")
-        try:
-            raw = base64.b64decode(vox["b64"], validate=True)
-        except Exception as exc:
-            raise FileFormatError(f"invalid base64 payload: {exc}", path,
-                                  location=f"{loc}.voxels.b64") from exc
-        expected = 4 * dims[0] * dims[1] * dims[2]
-        if len(raw) != expected:
-            raise TruncatedFileError(
-                f"voxel payload has {len(raw)} bytes, expected {expected}", path,
-                location=f"{loc}.voxels.b64")
-        occ = np.frombuffer(raw, dtype="<f4").reshape(dims, order="F")
+        if dims != _INLINE_DIMS:
+            raise FileFormatError(f"inline voxels must have dims {_INLINE_DIMS}, got {dims!r}",
+                                  path, location=f"{loc}.voxels.dims")
+        occ = np.frombuffer(_inflate(vox["b64"], f"{loc}.voxels.b64", path),
+                            dtype="<f4").reshape(dims, order="F")
         try:
             shape = VoxelGrid.canonical(occ)
         except ValueError as exc:
@@ -458,12 +490,13 @@ def write_scene(scene: FactoredScene, path) -> None:
 
 def read_scene(path) -> FactoredScene:
     path = Path(path)
-    doc = _load_json(path)
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object", path, location="$")
     version = _expect(doc, "format_version", "$", path)
     if version != SCENE_FORMAT_VERSION:
-        raise UnknownVersionError(f"unknown format_version {version!r}", path,
+        raise UnknownVersionError(f"unknown format_version {version!r}; this build reads "
+                                  f"version {SCENE_FORMAT_VERSION}", path,
                                   location="$.format_version")
     camera = _camera_from_dict(_expect(doc, "camera", "$", path, kind=dict), "$.camera", path)
     room_doc = _expect(doc, "room", "$", path, allow_none=True)
@@ -522,7 +555,7 @@ def write_binset(path, bins: BinSet) -> None:
 
 def read_binset(path) -> BinSet:
     path = Path(path)
-    doc = _load_json(path)
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object", path, location="$")
     reps = _expect(doc, "representatives", "$", path, kind=list)

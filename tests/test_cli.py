@@ -36,6 +36,14 @@ def schema(name):
 
 
 @pytest.fixture(scope="module")
+def deep_json(tmp_path_factory):
+    """A JSON file nested deeper than the parser's recursion limit."""
+    path = tmp_path_factory.mktemp("deep") / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+@pytest.fixture(scope="module")
 def scene_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("scenes")
     assert run(["gen", "--seed", 40, "--count", 3, "--out-dir", out]) == 0
@@ -91,8 +99,19 @@ class TestGen:
         assert run(["gen", "--config", path, "--out-dir", tmp_path / "out"]) == 1
         assert "JSON object" in capsys.readouterr().err
 
+    def test_config_nested_too_deeply(self, deep_json, tmp_path, capsys):
+        assert run(["gen", "--config", deep_json, "--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nested too deeply" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRender:
+    def test_scene_nested_too_deeply(self, deep_json, tmp_path, capsys):
+        assert run(["render", "--scene", deep_json, "--out", tmp_path / "d.pfm"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nested too deeply" in err
+
     def test_depth_and_layout(self, scene_dir, tmp_path):
         scene_file = sorted(scene_dir.glob("*.json"))[0]
         out_depth = tmp_path / "d.pfm"

@@ -1,6 +1,9 @@
+import base64
 import json
 import math
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from scenefactor import render
 from scenefactor.cli import main
 from scenefactor.io_formats import (
     MAX_IMAGE_SIDE,
+    SCENE_FORMAT_VERSION,
     BadMagicError,
     FileFormatError,
     TruncatedFileError,
@@ -228,14 +232,35 @@ class TestSceneJson:
             read_scene(tmp_path / "trunc.json")
         assert "byte" in str(err.value) or "line" in str(err.value)
 
-    def test_unknown_version_rejected(self, tmp_path):
-        scene = FactoredScene(camera=DEFAULT_CAMERA)
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        scene = generate_scene(GeneratorConfig(seed=2))
         write_scene(scene, tmp_path / "v.json")
         doc = json.loads((tmp_path / "v.json").read_text())
-        doc["format_version"] = 2
+        doc["format_version"] = version
+        if version == 1:  # the version 1 layout: raw float32 payloads
+            for obj, entry in zip(scene.objects, doc["objects"]):
+                entry["voxels"]["b64"] = base64.b64encode(
+                    obj.shape.occupancy.astype("<f4").ravel(order="F").tobytes()).decode()
         (tmp_path / "v.json").write_text(json.dumps(doc))
-        with pytest.raises(UnknownVersionError):
+        with pytest.raises(UnknownVersionError) as err:
             read_scene(tmp_path / "v.json")
+        assert err.value.location == "$.format_version"
+        assert f"reads version {SCENE_FORMAT_VERSION}" in str(err.value)
+
+    def test_schema_version_matches_reader(self):
+        import importlib.resources as resources
+
+        schema = json.loads(
+            resources.files("scenefactor").joinpath("schemas/scene.schema.json").read_text())
+        assert schema["properties"]["format_version"]["const"] == SCENE_FORMAT_VERSION
+
+    def test_deeply_nested_json_names_location(self, tmp_path):
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        for read in (read_scene, read_binset):
+            with pytest.raises(FileFormatError) as err:
+                read(tmp_path / "deep.json")
+            assert err.value.location == "$"
 
     def test_malformed_field_names_location(self, tmp_path):
         scene = generate_scene(GeneratorConfig(seed=2))
@@ -350,6 +375,102 @@ class TestSceneJson:
             doc["layout"] = None
 
         assert read_scene(self._edited(tmp_path, largest)).camera.width == MAX_IMAGE_SIDE
+
+
+GRID_BYTES = 4 * 32**3
+
+
+def _bomb(size: int) -> bytes:
+    """A zlib stream of ``size`` zero bytes, built without holding them."""
+    packer = zlib.compressobj()
+    chunk = bytes(1 << 20)
+    return b"".join(packer.compress(chunk) for _ in range(size >> 20)) + packer.flush()
+
+
+class TestInlinePayload:
+    """An inline voxel payload is base64 of a zlib stream that inflates to
+    exactly one canonical grid; anything else fails at its location."""
+
+    def _scene(self, tmp_path, payload: bytes, dims=(32, 32, 32)):
+        scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
+        write_scene(scene, tmp_path / "s.json")
+        doc = json.loads((tmp_path / "s.json").read_text())
+        doc["objects"][0]["voxels"] = {"dims": list(dims),
+                                       "b64": base64.b64encode(payload).decode()}
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        return scene, tmp_path / "s.json"
+
+    def _grid(self, scene) -> bytes:
+        return scene.objects[0].shape.occupancy.astype("<f4").ravel(order="F").tobytes()
+
+    def test_payload_is_compressed_grid(self, tmp_path):
+        scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
+        write_scene(scene, tmp_path / "s.json")
+        doc = json.loads((tmp_path / "s.json").read_text())
+        payload = base64.b64decode(doc["objects"][0]["voxels"]["b64"])
+        assert payload == zlib.compress(self._grid(scene))
+        assert len(payload) < GRID_BYTES // 10
+
+    def test_recompressed_payload_read(self, tmp_path):
+        scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
+        _, path = self._scene(tmp_path, zlib.compress(self._grid(scene), 9))
+        assert read_scene(path).objects[0].shape == scene.objects[0].shape
+
+    def test_zip_bomb_rejected_within_one_grid(self, tmp_path):
+        _, path = self._scene(tmp_path, _bomb(64 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError) as err:
+                read_scene(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.location == "$.objects[0].voxels.b64"
+        assert "inflates past" in str(err.value)
+        assert peak < 8 * GRID_BYTES
+
+    @pytest.mark.parametrize("cut", [4, 1000])
+    def test_truncated_stream_rejected(self, tmp_path, cut):
+        # Cutting 4 bytes drops only the checksum: the grid inflates in full.
+        scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
+        _, path = self._scene(tmp_path, zlib.compress(self._grid(scene))[:-cut])
+        with pytest.raises(TruncatedFileError) as err:
+            read_scene(path)
+        assert err.value.location == "$.objects[0].voxels.b64"
+
+    def test_bytes_after_stream_rejected(self, tmp_path):
+        scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
+        _, path = self._scene(tmp_path, zlib.compress(self._grid(scene)) + b"\0")
+        with pytest.raises(FileFormatError) as err:
+            read_scene(path)
+        assert err.value.location == "$.objects[0].voxels.b64"
+        assert "after the zlib stream" in str(err.value)
+
+    @pytest.mark.parametrize("size", [0, GRID_BYTES - 4, GRID_BYTES + 4])
+    def test_wrong_inflated_length_rejected(self, tmp_path, size):
+        _, path = self._scene(tmp_path, zlib.compress(bytes(size)))
+        with pytest.raises(FileFormatError) as err:
+            read_scene(path)
+        assert err.value.location == "$.objects[0].voxels.b64"
+
+    def test_not_a_zlib_stream_rejected(self, tmp_path):
+        scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
+        _, path = self._scene(tmp_path, self._grid(scene))
+        with pytest.raises(FileFormatError) as err:
+            read_scene(path)
+        assert err.value.location == "$.objects[0].voxels.b64"
+        assert "zlib" in str(err.value)
+
+    @pytest.mark.parametrize("dims", [(64, 64, 64), (16, 32, 32), (32, 32, 128)])
+    def test_non_canonical_dims_rejected_before_inflating(self, tmp_path, monkeypatch, dims):
+        def no_inflate(*args):
+            raise AssertionError("payload inflated for non-canonical dims")
+
+        _, path = self._scene(tmp_path, zlib.compress(bytes(4 * math.prod(dims))), dims)
+        monkeypatch.setattr(zlib, "decompressobj", no_inflate)
+        with pytest.raises(FileFormatError) as err:
+            read_scene(path)
+        assert err.value.location == "$.objects[0].voxels.dims"
 
 
 class TestReferences:

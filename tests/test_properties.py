@@ -4,11 +4,14 @@ Whatever the bytes, ``read_scene``, ``read_voxels``, ``read_pfm`` and
 ``read_binset`` fail only with a ``FileFormatError`` that names a location,
 and ``render`` on a damaged scene exits 1 or 2 instead of raising.  The
 damage is a random JSON value put at a random path of a valid document,
-or random bytes written over a valid file.  Examples are derandomized and
+random bytes written over a valid file, or random bytes written into an
+inline voxel payload, before or after its compression.  Examples are derandomized and
 capped, so every run checks the same inputs.
 """
 
+import base64
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -127,6 +130,23 @@ def test_damaged_scene_bytes(scene_docs, data):
     original = (root / "base.json").read_bytes()
     scene_file = root / "damaged_bytes.json"
     scene_file.write_bytes(data.draw(damaged_bytes(original, 200)))
+    only_format_errors(read_scene, scene_file)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_damaged_voxel_payload(scene_docs, data):
+    root, docs = scene_docs
+    doc = docs[0]
+    k = data.draw(st.integers(0, len(doc["objects"]) - 1))
+    packed = base64.b64decode(doc["objects"][k]["voxels"]["b64"])
+    if data.draw(st.booleans()):  # damage the grid, then compress it again
+        packed = zlib.compress(data.draw(damaged_bytes(zlib.decompress(packed), 4096)))
+    else:  # damage the compressed stream
+        packed = data.draw(damaged_bytes(packed, len(packed)))
+    damaged = replaced(doc, ("objects", k, "voxels", "b64"), base64.b64encode(packed).decode())
+    scene_file = root / "damaged_payload.json"
+    scene_file.write_text(json.dumps(damaged))
     only_format_errors(read_scene, scene_file)
 
 
