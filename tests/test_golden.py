@@ -50,9 +50,12 @@ def test_compare_reps_digests(tmp_path):
 # ---------------------------------------------------------------------------
 # gen, render and convert on two 64x48 three-piece scenes.
 
+# Scene JSON bytes embed zlib's deflate output for each voxel payload, so
+# these digests (and the two scene files in WIDE_SHA256) hold for the zlib
+# they were recorded with: zlib.ZLIB_RUNTIME_VERSION 1.2.13.
 GEN_SHA256 = {
-    "scene_00007.json": "e858c60678d26198a8aeaf6f3d18e58d1afdcdd13f4de7748d325defad991369",
-    "scene_00008.json": "f7e07d1b80662ae741eac0b662c233428f0d331af3fa2595865a31a09324c2bb",
+    "scene_00007.json": "175edf8a993e1e0b2c4623950b73cdeff448ca95ec071ed76c03632a6dffe5c1",
+    "scene_00008.json": "ece72050330d51dc244d98cfd9ef70914047747dd718d60f08f5b0829d66d02c",
 }
 
 RENDER_CONVERT_SHA256 = {
@@ -101,8 +104,8 @@ def test_render_and_convert_digests(generated, tmp_path):
 # square nor a multiple of 64x48, with objects cut by the image border.
 
 WIDE_SHA256 = {
-    "scene_00012.json": "e7b22848aae404218ae93d21598a7e7379db194e8beb940d60d55e36c29aa67d",
-    "scene_00013.json": "3f13249b694d428be5cc58d3036ae37ae3d1813bd9af49fb0e626eafbb4ef37b",
+    "scene_00012.json": "a4dadffd8c58a34f1813b49fd80e5271dbb65d0039daec9a234cd81c519de25a",
+    "scene_00013.json": "54c7565ef7626566fe39f88144518b6a0dbf947a71b405c6ca4b7cba293bf3ce",
     "analytic_00012.pfm": "a4556c3e14aefa87edc1684e3b62815ca91636bf218aefad5c1410d46035dde8",
     "voxel_00012.pfm": "a4556c3e14aefa87edc1684e3b62815ca91636bf218aefad5c1410d46035dde8",
     "layout_00012.pfm": "594bfebcff5f78b0617b7f4a409fcaaec65f3f0910bac18f246811c53751e94a",
