@@ -100,8 +100,8 @@ def test_render_and_convert_digests(generated, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# gen and render on two 333x217 default-mix scenes: a size that is neither
-# square nor a multiple of 64x48, with objects cut by the image border.
+# gen, render and convert on two 333x217 default-mix scenes: a size that is
+# neither square nor a multiple of 64x48, with objects cut by the image border.
 
 WIDE_SHA256 = {
     "scene_00012.json": "a4dadffd8c58a34f1813b49fd80e5271dbb65d0039daec9a234cd81c519de25a",
@@ -112,6 +112,10 @@ WIDE_SHA256 = {
     "analytic_00013.pfm": "630699ec31388db084d673f0258d54a6d143e7203b57048ad570c4da69f7c10f",
     "voxel_00013.pfm": "630699ec31388db084d673f0258d54a6d143e7203b57048ad570c4da69f7c10f",
     "layout_00013.pfm": "a389d4bdf25a70e7cc254fb532bdd2de8abb289107448aafa661fb29bc885755",
+    "points_00012.csv": "ef1d1abcd91b8dc10f2caf87ac8f5496a86e1b92cbb9f3d244bf6105fb8e3234",
+    "depth_00012.fvox": "298885041c5afa4f9cc5ed2ec20904f6164f5a1d783978b7cca32b889f3bd96f",
+    "points_00013.csv": "bc18fc4bbba863283958c644e4464f47564d0fc2b5b784a3ef4d2292ac24809a",
+    "depth_00013.fvox": "55ce7f8f9e25a7b63082cbd5066f0c9f5c4327ab7189d8d1b83d54568ba96227",
 }
 
 
@@ -125,6 +129,10 @@ def test_non_square_render_digests(tmp_path):
             "--method", "voxel")
         run("render", "--scene", scene, "--out", tmp_path / f"layout_{seed:05d}.pfm",
             "--what", "layout", "--unit", "disparity")
+        for to, out in (("pointcloud", f"points_{seed:05d}.csv"),
+                        ("voxels", f"depth_{seed:05d}.fvox")):
+            run("convert", "--depth", tmp_path / f"voxel_{seed:05d}.pfm", "--camera-scene",
+                scene, "--to", to, "--out", tmp_path / out)
     assert {name: sha256(tmp_path / name) for name in WIDE_SHA256} == WIDE_SHA256
 
 
