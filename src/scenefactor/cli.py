@@ -34,6 +34,7 @@ from .io_formats import (
     read_scene,
     write_depth_pfm,
     write_pfm,
+    write_pointcloud_csv,
     write_scene,
     write_voxels,
 )
@@ -158,8 +159,7 @@ def _cmd_convert(args) -> int:
         if args.to == "voxels":
             write_voxels(args.out, pointcloud_to_voxels(points))
         elif args.to == "pointcloud":
-            atomic_write_text(args.out, "x,y,z\n" + "".join(
-                f"{x!r},{y!r},{z!r}\n" for x, y, z in points.tolist()))
+            write_pointcloud_csv(args.out, points)
         else:
             raise ValueError(f"cannot convert a depth map to {args.to!r}")
         return 0

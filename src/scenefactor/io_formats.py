@@ -1,4 +1,5 @@
-"""Bit-exact file formats: scene JSON, FVOX voxel grids, PFM depth images.
+"""Bit-exact file formats: scene JSON, FVOX voxel grids, PFM depth images,
+point-cloud CSV.
 
 Formats
 -------
@@ -18,6 +19,9 @@ Formats
   occupancy, x-fastest, little-endian.
 * PFM: grayscale ``Pf``, bottom-up rows, negative scale marks
   little-endian.  Depth files use 0 as the empty marker.
+* Point-cloud CSV (written only): header ``x,y,z``, then one row per point,
+  each coordinate the shortest ``repr`` of its float64 value, ``\n`` line
+  ends.
 
 All writes are atomic (write to a temp file, then rename).  Parse errors
 carry the file path and the offending location.
@@ -58,6 +62,7 @@ __all__ = [
     "write_binset",
     "write_depth_pfm",
     "write_pfm",
+    "write_pointcloud_csv",
     "write_scene",
     "write_voxels",
 ]
@@ -188,10 +193,39 @@ def read_depth_pfm(path, camera: Camera):
     from .render import DepthMap
 
     img = read_pfm(path)
+    if img.shape != (camera.height, camera.width):
+        raise FileFormatError(
+            f"depth image is {img.shape[1]}x{img.shape[0]}, camera is {camera.width}x{camera.height}",
+            path, location="header")
+    if not np.all(np.isfinite(img)):
+        raise FileFormatError("depth values must be finite", path, location="payload")
     if np.any(img < 0.0):
         raise FileFormatError("depth values must be non-negative (0 = empty)", path,
                               location="payload")
     return DepthMap(img, camera)
+
+
+# ---------------------------------------------------------------------------
+# Point-cloud CSV
+
+def write_pointcloud_csv(path, points: np.ndarray) -> None:
+    """Write (n, 3) points as ``x,y,z`` CSV, each coordinate as ``repr``
+    of its float64 value.
+
+    Coordinates of a depth-map cloud repeat a lot, so each column formats
+    only its distinct values and scatters the strings back.  Distinct means
+    distinct bits: equal bits give equal text, and -0.0 stays apart from
+    0.0.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    cells = np.empty((len(points), 6), dtype=object)
+    cells[:, 1] = cells[:, 3] = ","
+    cells[:, 5] = "\n"
+    for axis in range(3):
+        bits, inverse = np.unique(points[:, axis].view(np.uint64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+        cells[:, 2 * axis] = text[inverse]
+    atomic_write_text(path, "x,y,z\n" + "".join(cells.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,11 @@ window, padded by one pixel against rounding.  A box with a corner at or
 behind the camera plane, or one whose projection overflows, gets the whole
 image.  Both shortcuts give the same bits as casting every ray.
 
+The voxel marcher is the Amanatides & Woo grid traversal.  It pads the
+occupancy grid by one cell on each side into an int8 code grid (empty,
+occupied, outside), flattens it, and steps each ray's flat cell index by
+the signed axis stride, so one gather per step finds both hits and exits.
+
 Depth maps use 0 as the empty marker; valid depths are strictly positive.
 """
 
@@ -48,6 +53,9 @@ __all__ = [
 # Surface id codes used by the analytic renderer.
 ROOM_SURFACE = -1
 NO_SURFACE = -2
+
+# Cell codes of the voxel marcher's padded grid.
+_EMPTY, _OCCUPIED, _OUTSIDE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -249,37 +257,40 @@ def _march_grid(occ: np.ndarray, origin: float, cell: float,
         t_max = (next_bound - start[None, :]) / d
     t_max = np.where(np.isfinite(t_max), t_max, np.inf)
 
+    # One cell of padding on every side: a ray that steps out of the grid
+    # lands on an OUTSIDE cell, so one gather per step finds hits and exits.
+    code = np.full(n + 2, _OUTSIDE, dtype=np.int8)
+    code[1:-1, 1:-1, 1:-1] = occ
+    strides = np.array([(n[1] + 2) * (n[2] + 2), n[2] + 2, 1])
+    code = code.ravel()
+    flat = (cell_idx + 1) @ strides
+    flat_step = step * strides
+
     max_steps = int(n.sum()) + 4
     for _ in range(max_steps):
-        if len(idx_alive) == 0:
-            break
-        occupied = occ[cell_idx[:, 0], cell_idx[:, 1], cell_idx[:, 2]]
-        hit = occupied
+        here = code[flat]
+        hit = here == _OCCUPIED
         if hit.any():
             result[idx_alive[hit]] = t_in[hit]
-        keep = ~hit
-        idx_alive = idx_alive[keep]
-        if len(idx_alive) == 0:
-            break
-        cell_idx = cell_idx[keep]
-        t_max = t_max[keep]
-        t_delta = t_delta[keep]
-        step = step[keep]
-        t_in = t_in[keep]
+        keep = here == _EMPTY
+        if not keep.all():
+            idx_alive = idx_alive[keep]
+            if len(idx_alive) == 0:
+                break
+            flat = flat[keep]
+            t_max = t_max[keep]
+            t_delta = t_delta[keep]
+            flat_step = flat_step[keep]
 
-        axis = np.argmin(t_max, axis=-1)
-        rows = np.arange(len(idx_alive))
-        t_in = t_max[rows, axis]
-        cell_idx[rows, axis] += step[rows, axis]
-        t_max[rows, axis] += t_delta[rows, axis]
-
-        inside = (cell_idx[rows, axis] >= 0) & (cell_idx[rows, axis] < n[axis])
-        idx_alive = idx_alive[inside]
-        cell_idx = cell_idx[inside]
-        t_max = t_max[inside]
-        t_delta = t_delta[inside]
-        step = step[inside]
-        t_in = t_in[inside]
+        # Offsets of each ray's (row, nearest axis) entry in the raveled
+        # (rays, 3) arrays.
+        k = np.argmin(t_max, axis=-1)
+        k += np.arange(0, 3 * len(k), 3)
+        t_max = t_max.ravel()
+        t_in = t_max[k]
+        flat += flat_step.ravel()[k]
+        t_max[k] += t_delta.ravel()[k]
+        t_max = t_max.reshape(-1, 3)
     return result
 
 

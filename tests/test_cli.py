@@ -188,6 +188,23 @@ class TestConvert:
         if empty:
             assert out.read_bytes() == b"x,y,z\n"
 
+    @pytest.mark.parametrize("bad, location", [
+        (np.nan, "payload"), (np.inf, "payload"), (None, "header")],
+        ids=["nan", "inf", "dims"])
+    def test_bad_depth_pfm_is_one_line(self, tmp_path, capsys, bad, location):
+        cam = Camera(fx=7.0, fy=9.0, cx=3.5, cy=2.5, width=8, height=5)
+        depth = np.ones((4, 8) if bad is None else (5, 8), dtype=np.float32)
+        if bad is not None:
+            depth[2, 3] = bad
+        write_pfm(tmp_path / "d.pfm", depth)
+        write_scene(FactoredScene(camera=cam), tmp_path / "cam.json")
+        assert run(["convert", "--depth", tmp_path / "d.pfm", "--camera-scene",
+                    tmp_path / "cam.json", "--to", "pointcloud",
+                    "--out", tmp_path / "points.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"d.pfm: {location}: " in err
+        assert not (tmp_path / "points.csv").exists()
+
     def test_invalid_combination(self, scene_dir, tmp_path):
         scene_file = sorted(scene_dir.glob("*.json"))[0]
         assert run(["convert", "--scene", scene_file, "--to", "pointcloud",

@@ -1,15 +1,20 @@
 """Property tests of the file readers and the CLI on damaged input.
 
-Whatever the bytes, ``read_scene``, ``read_voxels``, ``read_pfm`` and
-``read_binset`` fail only with a ``FileFormatError`` that names a location,
-and ``render`` on a damaged scene exits 1 or 2 instead of raising.  The
-damage is a random JSON value put at a random path of a valid document,
-random bytes written over a valid file, or random bytes written into an
-inline voxel payload, before or after its compression.  Examples are derandomized and
-capped, so every run checks the same inputs.
+Whatever the bytes, ``read_scene``, ``read_voxels``, ``read_pfm``,
+``read_depth_pfm`` and ``read_binset`` fail only with a ``FileFormatError``
+that names a location, and ``render`` on a damaged scene exits 1 or 2
+instead of raising.  The damage is a random JSON value put at a random path
+of a valid document, random bytes written over a valid file, random bytes
+written into an inline voxel payload, before or after its compression, or a
+well-formed PFM whose size or values (NaN, infinities, negatives) a depth
+map cannot take.  The point-cloud writer's bytes equal what ``csv.writer``
+makes of ``repr(float(v))`` per coordinate, whatever the finite values.
+Examples are derandomized and capped, so every run checks the same inputs.
 """
 
 import base64
+import csv
+import io
 import json
 import zlib
 
@@ -20,20 +25,25 @@ from hypothesis import strategies as st
 
 from scenefactor.cli import main
 from scenefactor.generator import GeneratorConfig, generate_scene
-from scenefactor.geometry import random_unit_quaternion
+from scenefactor.geometry import Camera, random_unit_quaternion
 from scenefactor.io_formats import (
     FileFormatError,
     read_binset,
+    read_depth_pfm,
     read_pfm,
     read_scene,
     read_voxels,
     write_binset,
     write_pfm,
+    write_pointcloud_csv,
     write_scene,
     write_voxels,
 )
 from scenefactor.rotation_bins import cluster_quaternions
 from scenefactor.voxels import VoxelGrid
+
+# The camera of ``small_files``'s 4x5 ``image.pfm``.
+CAMERA_5X4 = Camera(fx=5.0, fy=5.0, cx=2.5, cy=2.0, width=5, height=4)
 
 EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
@@ -175,6 +185,18 @@ def test_damaged_pfm(small_files, data):
     damaged = small_files / "damaged.pfm"
     damaged.write_bytes(data.draw(damaged_bytes((small_files / "image.pfm").read_bytes(), 16)))
     only_format_errors(read_pfm, damaged)
+    only_format_errors(lambda path: read_depth_pfm(path, CAMERA_5X4), damaged)
+
+
+@EXAMPLES
+@given(shape=st.sampled_from([(4, 5), (5, 4), (4, 4), (1, 20)]),
+       data=st.data())
+def test_unfit_depth_pfm(small_files, shape, data):
+    values = st.floats(width=32) | st.sampled_from([0.0, -0.0, 1.0])
+    image = np.array(data.draw(st.lists(values, min_size=20, max_size=20)), dtype=np.float32)
+    path = small_files / "unfit.pfm"
+    write_pfm(path, image[:shape[0] * shape[1]].reshape(shape))
+    only_format_errors(lambda p: read_depth_pfm(p, CAMERA_5X4), path)
 
 
 @EXAMPLES
@@ -189,3 +211,30 @@ def test_damaged_binset(small_files, data):
         damaged.write_bytes(data.draw(damaged_bytes((small_files / "bins.json").read_bytes(),
                                                     100)))
     only_format_errors(read_binset, damaged)
+
+
+# Finite float64 values that stress repr: signed zeros, subnormals, the
+# extremes of the range and integers stored as floats.
+COORDINATES = st.floats(allow_nan=False, allow_infinity=False) \
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308,
+                       1.7976931348623157e308]) \
+    | st.integers(-2**53, 2**53).map(float)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_pointcloud_csv_bytes(small_files, data):
+    n = data.draw(st.integers(0, 60))
+    if data.draw(st.booleans()):  # a few values, heavily repeated
+        pool = data.draw(st.lists(COORDINATES, min_size=1, max_size=4))
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=3 * n, max_size=3 * n))
+    else:
+        values = data.draw(st.lists(COORDINATES, min_size=3 * n, max_size=3 * n))
+    points = np.array(values, dtype=float).reshape(n, 3)
+    path = small_files / "points.csv"
+    write_pointcloud_csv(path, points)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["x", "y", "z"])
+    writer.writerows([repr(float(v)) for v in p] for p in points)
+    assert path.read_bytes() == expected.getvalue().encode()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import (
     DEFAULT_CAMERA,
     Camera,
@@ -17,6 +18,7 @@ from scenefactor.render import (
     _march_grid,
     _pixel_rays,
     _room_depth,
+    _slab,
     _slab_hit,
     depth_to_disparity,
     depth_to_pointcloud,
@@ -224,6 +226,142 @@ class TestVoxelRender:
         scene = FactoredScene(camera=CAM, objects=(obj,))
         depth = render_depth_voxel(scene)
         assert np.all(depth.depth == 0.0)
+
+
+def march_grid_reference(occ, origin, cell, start, dirs):
+    """The voxel marcher as it was before its padded code grid: a
+    three-array occupancy index per step and a separate in-grid test.  The
+    reference for the bit-identity tests below."""
+    n = np.array(occ.shape)
+    lo = np.full(3, origin)
+    t_near, t_far = _slab(start, dirs, lo, lo + n * cell)
+    alive = (t_near <= t_far) & (t_far > 0.0)
+    t_enter = np.maximum(t_near, 0.0)
+
+    result = np.full(len(dirs), np.inf)
+    if not alive.any():
+        return result
+
+    idx_alive = np.flatnonzero(alive)
+    t_in = t_enter[idx_alive]
+    d = dirs[idx_alive]
+    p = start[None, :] + t_in[:, None] * d
+    cell_idx = np.clip(np.floor((p - lo) / cell).astype(int), 0, n - 1)
+
+    step = np.sign(d).astype(int)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_delta = np.where(d != 0.0, cell / np.abs(d), np.inf)
+        next_bound = lo + (cell_idx + (step > 0)) * cell
+        t_max = (next_bound - start[None, :]) / d
+    t_max = np.where(np.isfinite(t_max), t_max, np.inf)
+
+    max_steps = int(n.sum()) + 4
+    for _ in range(max_steps):
+        if len(idx_alive) == 0:
+            break
+        hit = occ[cell_idx[:, 0], cell_idx[:, 1], cell_idx[:, 2]]
+        if hit.any():
+            result[idx_alive[hit]] = t_in[hit]
+        keep = ~hit
+        idx_alive = idx_alive[keep]
+        if len(idx_alive) == 0:
+            break
+        cell_idx = cell_idx[keep]
+        t_max = t_max[keep]
+        t_delta = t_delta[keep]
+        step = step[keep]
+        t_in = t_in[keep]
+
+        axis = np.argmin(t_max, axis=-1)
+        rows = np.arange(len(idx_alive))
+        t_in = t_max[rows, axis]
+        cell_idx[rows, axis] += step[rows, axis]
+        t_max[rows, axis] += t_delta[rows, axis]
+
+        inside = (cell_idx[rows, axis] >= 0) & (cell_idx[rows, axis] < n[axis])
+        idx_alive = idx_alive[inside]
+        cell_idx = cell_idx[inside]
+        t_max = t_max[inside]
+        t_delta = t_delta[inside]
+        step = step[inside]
+        t_in = t_in[inside]
+    return result
+
+
+def assert_march_bits(occ, start, dirs, origin=-0.5, cell=1.0 / 32.0):
+    """The marcher and its reference give the same float64 bits; returns
+    the depths."""
+    start = np.asarray(start, dtype=float)
+    got = _march_grid(occ, origin, cell, start, dirs)
+    expected = march_grid_reference(occ, origin, cell, start, dirs)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    return got
+
+
+def grids():
+    rng = np.random.default_rng(3)
+    single = np.zeros((32, 32, 32), dtype=bool)
+    single[16, 7, 25] = True
+    return {
+        "empty": np.zeros((32, 32, 32), dtype=bool),
+        "full": np.ones((32, 32, 32), dtype=bool),
+        "single": single,
+        "random": rng.random((32, 32, 32)) < 0.3,
+        "sparse": rng.random((32, 32, 32)) < 0.02,
+        # Unequal sides catch a wrong axis order in the flat index.
+        "oblong": rng.random((7, 5, 3)) < 0.1,
+    }
+
+
+@pytest.mark.parametrize("occ", grids().values(), ids=grids().keys())
+@pytest.mark.parametrize("start", [(0.1, -1.3, -2.0), (2.0, 0.3, 0.7), (0.01, 0.02, -0.03),
+                                   (-0.49, 0.45, 0.3)],
+                         ids=["outside", "outside_beside", "inside_center", "inside_corner"])
+def test_march_random_rays_bit_identical(occ, start):
+    rng = np.random.default_rng(4)
+    dirs = rng.normal(size=(4000, 3))
+    dirs[:, 2] += 1.0
+    # Every zero pattern of the components but all three: t_delta = inf on
+    # those axes.
+    for k, mask in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]):
+        dirs[500 * k:500 * (k + 1)] *= mask
+    assert_march_bits(occ, start, dirs)
+
+
+@pytest.mark.parametrize("occ", grids().values(), ids=grids().keys())
+def test_march_rays_along_cell_boundaries(occ):
+    cell = 1.0 / 32.0
+    ticks = -0.5 + cell * np.arange(33)
+    rays = []
+    for a in ticks[::4]:
+        for b in ticks[::4]:
+            for axis in range(3):
+                # An axis-parallel ray, and a diagonal one, along the grid
+                # lines through (a, b), from outside the grid.
+                start = np.insert(np.array([a, b]), axis, -1.0)
+                for other in (0.0, 1.0):
+                    d = np.insert(np.array([other, other]), axis, 1.0)
+                    rays.append((start, d))
+    for start, d in rays:
+        assert_march_bits(occ, start, d[None, :].repeat(3, axis=0))
+    # A fan of rays from a grid vertex inside the grid.
+    dirs = np.array([[x, y, 1.0] for x in (-1.0, -0.5, 0.0, 0.5, 1.0)
+                     for y in (-1.0, 0.0, 0.5, 1.0)])
+    assert_march_bits(occ, (ticks[10], ticks[20], ticks[16]), dirs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_march_generated_objects_bit_identical(seed):
+    scene = generate_scene(GeneratorConfig(seed=seed))
+    flat = _pixel_rays(scene.camera).reshape(-1, 3)
+    hits = 0
+    for obj in scene.objects:
+        local_origin = apply_pose(obj.pose, np.zeros(3), inverse=True)
+        local_dirs = (flat @ obj.pose.rotation_matrix) / obj.pose.scale
+        t = assert_march_bits(obj.shape.occupied, local_origin, local_dirs,
+                              obj.shape.origin[0], obj.shape.cell_size)
+        hits += np.isfinite(t).sum()
+    assert hits > 0
 
 
 class TestDepthDisparity:
