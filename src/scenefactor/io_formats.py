@@ -194,9 +194,9 @@ def read_depth_pfm(path, camera: Camera):
 
     img = read_pfm(path)
     if img.shape != (camera.height, camera.width):
-        raise FileFormatError(
-            f"depth image is {img.shape[1]}x{img.shape[0]}, camera is {camera.width}x{camera.height}",
-            path, location="header")
+        raise FileFormatError(f"depth image is {img.shape[1]}x{img.shape[0]}, "
+                              f"camera is {camera.width}x{camera.height}", path,
+                              location="header")
     if not np.all(np.isfinite(img)):
         raise FileFormatError("depth values must be finite", path, location="payload")
     if np.any(img < 0.0):
@@ -217,7 +217,7 @@ def write_pointcloud_csv(path, points: np.ndarray) -> None:
     distinct bits: equal bits give equal text, and -0.0 stays apart from
     0.0.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    points = np.asarray(points, dtype=float)
     cells = np.empty((len(points), 6), dtype=object)
     cells[:, 1] = cells[:, 3] = ","
     cells[:, 5] = "\n"

@@ -343,7 +343,7 @@ def test_march_rays_along_cell_boundaries(occ):
                     d = np.insert(np.array([other, other]), axis, 1.0)
                     rays.append((start, d))
     for start, d in rays:
-        assert_march_bits(occ, start, d[None, :].repeat(3, axis=0))
+        assert_march_bits(occ, start, d[None, :])
     # A fan of rays from a grid vertex inside the grid.
     dirs = np.array([[x, y, 1.0] for x in (-1.0, -0.5, 0.0, 0.5, 1.0)
                      for y in (-1.0, 0.0, 0.5, 1.0)])
