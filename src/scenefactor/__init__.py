@@ -69,7 +69,6 @@ from .detection import (
     ThresholdTuple,
     ap_sweep,
     evaluate_dataset,
-    evaluate_detections,
 )
 from .losses import (
     LossValueGrad,
@@ -83,6 +82,5 @@ from .losses import (
     trans_scale_l2,
     voxel_bce,
 )
-from .rotation_bins import BinSet, assign_bin, cluster_quaternions
 
 __version__ = "0.1.0"

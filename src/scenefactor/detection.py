@@ -32,7 +32,6 @@ __all__ = [
     "ThresholdTuple",
     "ap_sweep",
     "evaluate_dataset",
-    "evaluate_detections",
 ]
 
 @dataclass(frozen=True)
@@ -46,6 +45,11 @@ class ThresholdTuple:
     scale: float | None = DEFAULT_DELTAS["scale"]
 
     def __post_init__(self):
+        for name in ("box2d", "shape", "rotation", "translation", "scale"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name} threshold must be finite (none is the wildcard), "
+                                 f"got {v}")
         for name in ("box2d", "shape"):
             v = getattr(self, name)
             if v is not None and not (0.0 < v <= 1.0):
@@ -89,9 +93,6 @@ class EvalOutcome:
     ap: float
     n_gt: int
 
-    def tp_count(self) -> int:
-        return sum(m.tp for m in self.matches)
-
 
 def _passes(errors, thresholds: ThresholdTuple) -> bool:
     if thresholds.box2d is not None:
@@ -114,9 +115,6 @@ def _scene_errors(scene_pairs) -> list[tuple[list[SceneObject], int, list]]:
     scenes = []
     for dets, gts in scene_pairs:
         dets, gts = list(dets), list(gts)
-        for d in dets:
-            if d.score is None or not math.isfinite(d.score):
-                raise ValueError("detections must carry finite scores")
         errors = [[component_errors(d, g) for g in gts] for d in dets]
         scenes.append((dets, len(gts), errors))
     return scenes
@@ -179,11 +177,6 @@ def evaluate_dataset(scene_pairs, thresholds: ThresholdTuple = DEFAULT_THRESHOLD
     order then insertion order.  AP needs at least one ground truth.
     """
     return _evaluate(_scene_errors(scene_pairs), thresholds)
-
-
-def evaluate_detections(dets, gts, thresholds: ThresholdTuple = DEFAULT_THRESHOLDS) -> EvalOutcome:
-    """Single-collection evaluation; see :func:`evaluate_dataset`."""
-    return evaluate_dataset([(dets, gts)], thresholds)
 
 
 def _envelope_ap(precision: np.ndarray, recall: np.ndarray) -> float:

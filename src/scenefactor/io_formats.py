@@ -43,7 +43,6 @@ import numpy as np
 
 from .geometry import Camera, Pose, UnitQuaternion
 from .scene import CLASS_LABELS, FactoredScene, Layout, SceneObject
-from .rotation_bins import BinSet
 from .voxels import CANONICAL_SPEC, Cuboid, VoxelGrid
 
 __all__ = [
@@ -54,12 +53,10 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "load_json",
-    "read_binset",
     "read_depth_pfm",
     "read_pfm",
     "read_scene",
     "read_voxels",
-    "write_binset",
     "write_depth_pfm",
     "write_pfm",
     "write_pointcloud_csv",
@@ -299,11 +296,10 @@ def _expect(doc, key, loc, path, kind=None, allow_none=False):
 
 
 def _floats(value, n, loc, path) -> list[float]:
-    """A JSON list of ``n`` numbers (any length when ``n`` is None)."""
-    if not isinstance(value, list) or n not in (None, len(value)) or \
+    """A JSON list of ``n`` numbers."""
+    if not isinstance(value, list) or len(value) != n or \
             not all(isinstance(v, (int, float)) for v in value):
-        raise FileFormatError(f"expected a list of {n or 'any number of'} numbers", path,
-                              location=loc)
+        raise FileFormatError(f"expected a list of {n} numbers", path, location=loc)
     return [float(v) for v in value]
 
 
@@ -571,34 +567,3 @@ def read_scene(path) -> FactoredScene:
         return replace(scene, layout=layout)
     except ValueError as exc:
         raise FileFormatError(str(exc), path, location="$.layout") from exc
-
-
-# ---------------------------------------------------------------------------
-# Bin sets
-
-def write_binset(path, bins: BinSet) -> None:
-    doc = {
-        "format_version": 1,
-        "seed": bins.seed,
-        "inertia": bins.inertia,
-        "inertia_history": list(bins.inertia_history),
-        "representatives": [q.tolist() for q in bins.representatives],
-    }
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
-
-
-def read_binset(path) -> BinSet:
-    path = Path(path)
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise FileFormatError("top level must be a JSON object", path, location="$")
-    reps = _expect(doc, "representatives", "$", path, kind=list)
-    quats = [_floats(q, 4, f"$.representatives[{i}]", path) for i, q in enumerate(reps)]
-    seed = _expect(doc, "seed", "$", path, kind=int)
-    inertia = _expect(doc, "inertia", "$", path, kind=(int, float))
-    history = _floats(doc.get("inertia_history", []), None, "$.inertia_history", path)
-    try:
-        return BinSet(representatives=np.array(quats), seed=seed,
-                      inertia=float(inertia), inertia_history=tuple(history))
-    except ValueError as exc:
-        raise FileFormatError(str(exc), path, location="$.representatives") from exc

@@ -7,6 +7,11 @@ and the background foreground term are sign-normalized accordingly.
 Logarithms clamp their arguments to [eps, 1 - eps] with eps = 1e-7, and
 the gradient is defined as 0 where the clamp is active.
 
+The rotation terms follow the paper's two heads: ``rot_class_nll`` scores
+a distribution over ``DEFAULT_BIN_COUNT`` rotation bins by bin index, and
+``rot_regression`` regresses the quaternion directly.  Nothing is trained
+here, so no bin centres exist; ``gradient_report`` needs only the count.
+
 ``finite_diff_check`` verifies any kernel against central differences;
 ``gradient_report`` runs the whole battery at seeded random points and is
 what the grad-check command emits.
@@ -21,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import UnitQuaternion
-from .rotation_bins import DEFAULT_BIN_COUNT
 
 __all__ = [
     "CLAMP_EPS",
@@ -34,7 +38,6 @@ __all__ = [
     "rot_class_nll",
     "rot_regression",
     "trans_scale_l2",
-    "validate_bin_distribution",
     "voxel_bce",
 ]
 
@@ -43,6 +46,8 @@ CLAMP_EPS = 1e-7
 # gradient_report passes.
 FD_STEP = 1e-5
 GRAD_TOLERANCE = 1e-5
+# Rotation bins of the classification head (the paper's k-means bins).
+DEFAULT_BIN_COUNT = 24
 
 
 @dataclass(frozen=True)
@@ -110,24 +115,11 @@ def voxel_bce(pred, gt) -> LossValueGrad:
     return LossValueGrad(value, grad)
 
 
-def validate_bin_distribution(probs, n_bins: int = DEFAULT_BIN_COUNT) -> np.ndarray:
-    """Check a rotation-bin distribution: length, non-negativity, unit sum."""
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (n_bins,):
-        raise ValueError(f"expected {n_bins} bin probabilities, got shape {p.shape}")
-    if np.any(p < 0.0):
-        raise ValueError("bin probabilities must be non-negative")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"bin probabilities must sum to 1, got {p.sum()!r}")
-    return p
-
-
 def rot_class_nll(dist, k: int) -> LossValueGrad:
     """Negative log-likelihood of the target rotation bin.
 
-    Accepts any positive probability vector so the finite-difference
-    harness can probe it off the simplex; use
-    :func:`validate_bin_distribution` at construction or parse time.
+    ``k`` indexes the bins of ``dist``.  Accepts any positive probability
+    vector so the finite-difference harness can probe it off the simplex.
     """
     p = np.asarray(dist, dtype=float).ravel()
     k = int(k)

@@ -92,9 +92,6 @@ class SceneObject:
         if self.solid is not None:
             object.__setattr__(self, "solid", tuple(self.solid))
 
-    def with_score(self, score: float) -> "SceneObject":
-        return SceneObject(self.shape, self.pose, score, self.class_label, self.box2d, self.solid)
-
 
 @dataclass(frozen=True)
 class FactoredScene:

@@ -291,13 +291,14 @@ class TestAp:
         ("translation", "--delta-trans"), ("scale", "--delta-scale"),
     ])
     def test_nan_threshold_rejected(self, scene_dir, tmp_path, capsys, name, flag):
-        with pytest.raises(ValueError, match=name):
-            ThresholdTuple(**{name: math.nan})
-        out = tmp_path / "ap.json"
-        assert run(["ap", "--dets", scene_dir, "--gt", scene_dir, "--out", out,
-                    flag, "nan"]) == 1
-        assert capsys.readouterr().err.count("\n") == 1
-        assert not out.exists()
+        for value in ("nan", "inf"):
+            with pytest.raises(ValueError, match=name):
+                ThresholdTuple(**{name: float(value)})
+            out = tmp_path / "ap.json"
+            assert run(["ap", "--dets", scene_dir, "--gt", scene_dir, "--out", out,
+                        flag, value]) == 1
+            assert capsys.readouterr().err.count("\n") == 1
+            assert not out.exists()
 
 
 class TestCompareReps:

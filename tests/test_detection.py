@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scenefactor.detection import (
     ThresholdTuple,
     ap_sweep,
     evaluate_dataset,
-    evaluate_detections,
 )
 from scenefactor.geometry import Pose, UnitQuaternion, rotation_about_y
 from scenefactor.metrics import component_errors
@@ -91,15 +91,15 @@ def naive_reference_matcher(dets, gts, thresholds, n_gt_total=None):
 class TestEvaluateDetections:
     def test_perfect_detector(self):
         gts = spread_gts(4)
-        out = evaluate_detections(gts, gts)
+        out = evaluate_dataset([(gts, gts)])
         assert out.ap == 1.0
-        assert out.tp_count() == 4
+        assert sum(m.tp for m in out.matches) == 4
 
     def test_two_gts_one_good_one_bad(self):
         gts = spread_gts(2)
-        good = gts[0].with_score(0.9)
+        good = replace(gts[0], score=0.9)
         bad = make_object([50.0, 0.0, 3.0], score=0.5, box2d=(100.0, 50.0, 108.0, 58.0))
-        out = evaluate_detections([good, bad], gts)
+        out = evaluate_dataset([([good, bad], gts)])
         assert out.ap == pytest.approx(0.5)
         assert [m.tp for m in out.matches] == [True, False]
 
@@ -112,32 +112,37 @@ class TestEvaluateDetections:
         assert evaluate_dataset([(dets, gts)], thresholds).ap == 0.0
 
     def test_unscored_rejected(self):
-        gts = spread_gts(1)
-        with pytest.raises(ValueError):
-            evaluate_detections([gts[0].with_score(float("nan"))], gts)
+        # A detection cannot reach the evaluator without a finite score:
+        # building or replacing a SceneObject already rejects it.
+        gt = spread_gts(1)[0]
+        for score in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="score must lie in"):
+                make_object([0.0, 0.0, 3.0], score=score)
+            with pytest.raises(ValueError, match="score must lie in"):
+                replace(gt, score=score)
 
     def test_no_gts_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_detections([], [])
+            evaluate_dataset([([], [])])
 
-    def test_tp_count_equals_distinct_matched(self, rng):
+    def test_true_positives_equal_distinct_matched(self, rng):
         gts = spread_gts(5)
         dets = []
         for g in gts:
-            dets.append(g.with_score(float(rng.random())))
-            dets.append(g.with_score(float(rng.random())))  # duplicate detection
-        out = evaluate_detections(dets, gts)
+            dets.append(replace(g, score=float(rng.random())))
+            dets.append(replace(g, score=float(rng.random())))  # duplicate detection
+        out = evaluate_dataset([(dets, gts)])
         matched = {m.gt_index for m in out.matches if m.tp}
-        assert out.tp_count() == len(matched) == 5
+        assert sum(m.tp for m in out.matches) == len(matched) == 5
 
     def test_score_monotone_transform_invariance(self, rng):
         gts = spread_gts(4)
-        dets = [g.with_score(float(rng.uniform(0.1, 0.9))) for g in gts]
+        dets = [replace(g, score=float(rng.uniform(0.1, 0.9))) for g in gts]
         dets[1] = make_object([40.0, 0.0, 3.0], score=dets[1].score,
                               box2d=(90.0, 90.0, 98.0, 98.0))
-        base = evaluate_detections(dets, gts).ap
-        squashed = [d.with_score(d.score ** 3) for d in dets]
-        assert evaluate_detections(squashed, gts).ap == base
+        base = evaluate_dataset([(dets, gts)]).ap
+        squashed = [replace(d, score=d.score ** 3) for d in dets]
+        assert evaluate_dataset([(squashed, gts)]).ap == base
 
     def test_matches_naive_reference(self, rng):
         # Randomized small instances incl. tied scores; insertion order is
@@ -156,7 +161,7 @@ class TestEvaluateDetections:
                                         theta=theta, box2d=box))
             if not dets:
                 continue
-            ours = evaluate_detections(dets, gts)
+            ours = evaluate_dataset([(dets, gts)])
             ref = naive_reference_matcher(dets, gts, DEFAULT_THRESHOLDS)
             assert ours.ap == pytest.approx(ref, abs=1e-12)
 
@@ -174,7 +179,7 @@ class TestEvaluateDetections:
         gt_far = make_object([0.6, 0.0, 3.0])
         det = make_object([0.1, 0.0, 3.0], score=0.9)
         thresholds = ThresholdTuple(box2d=None)
-        out = evaluate_detections([det], [gt_near, gt_far], thresholds)
+        out = evaluate_dataset([([det], [gt_near, gt_far])], thresholds)
         assert out.matches[0].tp and out.matches[0].gt_index == 0
 
 

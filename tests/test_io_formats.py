@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scenefactor.generator import GeneratorConfig, generate_scene
-from scenefactor.geometry import DEFAULT_CAMERA, random_unit_quaternion
+from scenefactor.geometry import DEFAULT_CAMERA
 from scenefactor import render
 from scenefactor.cli import main
 from scenefactor.io_formats import (
@@ -19,16 +19,13 @@ from scenefactor.io_formats import (
     FileFormatError,
     TruncatedFileError,
     UnknownVersionError,
-    read_binset,
     read_pfm,
     read_scene,
     read_voxels,
-    write_binset,
     write_pfm,
     write_scene,
     write_voxels,
 )
-from scenefactor.rotation_bins import cluster_quaternions
 from scenefactor.scene import FactoredScene, Layout
 from scenefactor.voxels import DEFAULT_SCENE_SPEC, VoxelGrid
 
@@ -257,10 +254,9 @@ class TestSceneJson:
 
     def test_deeply_nested_json_names_location(self, tmp_path):
         (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
-        for read in (read_scene, read_binset):
-            with pytest.raises(FileFormatError) as err:
-                read(tmp_path / "deep.json")
-            assert err.value.location == "$"
+        with pytest.raises(FileFormatError) as err:
+            read_scene(tmp_path / "deep.json")
+        assert err.value.location == "$"
 
     def test_malformed_field_names_location(self, tmp_path):
         scene = generate_scene(GeneratorConfig(seed=2))
@@ -512,42 +508,3 @@ class TestReferences:
                                       "pfm": "$.layout.pfm"}[which]
         assert main(["render", "--scene", str(path), "--out", str(tmp_path / "d.pfm")]) == 1
         assert capsys.readouterr().err.count("\n") == 1
-
-
-class TestProposalsAndBinset:
-    def test_binset_roundtrip(self, tmp_path, rng):
-        samples = [random_unit_quaternion(rng) for _ in range(100)]
-        bins = cluster_quaternions(samples, k=8, seed=5)
-        write_binset(tmp_path / "bins.json", bins)
-        back = read_binset(tmp_path / "bins.json")
-        assert np.array_equal(back.representatives, bins.representatives)
-        assert back.seed == bins.seed and back.inertia == bins.inertia
-        assert back.inertia_history == bins.inertia_history
-
-    def test_binset_schema(self, tmp_path, rng):
-        import importlib.resources as resources
-
-        import jsonschema
-
-        samples = [random_unit_quaternion(rng) for _ in range(60)]
-        write_binset(tmp_path / "b.json", cluster_quaternions(samples, k=4, seed=1))
-        schema = json.loads(
-            resources.files("scenefactor").joinpath("schemas/binset.schema.json").read_text())
-        jsonschema.validate(json.loads((tmp_path / "b.json").read_text()), schema)
-
-    @pytest.mark.parametrize("edit, location", [
-        (lambda doc: 5, "$"),
-        (lambda doc: {**doc, "seed": [1]}, "$.seed"),
-        (lambda doc: {**doc, "inertia": {}}, "$.inertia"),
-        (lambda doc: {**doc, "inertia_history": [1.0, "x"]}, "$.inertia_history"),
-        (lambda doc: {**doc, "representatives": [[math.nan, 1.0, 0.0, 0.0]]},
-         "$.representatives"),
-    ])
-    def test_binset_bad_field_names_location(self, tmp_path, rng, edit, location):
-        samples = [random_unit_quaternion(rng) for _ in range(20)]
-        write_binset(tmp_path / "b.json", cluster_quaternions(samples, k=3, seed=1))
-        doc = json.loads((tmp_path / "b.json").read_text())
-        (tmp_path / "b.json").write_text(json.dumps(edit(doc)))
-        with pytest.raises(FileFormatError) as err:
-            read_binset(tmp_path / "b.json")
-        assert err.value.location == location

@@ -14,7 +14,6 @@ from scenefactor.losses import (
     rot_class_nll,
     rot_regression,
     trans_scale_l2,
-    validate_bin_distribution,
     voxel_bce,
 )
 from scenefactor.scene import Layout
@@ -120,18 +119,6 @@ class TestRotClassNll:
             dist /= dist.sum()
             k = int(rng.integers(24))
             assert finite_diff_check(lambda x: rot_class_nll(x, k), dist) < 1e-5
-
-    def test_validate_bin_distribution(self):
-        ok = np.full(24, 1.0 / 24.0)
-        validate_bin_distribution(ok)
-        with pytest.raises(ValueError):
-            validate_bin_distribution(np.full(23, 1.0 / 23.0))
-        with pytest.raises(ValueError):
-            validate_bin_distribution(ok * 1.01)
-        bad = ok.copy()
-        bad[0] = -bad[0]
-        with pytest.raises(ValueError):
-            validate_bin_distribution(bad)
 
 
 class TestRotRegression:

@@ -1,10 +1,10 @@
 """Property tests of the file readers and the CLI on damaged input.
 
-Whatever the bytes, ``read_scene``, ``read_voxels``, ``read_pfm``,
-``read_depth_pfm`` and ``read_binset`` fail only with a ``FileFormatError``
-that names a location, and ``render`` on a damaged scene exits 1 or 2
-instead of raising.  The damage is a random JSON value put at a random path
-of a valid document, random bytes written over a valid file, random bytes
+Whatever the bytes, ``read_scene``, ``read_voxels``, ``read_pfm`` and
+``read_depth_pfm`` fail only with a ``FileFormatError`` that names a
+location, and ``render`` on a damaged scene exits 1 or 2 instead of
+raising.  The damage is a random JSON value put at a random path of a
+valid document, random bytes written over a valid file, random bytes
 written into an inline voxel payload, before or after its compression, or a
 well-formed PFM whose size or values (NaN, infinities, negatives) a depth
 map cannot take.  The point-cloud writer's bytes equal what ``csv.writer``
@@ -25,21 +25,18 @@ from hypothesis import strategies as st
 
 from scenefactor.cli import main
 from scenefactor.generator import GeneratorConfig, generate_scene
-from scenefactor.geometry import Camera, random_unit_quaternion
+from scenefactor.geometry import Camera
 from scenefactor.io_formats import (
     FileFormatError,
-    read_binset,
     read_depth_pfm,
     read_pfm,
     read_scene,
     read_voxels,
-    write_binset,
     write_pfm,
     write_pointcloud_csv,
     write_scene,
     write_voxels,
 )
-from scenefactor.rotation_bins import cluster_quaternions
 from scenefactor.voxels import VoxelGrid
 
 # The camera of ``small_files``'s 4x5 ``image.pfm``.
@@ -166,8 +163,6 @@ def small_files(tmp_path_factory):
     rng = np.random.default_rng(1)
     write_voxels(root / "grid.fvox", VoxelGrid.scene(rng.random((4, 3, 2)), origin=(0, 0, 0)))
     write_pfm(root / "image.pfm", rng.random((4, 5)))
-    samples = [random_unit_quaternion(rng) for _ in range(20)]
-    write_binset(root / "bins.json", cluster_quaternions(samples, k=3, seed=2))
     return root
 
 
@@ -197,20 +192,6 @@ def test_unfit_depth_pfm(small_files, shape, data):
     path = small_files / "unfit.pfm"
     write_pfm(path, image[:shape[0] * shape[1]].reshape(shape))
     only_format_errors(lambda p: read_depth_pfm(p, CAMERA_5X4), path)
-
-
-@EXAMPLES
-@given(data=st.data())
-def test_damaged_binset(small_files, data):
-    doc = json.loads((small_files / "bins.json").read_text())
-    damaged = small_files / "damaged_bins.json"
-    if data.draw(st.booleans()):
-        path = data.draw(st.sampled_from(list(json_paths(doc))))
-        damaged.write_text(json.dumps(replaced(doc, path, data.draw(JSON_VALUES))))
-    else:
-        damaged.write_bytes(data.draw(damaged_bytes((small_files / "bins.json").read_bytes(),
-                                                    100)))
-    only_format_errors(read_binset, damaged)
 
 
 # Finite float64 values that stress repr: signed zeros, subnormals, the
