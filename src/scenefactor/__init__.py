@@ -17,7 +17,6 @@ from .geometry import (
     UnitQuaternion,
     apply_pose,
     backproject,
-    matrix_to_quat,
     project,
     quat_to_matrix,
     rotation_geodesic,

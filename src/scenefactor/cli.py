@@ -97,15 +97,16 @@ def _cmd_gen(args) -> int:
             raise ValueError(f"{args.config}: {unknown[0]!r} is not a GeneratorConfig field "
                              "that --config can set")
     if args.objects is not None:
-        overrides["object_count_range"] = tuple(args.objects)
+        overrides["object_count_range"] = args.objects
     if args.width or args.height:
         from .geometry import DEFAULT_CAMERA
 
         overrides["camera"] = DEFAULT_CAMERA.scaled(args.width or 64, args.height or 48)
     try:
         config = GeneratorConfig(seed=args.seed, **overrides)
-    except (TypeError, OverflowError) as exc:
-        # Only a --config value can have the wrong type or overflow an int.
+    except (TypeError, ValueError, OverflowError) as exc:
+        # The parser has checked --seed, --objects and the image size, so
+        # only a --config value can be rejected here.
         raise ValueError(f"{args.config}: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -337,11 +338,21 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _seed(value: str) -> int:
+def _non_negative_int(value: str) -> int:
     n = int(value)
     if n < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {n}")
     return n
+
+
+class _CountRange(argparse.Action):
+    """Stores ``LO HI`` as a tuple; a usage error unless LO <= HI."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[0] > values[1]:
+            raise argparse.ArgumentError(
+                self, f"LO must not exceed HI, got {values[0]} {values[1]}")
+        setattr(namespace, self.dest, tuple(values))
 
 
 def _image_side(value: str) -> int:
@@ -356,10 +367,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate synthetic ground-truth scenes")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--objects", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--objects", type=_non_negative_int, nargs=2, metavar=("LO", "HI"),
+                   action=_CountRange)
     p.add_argument("--width", type=_image_side)
     p.add_argument("--height", type=_image_side)
     p.add_argument("--config", help="JSON file with GeneratorConfig fields")
@@ -408,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="verify loss-kernel gradients")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--points", type=_positive_int, default=100)
     p.set_defaults(func=_cmd_grad_check)
     return parser

@@ -7,13 +7,13 @@ All world bounding boxes are pairwise disjoint.  A seed fully determines
 the scene.
 
 Two realism constraints keep the 8 cm scene grid well resolved: each room
-gets one large anchor piece (bed or sofa by default), and televisions are
-capped at one per scene.  Both are configurable.
+gets one large anchor piece (bed or sofa by default; ``anchor_classes``
+sets the choice), and televisions are capped at ``MAX_TELEVISIONS`` per
+scene.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -39,38 +39,34 @@ CLASS_SIZE_RANGES: dict[str, tuple[tuple[float, float], ...]] = {
 }
 
 
-def _range_pair(value, name: str) -> tuple[float, float]:
-    lo, hi = (float(v) for v in value)
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-        raise ValueError(f"{name} must be a non-empty (lo, hi) range, got {value}")
-    return lo, hi
+# Room ranges in camera coordinates (y down): the floor lies below the
+# camera and the ceiling range is negative.  Every room they allow fits
+# inside the default scene voxel grid.
+ROOM_X_MIN_RANGE = (-2.4, -1.5)
+ROOM_X_MAX_RANGE = (1.5, 2.4)
+FLOOR_Y_RANGE = (0.95, 1.25)
+CEILING_Y_RANGE = (-1.25, -0.95)
+BACK_WALL_Z_RANGE = (-1.0, -0.4)
+FRONT_WALL_Z_RANGE = (3.4, 5.0)
+
+MAX_TELEVISIONS = 1
+# Placement tries per object before the scene gives up with a warning.
+MAX_ATTEMPTS = 60
+# Clearance between an object's footprint and the walls, in meters.
+PLACEMENT_MARGIN = 0.06
+# Nearest camera depth an object's footprint may reach, in meters.
+MIN_OBJECT_Z = 0.9
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Everything the generator needs; the seed fully determines the output.
-
-    Room ranges are expressed directly in camera coordinates (y down), so
-    ``floor_y_range`` is the floor height below the camera and the ceiling
-    range is negative.  Defaults keep the whole room inside the default
-    scene voxel grid.
-    """
+    """The settings a caller chooses; the seed fully determines the output."""
 
     seed: int = 0
     object_count_range: tuple[int, int] = (3, 5)
-    room_x_min_range: tuple[float, float] = (-2.4, -1.5)
-    room_x_max_range: tuple[float, float] = (1.5, 2.4)
-    floor_y_range: tuple[float, float] = (0.95, 1.25)
-    ceiling_y_range: tuple[float, float] = (-1.25, -0.95)
-    back_wall_z_range: tuple[float, float] = (-1.0, -0.4)
-    front_wall_z_range: tuple[float, float] = (3.4, 5.0)
     class_mix: Mapping[str, float] = field(
         default_factory=lambda: {label: 1.0 for label in CLASS_LABELS})
     anchor_classes: tuple[str, ...] = ("bed", "sofa")
-    max_televisions: int = 1
-    max_attempts: int = 60
-    placement_margin: float = 0.06
-    min_object_z: float = 0.9
     camera: Camera = field(default_factory=lambda: DEFAULT_CAMERA.scaled(64, 48))
 
     def __post_init__(self):
@@ -78,9 +74,6 @@ class GeneratorConfig:
         if lo < 0 or hi < lo:
             raise ValueError(f"bad object_count_range {self.object_count_range}")
         object.__setattr__(self, "object_count_range", (lo, hi))
-        for name in ("room_x_min_range", "room_x_max_range", "floor_y_range",
-                     "ceiling_y_range", "back_wall_z_range", "front_wall_z_range"):
-            object.__setattr__(self, name, _range_pair(getattr(self, name), name))
         mix = {str(k): float(v) for k, v in dict(self.class_mix).items()}
         if not mix or any(k not in CLASS_LABELS for k in mix) or any(v < 0 for v in mix.values()):
             raise ValueError(f"class_mix must map known classes to non-negative weights, got {mix}")
@@ -91,21 +84,15 @@ class GeneratorConfig:
         if any(a not in CLASS_LABELS for a in anchors):
             raise ValueError(f"unknown anchor class in {anchors}")
         object.__setattr__(self, "anchor_classes", anchors)
-        for name in ("max_televisions", "max_attempts"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        for name in ("placement_margin", "min_object_z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
 
 
-def _sample_room(cfg: GeneratorConfig, rng: np.random.Generator) -> Cuboid:
-    x_min = rng.uniform(*cfg.room_x_min_range)
-    x_max = rng.uniform(*cfg.room_x_max_range)
-    floor_y = rng.uniform(*cfg.floor_y_range)
-    ceil_y = rng.uniform(*cfg.ceiling_y_range)
-    z_back = rng.uniform(*cfg.back_wall_z_range)
-    z_front = rng.uniform(*cfg.front_wall_z_range)
+def _sample_room(rng: np.random.Generator) -> Cuboid:
+    x_min = rng.uniform(*ROOM_X_MIN_RANGE)
+    x_max = rng.uniform(*ROOM_X_MAX_RANGE)
+    floor_y = rng.uniform(*FLOOR_Y_RANGE)
+    ceil_y = rng.uniform(*CEILING_Y_RANGE)
+    z_back = rng.uniform(*BACK_WALL_Z_RANGE)
+    z_front = rng.uniform(*FRONT_WALL_Z_RANGE)
     lo = np.array([x_min, ceil_y, z_back])
     hi = np.array([x_max, floor_y, z_front])
     return Cuboid((lo + hi) / 2.0, (hi - lo) / 2.0)
@@ -167,11 +154,11 @@ def generate_scene(cfg: GeneratorConfig) -> FactoredScene:
     scenes bit for bit.
 
     Placement is rejection sampling on world-space bounding boxes.  If an
-    object cannot be placed within ``max_attempts`` tries it is skipped and
+    object cannot be placed within ``MAX_ATTEMPTS`` tries it is skipped and
     the scene carries a warning.
     """
     rng = np.random.default_rng(cfg.seed)
-    room = _sample_room(cfg, rng)
+    room = _sample_room(rng)
     room_lo, room_hi = room.bounds
     floor_y = float(room_hi[1])
 
@@ -182,17 +169,17 @@ def generate_scene(cfg: GeneratorConfig) -> FactoredScene:
     objects: list[SceneObject] = []
     placed_boxes: list[tuple[np.ndarray, np.ndarray]] = []
     warnings: list[str] = []
-    margin = cfg.placement_margin
+    margin = PLACEMENT_MARGIN
 
     for slot in range(count):
         placed = False
-        for _ in range(cfg.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             if slot == 0 and cfg.anchor_classes:
                 kind = str(rng.choice(cfg.anchor_classes))
             else:
                 pool = weights.copy()
                 n_tv = sum(1 for o in objects if o.class_label == "television")
-                if n_tv >= cfg.max_televisions and "television" in labels:
+                if n_tv >= MAX_TELEVISIONS and "television" in labels:
                     pool[labels.index("television")] = 0.0
                 if pool.sum() <= 0:
                     pool = weights.copy()
@@ -213,7 +200,7 @@ def generate_scene(cfg: GeneratorConfig) -> FactoredScene:
 
             x_lo = room_lo[0] + margin + half_x
             x_hi = room_hi[0] - margin - half_x
-            z_lo = max(cfg.min_object_z + half_z, room_lo[2] + margin + half_z)
+            z_lo = max(MIN_OBJECT_Z + half_z, room_lo[2] + margin + half_z)
             z_hi = room_hi[2] - margin - half_z
             if x_lo >= x_hi or z_lo >= z_hi:
                 continue
@@ -252,7 +239,7 @@ def generate_scene(cfg: GeneratorConfig) -> FactoredScene:
             break
         if not placed:
             warnings.append(
-                f"placement failed after {cfg.max_attempts} attempts; "
+                f"placement failed after {MAX_ATTEMPTS} attempts; "
                 f"placed {len(objects)} of {count} objects")
             break
 

@@ -28,7 +28,6 @@ __all__ = [
     "apply_pose",
     "backproject",
     "image_extent",
-    "matrix_to_quat",
     "project",
     "quat_to_matrix",
     "random_unit_quaternion",
@@ -100,27 +99,6 @@ class UnitQuaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
-    def conjugate(self) -> "UnitQuaternion":
-        return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __neg__(self) -> "UnitQuaternion":
-        return UnitQuaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def multiply(self, other: "UnitQuaternion") -> "UnitQuaternion":
-        """Hamilton product self * other.
-
-        Composition order matches matrices: rotating by the product applies
-        ``other`` first, then ``self``.
-        """
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return UnitQuaternion.normalized([
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ])
-
 
 def rotation_about_y(angle: float) -> UnitQuaternion:
     """Rotation about the vertical (y) axis, the common case for furniture."""
@@ -155,37 +133,6 @@ def validate_rotation_matrix(R: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     if abs(np.linalg.det(R) - 1.0) > tol:
         raise ValueError("matrix determinant is not +1 (improper rotation)")
     return R
-
-
-def matrix_to_quat(R: np.ndarray) -> UnitQuaternion:
-    """Convert a rotation matrix to a unit quaternion (Shepperd's method)."""
-    R = validate_rotation_matrix(R)
-    trace = R[0, 0] + R[1, 1] + R[2, 2]
-    if trace > 0.0:
-        s = math.sqrt(trace + 1.0) * 2.0
-        w = 0.25 * s
-        x = (R[2, 1] - R[1, 2]) / s
-        y = (R[0, 2] - R[2, 0]) / s
-        z = (R[1, 0] - R[0, 1]) / s
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        w = (R[2, 1] - R[1, 2]) / s
-        x = 0.25 * s
-        y = (R[0, 1] + R[1, 0]) / s
-        z = (R[0, 2] + R[2, 0]) / s
-    elif R[1, 1] > R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        w = (R[0, 2] - R[2, 0]) / s
-        x = (R[0, 1] + R[1, 0]) / s
-        y = 0.25 * s
-        z = (R[1, 2] + R[2, 1]) / s
-    else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        w = (R[1, 0] - R[0, 1]) / s
-        x = (R[0, 2] + R[2, 0]) / s
-        y = (R[1, 2] + R[2, 1]) / s
-        z = 0.25 * s
-    return UnitQuaternion.normalized([w, x, y, z])
 
 
 def rotation_geodesic(a: UnitQuaternion, b: UnitQuaternion) -> float:

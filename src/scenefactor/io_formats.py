@@ -295,10 +295,14 @@ def _expect(doc, key, loc, path, kind=None, allow_none=False):
     return value
 
 
+def _is_number(value) -> bool:
+    """A JSON number; ``bool`` is excluded although Python counts it as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _floats(value, n, loc, path) -> list[float]:
     """A JSON list of ``n`` numbers."""
-    if not isinstance(value, list) or len(value) != n or \
-            not all(isinstance(v, (int, float)) for v in value):
+    if not isinstance(value, list) or len(value) != n or not all(map(_is_number, value)):
         raise FileFormatError(f"expected a list of {n} numbers", path, location=loc)
     return [float(v) for v in value]
 
@@ -345,7 +349,7 @@ def _camera_from_dict(doc, loc, path) -> Camera:
     vals = {}
     for key in ("fx", "fy", "cx", "cy", "width", "height"):
         v = _expect(doc, key, loc, path)
-        if not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise FileFormatError(f"field {key!r} must be a number", path, location=f"{loc}.{key}")
         vals[key] = v
     for key in ("width", "height"):
@@ -429,7 +433,7 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
         raise FileFormatError(f"unknown class label {label!r}", path,
                               location=f"{loc}.class_label")
     score = _expect(doc, "score", loc, path)
-    if not isinstance(score, (int, float)):
+    if not _is_number(score):
         raise FileFormatError("score must be a number", path, location=f"{loc}.score")
 
     pose_doc = _expect(doc, "pose", loc, path, kind=dict)
@@ -448,7 +452,7 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
     vox = _expect(doc, "voxels", loc, path, kind=dict)
     dims = _expect(vox, "dims", f"{loc}.voxels", path)
     if not (isinstance(dims, list) and len(dims) == 3
-            and all(isinstance(d, int) and d > 0 for d in dims)):
+            and all(_is_number(d) and isinstance(d, int) and d > 0 for d in dims)):
         raise FileFormatError(f"dims must be three positive integers, got {dims!r}", path,
                               location=f"{loc}.voxels.dims")
     if "b64" in vox and vox["b64"] is not None:
@@ -532,12 +536,15 @@ def read_scene(path) -> FactoredScene:
     room_doc = _expect(doc, "room", "$", path, allow_none=True)
     room = _cuboid_from_dict(room_doc, "$.room", path) if room_doc is not None else None
     warnings_doc = _expect(doc, "warnings", "$", path, kind=list)
+    for i, w in enumerate(warnings_doc):
+        if not isinstance(w, str):
+            raise FileFormatError("warnings must be strings", path, location=f"$.warnings[{i}]")
     objects_doc = _expect(doc, "objects", "$", path, kind=list)
     objects = tuple(_object_from_dict(o, f"$.objects[{i}]", path)
                     for i, o in enumerate(objects_doc))
     try:
         scene = FactoredScene(camera=camera, objects=objects, room=room,
-                              warnings=tuple(str(w) for w in warnings_doc))
+                              warnings=tuple(warnings_doc))
     except ValueError as exc:
         raise FileFormatError(str(exc), path, location="$.objects") from exc
 

@@ -41,11 +41,9 @@ class NNIndex:
         self.points = pts
         self._tree = cKDTree(pts)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def query(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest indexed point per query; returns (distances, indices).
+        """Nearest indexed point per row of an (N, 3) query array; returns
+        (distances, indices), each of length N.
 
         Ties break to the lowest index.  The second-nearest distance from
         the tree tells us when a tie is possible; only those queries pay
@@ -54,8 +52,6 @@ class NNIndex:
         results do not depend on scheduling.
         """
         q = np.asarray(queries, dtype=float)
-        single = q.ndim == 1
-        q = np.atleast_2d(q)
         k = min(2, len(self.points))
         dist, idx = self._tree.query(q, k=k, workers=-1)
         if k == 1:
@@ -75,8 +71,6 @@ class NNIndex:
                     near_d, near_i = self._tree.query(q[row], k=len(near))
                     ball = near_i[near_d == best_d[row]]
                 best_i[row] = min(ball)
-        if single:
-            return float(best_d[0]), int(best_i[0])
         return best_d, best_i
 
 
@@ -106,9 +100,6 @@ class RigidTransform:
         t.setflags(write=False)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
 def _kabsch(src_centered: np.ndarray, src_mean: np.ndarray,

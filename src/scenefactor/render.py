@@ -36,7 +36,7 @@ import numpy as np
 
 from .geometry import Camera, Pose, apply_pose, backproject, image_extent
 from .scene import FactoredScene, Layout
-from .voxels import DEFAULT_SCENE_SPEC, Cuboid, GridSpec, VoxelGrid, _box_corners
+from .voxels import DEFAULT_SCENE_SPEC, Cuboid, VoxelGrid, _box_corners
 
 __all__ = [
     "DepthMap",
@@ -44,7 +44,6 @@ __all__ = [
     "depth_to_pointcloud",
     "disparity_to_depth",
     "pointcloud_to_voxels",
-    "points_outside_extent",
     "render_depth_analytic",
     "render_depth_voxel",
     "render_surface_ids",
@@ -351,29 +350,13 @@ def depth_to_pointcloud(d: DepthMap) -> np.ndarray:
     return backproject(d.camera, cols + 0.5, rows + 0.5, d.depth[rows, cols])
 
 
-def _grid_index(points: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Cell index of every point, and whether it lies inside the grid."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    idx = np.floor((pts - np.asarray(spec.origin)) / spec.cell_size).astype(int)
-    return idx, np.all((idx >= 0) & (idx < np.array(spec.dims)), axis=1)
-
-
 def pointcloud_to_voxels(points: np.ndarray) -> VoxelGrid:
     """Default scene grid with a cell occupied iff at least one point lies
-    inside it.
-
-    Points outside the grid extent are dropped; :func:`points_outside_extent`
-    counts them.
-    """
-    idx, inside = _grid_index(points, DEFAULT_SCENE_SPEC)
-    idx = idx[inside]
-    occ = np.zeros(DEFAULT_SCENE_SPEC.dims, dtype=np.float32)
+    inside it; points outside the grid extent are dropped."""
+    spec = DEFAULT_SCENE_SPEC
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    idx = np.floor((pts - np.asarray(spec.origin)) / spec.cell_size).astype(int)
+    idx = idx[np.all((idx >= 0) & (idx < np.array(spec.dims)), axis=1)]
+    occ = np.zeros(spec.dims, dtype=np.float32)
     occ[idx[:, 0], idx[:, 1], idx[:, 2]] = 1.0
     return VoxelGrid.scene(occ)
-
-
-def points_outside_extent(points: np.ndarray) -> int:
-    """How many points fall outside the default scene grid (dropped by
-    voxelization)."""
-    _, inside = _grid_index(points, DEFAULT_SCENE_SPEC)
-    return int((~inside).sum())

@@ -73,18 +73,21 @@ class TestGen:
         assert scene.objects == ()
 
     @pytest.mark.parametrize("config, key", [({"bogus": 1}, "bogus"), ({"seed": 3}, "seed"),
-                                             ({"camera": {"fx": 1}}, "camera")])
+                                             ({"camera": {"fx": 1}}, "camera"),
+                                             ({"max_attempts": 5}, "max_attempts"),
+                                             ({"floor_y_range": [1, 2]}, "floor_y_range")])
     def test_config_unknown_key(self, tmp_path, capsys, config, key):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"max_televisions": 0, **config}))
+        path.write_text(json.dumps({"anchor_classes": [], **config}))
         assert run(["gen", "--config", path, "--out-dir", tmp_path / "out"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and repr(key) in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("config", [{"max_attempts": "x"}, {"class_mix": 5},
-                                        {"max_televisions": "x"},
-                                        {"object_count_range": [1e999, 2]}])
+    @pytest.mark.parametrize("config", [{"class_mix": {"chair": "x"}}, {"class_mix": 5},
+                                        {"object_count_range": ["a", 2]},
+                                        {"object_count_range": [1e999, 2]},
+                                        {"object_count_range": [5, 2]}])
     def test_config_mistyped_value(self, tmp_path, capsys, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -377,9 +380,63 @@ def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch):
     ["grad-check", "--points", "0", "--out", "r.json"],
     ["gen", "--seed", "-3", "--out-dir", "d"],
     ["grad-check", "--seed", "-1", "--out", "r.json"],
+    ["gen", "--objects", "5", "2", "--out-dir", "d"],
+    ["gen", "--objects", "-1", "3", "--out-dir", "d"],
 ])
-def test_bad_sizes_are_usage_errors(argv, tmp_path, monkeypatch):
+def test_bad_sizes_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert_usage_error(argv, tmp_path, monkeypatch)
+    flag = capsys.readouterr().err.splitlines()[-1].split("error: argument ")[1].split(":")[0]
+    assert flag in argv
+
+
+@pytest.fixture(scope="module")
+def error_inputs(scene_dir, tmp_path_factory):
+    """A scene, its depth map, an empty directory, and one-scene directories
+    that share a stem but not an object count."""
+    root = tmp_path_factory.mktemp("error_inputs")
+    scene_file = sorted(scene_dir.glob("*.json"))[0]
+    (root / "s.json").write_bytes(scene_file.read_bytes())
+    assert run(["render", "--scene", root / "s.json", "--out", root / "d.pfm"]) == 0
+    (root / "empty").mkdir()
+    (root / "gt").mkdir()
+    (root / "gt" / scene_file.name).write_bytes(scene_file.read_bytes())
+    assert run(["gen", "--seed", scene_file.stem.split("_")[1], "--objects", 0, 0,
+                "--out-dir", root / "zero"]) == 0
+    assert (root / "zero" / scene_file.name).exists()
+    return root
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["convert", "--scene", "in/s.json", "--depth", "in/d.pfm", "--to", "voxels",
+      "--out", "out/v.fvox"], 1, "either --scene or --depth, not both"),
+    (["convert", "--to", "voxels", "--out", "out/v.fvox"], 1, "needs --scene or --depth"),
+    (["convert", "--depth", "in/d.pfm", "--to", "voxels", "--out", "out/v.fvox"], 1,
+     "needs --camera-scene"),
+    (["convert", "--scene", "in/s.json", "--to", "voxels", "--out", "out/v.fvox"], 1,
+     "cannot convert a scene to 'voxels'"),
+    (["convert", "--depth", "in/d.pfm", "--camera-scene", "in/s.json", "--to", "scene-voxels",
+      "--out", "out/v.fvox"], 1, "cannot convert a depth map to 'scene-voxels'"),
+    (["eval", "--pred", "in/zero", "--gt", "in/gt", "--out", "out/e.json"], 1,
+     "object counts differ"),
+    (["eval", "--pred", "in/zero", "--gt", "in/zero", "--out", "out/e.json"], 1,
+     "no object instances"),
+    (["eval", "--pred", "in/empty", "--gt", "in/empty", "--out", "out/e.json"], 1,
+     "no scene JSON files"),
+    (["compare-reps", "--scenes", "in/empty", "--out-dir", "out/cmp"], 1, "no scene JSON files"),
+    (["eval", "--pred", "in/missing.json", "--gt", "in/s.json", "--out", "out/e.json"], 2,
+     "no such file"),
+], ids=["scene_and_depth", "no_input", "depth_without_camera", "scene_to_voxels",
+        "depth_to_scene_voxels", "object_counts_differ", "no_objects", "eval_empty_dir",
+        "compare_empty_dir", "missing_pred"])
+def test_rejected_input_is_one_line_and_writes_nothing(error_inputs, tmp_path, monkeypatch,
+                                                       capsys, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in").symlink_to(error_inputs)
+    (tmp_path / "out").mkdir()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and "Traceback" not in err
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_largest_image_side_accepted(tmp_path):

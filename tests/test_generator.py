@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scenefactor.generator as generator
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import apply_pose
 from scenefactor.render import depth_to_disparity, render_depth_analytic
@@ -132,13 +133,12 @@ class TestGeneratedLayout:
 
 
 class TestPlacementFailure:
-    def test_overfull_room_warns_and_returns_fewer(self):
-        cfg = GeneratorConfig(seed=3, object_count_range=(12, 12), max_attempts=5,
-                              room_x_min_range=(-1.6, -1.5), room_x_max_range=(1.5, 1.6),
-                              front_wall_z_range=(3.4, 3.6))
-        scene = generate_scene(cfg)
+    def test_overfull_room_warns_and_returns_fewer(self, monkeypatch):
+        monkeypatch.setattr(generator, "MAX_ATTEMPTS", 5)
+        scene = generate_scene(GeneratorConfig(seed=3, object_count_range=(12, 12)))
         assert len(scene.objects) < 12
-        assert scene.warnings
+        assert scene.warnings == (
+            f"placement failed after 5 attempts; placed {len(scene.objects)} of 12 objects",)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ class TestPlacementFailure:
         with pytest.raises(ValueError):
             GeneratorConfig(anchor_classes=("wardrobe",))
         with pytest.raises(ValueError):
-            GeneratorConfig(max_attempts=0)
+            GeneratorConfig(object_count_range=(-1, 3))
 
     def test_anchor_and_tv_cap(self):
         for seed in range(12):

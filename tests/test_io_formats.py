@@ -330,6 +330,26 @@ class TestSceneJson:
         assert err.value.location == "$.objects"
         assert "image bounds" in str(err.value)
 
+    @pytest.mark.parametrize("where, value, location", [
+        (("objects", 0, "score"), True, "$.objects[0].score"),
+        (("objects", 0, "pose", "scale", 1), True, "$.objects[0].pose.scale"),
+        (("objects", 0, "box2d", 1), False, "$.objects[0].box2d"),
+        (("room", "center", 0), False, "$.room.center"),
+        (("camera", "fx"), True, "$.camera.fx"),
+        (("camera", "width"), True, "$.camera.width"),
+        (("warnings",), ["ok", 7], "$.warnings[1]"),
+    ], ids=["score", "scale", "box2d", "room", "fx", "width", "warning"])
+    def test_wrong_json_type_names_location(self, tmp_path, where, value, location):
+        # JSON booleans are not numbers, and warnings are strings.
+        def put(doc):
+            for key in where[:-1]:
+                doc = doc[key]
+            doc[where[-1]] = value
+
+        with pytest.raises(FileFormatError) as err:
+            read_scene(self._edited(tmp_path, put))
+        assert err.value.location == location
+
     @pytest.mark.parametrize("key, value", [("width", 2**40), ("height", 2**40),
                                             ("width", 1e309)])
     def test_huge_camera_rejected_before_allocation(self, tmp_path, monkeypatch, key, value):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scenefactor.geometry import matrix_to_quat, quat_to_matrix, random_unit_quaternion, rotation_geodesic
+from scenefactor.geometry import quat_to_matrix, random_unit_quaternion
 from scenefactor.registration import (
     NNIndex,
     RigidTransform,
@@ -11,6 +11,11 @@ from scenefactor.registration import (
     icp,
     kabsch_align,
 )
+
+
+def rotation_angle(Ra, Rb):
+    """Angle of the relative rotation ``Ra.T @ Rb``, from its trace."""
+    return math.acos(min(1.0, max(-1.0, (np.trace(Ra.T @ Rb) - 1.0) / 2.0)))
 
 
 def cuboid_surface_cloud(half, rng, n=400):
@@ -31,8 +36,8 @@ class TestNNIndex:
     def test_query_indexed_point(self, rng):
         pts = rng.normal(size=(50, 3))
         index = NNIndex(pts)
-        d, i = index.query(pts[17])
-        assert d == 0.0 and i == 17
+        d, i = index.query(pts[17:18])
+        assert d[0] == 0.0 and i[0] == 17
 
     def test_matches_brute_force(self, rng):
         pts = rng.normal(size=(1000, 3))
@@ -47,12 +52,12 @@ class TestNNIndex:
     def test_tie_breaks_to_lowest_index(self):
         pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         index = NNIndex(pts)
-        d, i = index.query(np.array([0.0, 0.0, 0.0]))
-        assert d == 1.0 and i == 0
+        d, i = index.query(np.zeros((1, 3)))
+        assert d[0] == 1.0 and i[0] == 0
         # Same distances, different insertion order.
         index2 = NNIndex(pts[::-1])
-        _, i2 = index2.query(np.array([0.0, 0.0, 0.0]))
-        assert i2 == 0
+        _, i2 = index2.query(np.zeros((1, 3)))
+        assert i2[0] == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -107,7 +112,7 @@ class TestKabsch:
         T = kabsch_align(src, dst)
         assert np.allclose(T.rotation, R, atol=1e-9)
         assert np.allclose(T.translation, t, atol=1e-9)
-        assert np.allclose(T.apply(src), dst, atol=1e-9)
+        assert np.allclose(src @ T.rotation.T + T.translation, dst, atol=1e-9)
 
     def test_30deg_plus_shift_exact(self):
         rng = np.random.default_rng(3)
@@ -130,10 +135,10 @@ class TestKabsch:
         t = rng.normal(size=3)
         dst = src @ R.T + t + rng.normal(scale=0.01, size=(200, 3))
         T = kabsch_align(src, dst)
-        rot_err = rotation_geodesic(matrix_to_quat(T.rotation), matrix_to_quat(R))
+        rot_err = rotation_angle(T.rotation, R)
         assert rot_err < 0.05
         assert np.linalg.norm(T.translation - t) < 0.05
-        residual = np.linalg.norm(T.apply(src) - dst, axis=1)
+        residual = np.linalg.norm(src @ T.rotation.T + T.translation - dst, axis=1)
         noise = np.linalg.norm(src @ R.T + t - dst, axis=1)
         assert (residual ** 2).sum() <= (noise ** 2).sum() + 1e-12
 
@@ -180,8 +185,7 @@ class TestIcp:
         # Expected inverse transform.
         R_exp = Rp.T
         t_exp = -Rp.T @ tp
-        rot_err = rotation_geodesic(matrix_to_quat(result.transform.rotation),
-                                    matrix_to_quat(R_exp))
+        rot_err = rotation_angle(result.transform.rotation, R_exp)
         assert rot_err < 0.02
         assert np.linalg.norm(result.transform.translation - t_exp) < 0.02
         assert result.fitness < 1e-4
@@ -215,6 +219,20 @@ class TestIcp:
         conj_t = R0 @ base.transform.translation
         assert np.allclose(rotated.transform.rotation, conj_R, atol=1e-6)
         assert np.allclose(rotated.transform.translation, conj_t, atol=1e-6)
+
+    def test_degenerate_correspondences_stop_at_identity(self, rng):
+        # Coincident or collinear destinations leave the first Kabsch fit
+        # under-determined, so ICP stops there and keeps the identity.
+        src = rng.normal(size=(30, 3))
+        coincident = np.tile([0.2, -0.1, 1.5], (5, 1))
+        collinear = np.outer(np.linspace(-1.0, 1.0, 20), [1.0, 2.0, 0.5])
+        for dst in (coincident, collinear):
+            result = icp(src, dst, size_norm=1.0)
+            assert result.iterations == 1 and not result.converged
+            assert np.array_equal(result.transform.rotation, np.eye(3))
+            assert np.array_equal(result.transform.translation, np.zeros(3))
+            assert len(result.fitness_history) == 1
+            assert result.fitness == result.fitness_history[0] > 0.0
 
     def test_size_norm_quarters_fitness(self, rng):
         dst = cuboid_surface_cloud(np.array([0.4, 0.3, 0.5]), rng)

@@ -24,7 +24,6 @@ from scenefactor.render import (
     depth_to_pointcloud,
     disparity_to_depth,
     pointcloud_to_voxels,
-    points_outside_extent,
     render_depth_analytic,
     render_depth_voxel,
     render_surface_ids,
@@ -430,7 +429,6 @@ class TestPointClouds:
         pts = np.array([[0.0, 0.0, 100.0], [0.0, 0.0, 1.0], [-50.0, 0.0, 1.0]])
         grid = pointcloud_to_voxels(pts)
         assert grid.count() == 1
-        assert points_outside_extent(pts) == 2
 
     def test_voxelized_cloud_cells_contain_points(self, scene_batch):
         scene = scene_batch[1]

@@ -167,8 +167,7 @@ class TestResampleToScene:
         base = Pose(np.array([1.2, 0.8, 1.0]), rotation_about_y(theta),
                     np.array([0.3, 0.2, 2.5]))
         full_turn = Pose(base.scale,
-                         rotation_about_y(theta + 2 * math.pi).multiply(
-                             UnitQuaternion.identity()),
+                         rotation_about_y(theta + 2 * math.pi),
                          base.translation)
         a = resample_to_scene(obj, base)
         b = resample_to_scene(obj, full_turn)
