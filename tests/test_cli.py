@@ -394,15 +394,13 @@ def error_inputs(scene_dir, tmp_path_factory):
     """A scene, its depth map, an empty directory, and one-scene directories
     that share a stem but not an object count."""
     root = tmp_path_factory.mktemp("error_inputs")
-    scene_file = sorted(scene_dir.glob("*.json"))[0]
+    scene_file = scene_dir / "scene_00040.json"
     (root / "s.json").write_bytes(scene_file.read_bytes())
     assert run(["render", "--scene", root / "s.json", "--out", root / "d.pfm"]) == 0
     (root / "empty").mkdir()
     (root / "gt").mkdir()
     (root / "gt" / scene_file.name).write_bytes(scene_file.read_bytes())
-    assert run(["gen", "--seed", scene_file.stem.split("_")[1], "--objects", 0, 0,
-                "--out-dir", root / "zero"]) == 0
-    assert (root / "zero" / scene_file.name).exists()
+    assert run(["gen", "--seed", 40, "--objects", 0, 0, "--out-dir", root / "zero"]) == 0
     return root
 
 
