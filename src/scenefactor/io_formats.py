@@ -3,17 +3,20 @@ point-cloud CSV.
 
 Formats
 -------
-* Scene JSON (``format_version`` 2): camera, optional room cuboid,
+* Scene JSON (``format_version`` 3): camera, optional room cuboid,
   layout policy, warnings, and objects (pose, score, class, optional 2D
   box, voxel payload inline or as an FVOX reference, optional analytic
-  cuboid solid).  An inline payload is a canonical 32^3 grid stored as
-  ``base64(zlib.compress(<f4 bytes, x-fastest>))`` at zlib's default
-  level.  The reader checks the dims first and inflates at most one byte
-  past the grid's 131,072, whatever the file holds.  A layout that
-  matches the analytic room render is stored as ``{"from_room": true}``
-  and regenerated on parse, which keeps the round trip exact at float64;
-  otherwise the disparity goes to a single-precision PFM next to the
-  scene file.
+  cuboid solid).  A grid whose every value is 0.0 or 1.0 is stored
+  inline as ``{"dims": [32, 32, 32], "bits": base64(packbits(occupied,
+  x-fastest))}``: exactly 4,096 bytes, so 5,464 base64 characters, which
+  the reader checks before it decodes anything.  Any other grid goes to
+  an FVOX file next to the scene file, ``<stem>.obj<i>.fvox``, named by
+  ``{"dims": [...], "fvox": ...}``.  A layout that matches the analytic
+  room render is stored as ``{"from_room": true}`` and regenerated on
+  parse, which keeps the round trip exact at float64; otherwise the
+  disparity goes to a single-precision PFM next to the scene file.  So
+  each field is stored inline when that is exact, else in a sibling
+  file.
 * FVOX: magic ``FVOX``, u32 version, u32 dims[3], u32 frame tag
   (0 canonical, 1 scene), f64 extent[6] (min then max), then float32
   occupancy, x-fastest, little-endian.
@@ -35,7 +38,6 @@ import math
 import os
 import struct
 import tempfile
-import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,16 +66,18 @@ __all__ = [
     "write_voxels",
 ]
 
-SCENE_FORMAT_VERSION = 2
+SCENE_FORMAT_VERSION = 3
 FVOX_MAGIC = b"FVOX"
 FVOX_VERSION = 1
 # Largest camera width or height a scene file may declare; checked before
 # any image-sized array is allocated.
 MAX_IMAGE_SIDE = 8192
 _FVOX_HEADER = struct.Struct("<4sI3II6d")
-# Inline scene voxels are canonical grids: their dims and inflated size.
+# Inline scene voxels are binary canonical grids, one bit per cell: their
+# dims, packed size and base64 length.
 _INLINE_DIMS = list(CANONICAL_SPEC.dims)
-_INLINE_BYTES = 4 * math.prod(CANONICAL_SPEC.dims)
+_INLINE_BYTES = math.prod(CANONICAL_SPEC.dims) // 8
+_INLINE_CHARS = 4 * math.ceil(_INLINE_BYTES / 3)
 
 
 class FileFormatError(ValueError):
@@ -380,9 +384,15 @@ def _cuboid_from_dict(doc, loc, path) -> Cuboid:
         raise FileFormatError(str(exc), path, location=loc) from exc
 
 
-def _object_to_dict(obj: SceneObject) -> dict:
-    payload = base64.b64encode(zlib.compress(
-        obj.shape.occupancy.astype("<f4").ravel(order="F").tobytes())).decode("ascii")
+def _object_to_dict(obj: SceneObject, fvox_name: str) -> dict:
+    """The object's document; a grid that is not binary is referenced as
+    ``fvox_name``, which the caller writes."""
+    occ = obj.shape.occupancy
+    if np.all((occ == 0.0) | (occ == 1.0)):
+        bits = np.packbits(obj.shape.occupied.ravel(order="F"))
+        voxels = {"dims": list(obj.shape.dims), "bits": base64.b64encode(bits).decode("ascii")}
+    else:
+        voxels = {"dims": list(obj.shape.dims), "fvox": fvox_name}
     return {
         "class_label": obj.class_label,
         "score": obj.score,
@@ -392,37 +402,30 @@ def _object_to_dict(obj: SceneObject) -> dict:
             "translation": obj.pose.translation.tolist(),
         },
         "box2d": list(obj.box2d) if obj.box2d is not None else None,
-        "voxels": {"dims": list(obj.shape.dims), "b64": payload},
+        "voxels": voxels,
         "solid": [_cuboid_to_dict(c) for c in obj.solid] if obj.solid is not None else None,
     }
 
 
-def _inflate(payload, loc, path) -> bytes:
-    """The ``_INLINE_BYTES`` of an inline voxel payload; inflating stops one
-    byte past that size, so an oversized stream costs no more memory."""
+def _unpack(payload, loc, path) -> np.ndarray:
+    """The cells of an inline ``bits`` payload, 0 or 1, x-fastest.  Its
+    length is checked before anything is decoded."""
     if not isinstance(payload, str):
         raise FileFormatError("voxel payload must be a base64 string", path, location=loc)
+    if len(payload) < _INLINE_CHARS:
+        raise TruncatedFileError(f"voxel payload has {len(payload)} base64 characters, "
+                                 f"expected {_INLINE_CHARS}", path, location=loc)
+    if len(payload) > _INLINE_CHARS:
+        raise FileFormatError(f"voxel payload has {len(payload)} base64 characters, "
+                              f"expected {_INLINE_CHARS}", path, location=loc)
     try:
         packed = base64.b64decode(payload, validate=True)
     except ValueError as exc:
         raise FileFormatError(f"invalid base64 payload: {exc}", path, location=loc) from exc
-    inflater = zlib.decompressobj()
-    try:
-        raw = inflater.decompress(packed, _INLINE_BYTES + 1)
-    except zlib.error as exc:
-        raise FileFormatError(f"invalid zlib stream: {exc}", path, location=loc) from exc
-    if len(raw) > _INLINE_BYTES:
-        raise FileFormatError(f"voxel payload inflates past {_INLINE_BYTES} bytes", path,
-                              location=loc)
-    if not inflater.eof:
-        raise TruncatedFileError("zlib stream ends early", path, location=loc)
-    if inflater.unused_data:
-        raise FileFormatError(f"{len(inflater.unused_data)} bytes after the zlib stream",
-                              path, location=loc)
-    if len(raw) != _INLINE_BYTES:
-        raise TruncatedFileError(f"voxel payload inflates to {len(raw)} bytes, expected "
-                                 f"{_INLINE_BYTES}", path, location=loc)
-    return raw
+    if len(packed) != _INLINE_BYTES:  # the padding decides the last byte or two
+        raise FileFormatError(f"voxel payload decodes to {len(packed)} bytes, expected "
+                              f"{_INLINE_BYTES}", path, location=loc)
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
 
 
 def _object_from_dict(doc, loc, path) -> SceneObject:
@@ -455,24 +458,21 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
             and all(_is_number(d) and isinstance(d, int) and d > 0 for d in dims)):
         raise FileFormatError(f"dims must be three positive integers, got {dims!r}", path,
                               location=f"{loc}.voxels.dims")
-    if "b64" in vox and vox["b64"] is not None:
+    inline, fvox = vox.get("bits") is not None, vox.get("fvox") is not None
+    if inline == fvox:
+        raise FileFormatError("voxels need either a 'bits' payload or an 'fvox' reference",
+                              path, location=f"{loc}.voxels")
+    if inline:
         if dims != _INLINE_DIMS:
             raise FileFormatError(f"inline voxels must have dims {_INLINE_DIMS}, got {dims!r}",
                                   path, location=f"{loc}.voxels.dims")
-        occ = np.frombuffer(_inflate(vox["b64"], f"{loc}.voxels.b64", path),
-                            dtype="<f4").reshape(dims, order="F")
-        try:
-            shape = VoxelGrid.canonical(occ)
-        except ValueError as exc:
-            raise FileFormatError(str(exc), path, location=f"{loc}.voxels") from exc
-    elif "fvox" in vox and vox["fvox"] is not None:
+        occ = _unpack(vox["bits"], f"{loc}.voxels.bits", path).reshape(dims, order="F")
+        shape = VoxelGrid.canonical(occ)
+    else:
         shape = read_voxels(_reference(vox, "fvox", f"{loc}.voxels", path))
         if list(shape.dims) != dims:
             raise FileFormatError("referenced grid dims do not match the document", path,
                                   location=f"{loc}.voxels.fvox")
-    else:
-        raise FileFormatError("voxels need a 'b64' payload or an 'fvox' reference", path,
-                              location=f"{loc}.voxels")
 
     solid_doc = _expect(doc, "solid", loc, path, allow_none=True)
     solid = None
@@ -496,8 +496,10 @@ def _analytic_layout(scene: FactoredScene) -> Layout:
 
 
 def write_scene(scene: FactoredScene, path) -> None:
-    """Serialize a scene; the layout is stored as ``from_room`` when it is
-    exactly the analytic room render, else as a sibling PFM file."""
+    """Serialize a scene.  A binary canonical grid is stored inline as
+    packed bits, any other grid as a sibling FVOX file; the layout is stored
+    as ``from_room`` when it is exactly the analytic room render, else as a
+    sibling PFM file."""
     path = Path(path)
     layout_doc = None
     pfm_to_write = None
@@ -515,8 +517,12 @@ def write_scene(scene: FactoredScene, path) -> None:
         "room": _cuboid_to_dict(scene.room) if scene.room is not None else None,
         "layout": layout_doc,
         "warnings": list(scene.warnings),
-        "objects": [_object_to_dict(o) for o in scene.objects],
+        "objects": [_object_to_dict(o, f"{path.stem}.obj{i}.fvox")
+                    for i, o in enumerate(scene.objects)],
     }
+    for obj, obj_doc in zip(scene.objects, doc["objects"]):
+        if "fvox" in obj_doc["voxels"]:
+            write_voxels(path.parent / obj_doc["voxels"]["fvox"], obj.shape)
     if pfm_to_write is not None:
         write_pfm(pfm_to_write, scene.layout.disparity)
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")

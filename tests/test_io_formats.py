@@ -1,8 +1,8 @@
 import base64
+import dataclasses
 import json
 import math
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -232,13 +232,19 @@ class TestSceneJson:
     def test_unknown_version_rejected(self, tmp_path):
         scene = generate_scene(GeneratorConfig(seed=2))
         write_scene(scene, tmp_path / "v.json")
-        v2 = json.loads((tmp_path / "v.json").read_text())
-        v1 = json.loads(json.dumps(v2))  # the version 1 layout: raw float32 payloads
-        v1["format_version"] = 1
-        for obj, entry in zip(scene.objects, v1["objects"]):
-            entry["voxels"]["b64"] = base64.b64encode(
-                obj.shape.occupancy.astype("<f4").ravel(order="F").tobytes()).decode()
-        for doc in (v1, {**v2, "format_version": 3}):
+        v3 = json.loads((tmp_path / "v.json").read_text())
+        older = []
+        # Versions 1 and 2 stored each grid's float32 cells under "b64":
+        # raw, then zlib-compressed.
+        for version, encode in ((1, bytes), (2, zlib.compress)):
+            doc = json.loads(json.dumps(v3))
+            doc["format_version"] = version
+            for obj, entry in zip(scene.objects, doc["objects"]):
+                raw = obj.shape.occupancy.astype("<f4").ravel(order="F").tobytes()
+                entry["voxels"] = {"dims": [32, 32, 32],
+                                   "b64": base64.b64encode(encode(raw)).decode()}
+            older.append(doc)
+        for doc in (*older, {**v3, "format_version": 4}):
             (tmp_path / "v.json").write_text(json.dumps(doc))
             with pytest.raises(UnknownVersionError) as err:
                 read_scene(tmp_path / "v.json")
@@ -393,100 +399,149 @@ class TestSceneJson:
         assert read_scene(self._edited(tmp_path, largest)).camera.width == MAX_IMAGE_SIDE
 
 
+# A packed canonical grid, and the float32 grid that format 1 stored inline.
+PACKED_BYTES = 32**3 // 8
+PACKED_CHARS = 5464
 GRID_BYTES = 4 * 32**3
 
 
-def _bomb(size: int) -> bytes:
-    """A zlib stream of ``size`` zero bytes, built without holding them."""
-    packer = zlib.compressobj()
-    chunk = bytes(1 << 20)
-    return b"".join(packer.compress(chunk) for _ in range(size >> 20)) + packer.flush()
-
-
 class TestInlinePayload:
-    """An inline voxel payload is base64 of a zlib stream that inflates to
-    exactly one canonical grid; anything else fails at its location."""
+    """An inline voxel payload is base64 of exactly one canonical grid, one
+    bit per cell; anything else fails at its location, and a payload of the
+    wrong length fails before it is decoded."""
 
-    def _scene(self, tmp_path, payload: bytes, dims=(32, 32, 32)):
+    def _scene(self, tmp_path, payload, dims=(32, 32, 32)):
+        """A one-object scene file whose payload is ``payload``: bytes to
+        encode, or base64 text to store as it is."""
         scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
         write_scene(scene, tmp_path / "s.json")
         doc = json.loads((tmp_path / "s.json").read_text())
-        doc["objects"][0]["voxels"] = {"dims": list(dims),
-                                       "b64": base64.b64encode(payload).decode()}
+        text = payload if isinstance(payload, str) else base64.b64encode(payload).decode()
+        doc["objects"][0]["voxels"] = {"dims": list(dims), "bits": text}
         (tmp_path / "s.json").write_text(json.dumps(doc))
         return scene, tmp_path / "s.json"
 
-    def _grid(self, scene) -> bytes:
-        return scene.objects[0].shape.occupancy.astype("<f4").ravel(order="F").tobytes()
+    def _bits(self, scene) -> bytes:
+        return np.packbits(scene.objects[0].shape.occupied.ravel(order="F")).tobytes()
+
+    def _rejected(self, path, error=FileFormatError):
+        with pytest.raises(error) as err:
+            read_scene(path)
+        assert err.value.location == "$.objects[0].voxels.bits"
+        return str(err.value)
 
     def test_payload_is_compressed_grid(self, tmp_path):
+        # One bit per cell: 32 times smaller than the float32 grid.
         scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
         write_scene(scene, tmp_path / "s.json")
-        doc = json.loads((tmp_path / "s.json").read_text())
-        payload = base64.b64decode(doc["objects"][0]["voxels"]["b64"])
-        assert payload == zlib.compress(self._grid(scene))
-        assert len(payload) < GRID_BYTES // 10
-
-    def test_recompressed_payload_read(self, tmp_path):
-        scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
-        _, path = self._scene(tmp_path, zlib.compress(self._grid(scene), 9))
-        assert read_scene(path).objects[0].shape == scene.objects[0].shape
-
-    def test_zip_bomb_rejected_within_one_grid(self, tmp_path):
-        _, path = self._scene(tmp_path, _bomb(64 << 20))
-        tracemalloc.start()
-        try:
-            with pytest.raises(FileFormatError) as err:
-                read_scene(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert err.value.location == "$.objects[0].voxels.b64"
-        assert "inflates past" in str(err.value)
-        assert peak < 8 * GRID_BYTES
+        voxels = json.loads((tmp_path / "s.json").read_text())["objects"][0]["voxels"]
+        assert set(voxels) == {"dims", "bits"} and len(voxels["bits"]) == PACKED_CHARS
+        payload = base64.b64decode(voxels["bits"])
+        assert payload == self._bits(scene)
+        assert len(payload) == PACKED_BYTES == GRID_BYTES // 32
+        assert read_scene(tmp_path / "s.json").objects[0].shape == scene.objects[0].shape
 
     @pytest.mark.parametrize("cut", [4, 1000])
     def test_truncated_stream_rejected(self, tmp_path, cut):
-        # Cutting 4 bytes drops only the checksum: the grid inflates in full.
         scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
-        _, path = self._scene(tmp_path, zlib.compress(self._grid(scene))[:-cut])
-        with pytest.raises(TruncatedFileError) as err:
-            read_scene(path)
-        assert err.value.location == "$.objects[0].voxels.b64"
+        _, path = self._scene(tmp_path, self._bits(scene)[:-cut])
+        assert "expected 5464" in self._rejected(path, TruncatedFileError)
 
     def test_bytes_after_stream_rejected(self, tmp_path):
         scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
-        _, path = self._scene(tmp_path, zlib.compress(self._grid(scene)) + b"\0")
-        with pytest.raises(FileFormatError) as err:
-            read_scene(path)
-        assert err.value.location == "$.objects[0].voxels.b64"
-        assert "after the zlib stream" in str(err.value)
+        # One or two bytes more still take 5,464 characters; three do not.
+        for extra in (1, 2):
+            _, path = self._scene(tmp_path, self._bits(scene) + bytes(extra))
+            message = self._rejected(path)
+            assert f"decodes to {PACKED_BYTES + extra} bytes, expected 4096" in message
+        _, path = self._scene(tmp_path, self._bits(scene) + bytes(3))
+        assert "expected 5464" in self._rejected(path)
 
     @pytest.mark.parametrize("size", [0, GRID_BYTES - 4, GRID_BYTES + 4])
     def test_wrong_inflated_length_rejected(self, tmp_path, size):
-        _, path = self._scene(tmp_path, zlib.compress(bytes(size)))
-        with pytest.raises(FileFormatError) as err:
-            read_scene(path)
-        assert err.value.location == "$.objects[0].voxels.b64"
+        # Empty, and about the size of a float32 grid.
+        _, path = self._scene(tmp_path, bytes(size))
+        self._rejected(path)
 
-    def test_not_a_zlib_stream_rejected(self, tmp_path):
-        scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
-        _, path = self._scene(tmp_path, self._grid(scene))
-        with pytest.raises(FileFormatError) as err:
-            read_scene(path)
-        assert err.value.location == "$.objects[0].voxels.b64"
-        assert "zlib" in str(err.value)
+    @pytest.mark.parametrize("text", [
+        "!" + "A" * (PACKED_CHARS - 1),  # outside the alphabet
+        "A" * (PACKED_CHARS - 4) + "A=A=",  # padding inside the text
+        "A" * PACKED_CHARS,  # no padding: 4,098 bytes
+        "A" * (PACKED_CHARS - 1) + "=",  # one '=': 4,097 bytes
+    ], ids=["alphabet", "inner-padding", "unpadded", "short-padding"])
+    def test_invalid_base64_rejected(self, tmp_path, text):
+        _, path = self._scene(tmp_path, text)
+        self._rejected(path)
+
+    @pytest.mark.parametrize("chars", [0, PACKED_CHARS - 4, PACKED_CHARS - 1,
+                                       PACKED_CHARS + 1, PACKED_CHARS + 4, 1 << 20])
+    def test_wrong_length_rejected_before_decoding(self, tmp_path, monkeypatch, chars):
+        def no_decode(*args, **kwargs):
+            raise AssertionError("payload decoded despite its length")
+
+        _, path = self._scene(tmp_path, "A" * chars)
+        monkeypatch.setattr(base64, "b64decode", no_decode)
+        self._rejected(path, TruncatedFileError if chars < PACKED_CHARS else FileFormatError)
+
+    def test_payload_must_be_text(self, tmp_path):
+        _, path = self._scene(tmp_path, "")
+        doc = json.loads(path.read_text())
+        doc["objects"][0]["voxels"]["bits"] = [1, 0, 1]
+        path.write_text(json.dumps(doc))
+        assert "base64 string" in self._rejected(path)
 
     @pytest.mark.parametrize("dims", [(64, 64, 64), (16, 32, 32), (32, 32, 128)])
     def test_non_canonical_dims_rejected_before_inflating(self, tmp_path, monkeypatch, dims):
-        def no_inflate(*args):
-            raise AssertionError("payload inflated for non-canonical dims")
+        def no_decode(*args, **kwargs):
+            raise AssertionError("payload decoded for non-canonical dims")
 
-        _, path = self._scene(tmp_path, zlib.compress(bytes(4 * math.prod(dims))), dims)
-        monkeypatch.setattr(zlib, "decompressobj", no_inflate)
+        _, path = self._scene(tmp_path, bytes(math.prod(dims) // 8), dims)
+        monkeypatch.setattr(base64, "b64decode", no_decode)
+        monkeypatch.setattr(np, "unpackbits", no_decode)
         with pytest.raises(FileFormatError) as err:
             read_scene(path)
         assert err.value.location == "$.objects[0].voxels.dims"
+
+    @pytest.mark.parametrize("voxels", [
+        {"dims": [32, 32, 32], "bits": "", "fvox": "obj.fvox"},
+        {"dims": [32, 32, 32]},
+        {"dims": [32, 32, 32], "bits": None, "fvox": None},
+        {"dims": [32, 32, 32], "b64": ""},
+    ], ids=["both", "neither", "nulls", "v2-key"])
+    def test_bits_xor_fvox(self, tmp_path, voxels):
+        scene, path = self._scene(tmp_path, "")
+        if "fvox" in voxels:
+            write_voxels(tmp_path / "obj.fvox", scene.objects[0].shape)
+        if voxels.get("bits") == "":
+            voxels = {**voxels, "bits": base64.b64encode(self._bits(scene)).decode()}
+        doc = json.loads(path.read_text())
+        doc["objects"][0]["voxels"] = voxels
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError) as err:
+            read_scene(path)
+        assert err.value.location == "$.objects[0].voxels"
+        assert "either a 'bits' payload or an 'fvox' reference" in str(err.value)
+
+    def test_non_binary_grid_goes_to_sibling_fvox(self, tmp_path, rng):
+        scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(2, 2)))
+        first, second = scene.objects
+        occ = first.shape.occupancy.copy()
+        occ[occ == 1.0] = rng.uniform(0.0, 1.0, size=int((occ == 1.0).sum()))
+        soft = VoxelGrid.canonical(occ)
+        scene = dataclasses.replace(scene, objects=(dataclasses.replace(first, shape=soft),
+                                                    second))
+        write_scene(scene, tmp_path / "s.json")
+        docs = [o["voxels"] for o in json.loads((tmp_path / "s.json").read_text())["objects"]]
+        assert docs[0] == {"dims": [32, 32, 32], "fvox": "s.obj0.fvox"}
+        assert set(docs[1]) == {"dims", "bits"}
+        assert sorted(p.name for p in tmp_path.glob("*.fvox")) == ["s.obj0.fvox"]
+        assert read_voxels(tmp_path / "s.obj0.fvox") == soft
+        back = read_scene(tmp_path / "s.json")
+        assert scenes_identical(back, scene)
+        assert np.array_equal(back.objects[0].shape.occupancy.view(np.uint32),
+                              occ.astype(np.float32).view(np.uint32))
+        write_scene(back, tmp_path / "t.json")
+        assert (tmp_path / "t.obj0.fvox").read_bytes() == (tmp_path / "s.obj0.fvox").read_bytes()
 
 
 class TestReferences:

@@ -5,7 +5,7 @@ Whatever the bytes, ``read_scene``, ``read_voxels``, ``read_pfm`` and
 location, and ``render`` on a damaged scene exits 1 or 2 instead of
 raising.  The damage is a random JSON value put at a random path of a
 valid document, random bytes written over a valid file, random bytes
-written into an inline voxel payload, before or after its compression, or a
+written into an inline voxel payload, before or after its base64 encoding, or a
 well-formed PFM whose size or values (NaN, infinities, negatives) a depth
 map cannot take.  The point-cloud writer's bytes equal what ``csv.writer``
 makes of ``repr(float(v))`` per coordinate, whatever the finite values.
@@ -16,7 +16,6 @@ import base64
 import csv
 import io
 import json
-import zlib
 
 import numpy as np
 import pytest
@@ -140,18 +139,31 @@ def test_damaged_scene_bytes(scene_docs, data):
     only_format_errors(read_scene, scene_file)
 
 
+BASE64_TEXT = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                              "0123456789+/=-_ \n!", min_size=5460, max_size=5468)
+
+
 @EXAMPLES
 @given(data=st.data())
 def test_damaged_voxel_payload(scene_docs, data):
     root, docs = scene_docs
     doc = docs[0]
     k = data.draw(st.integers(0, len(doc["objects"]) - 1))
-    packed = base64.b64decode(doc["objects"][k]["voxels"]["b64"])
-    if data.draw(st.booleans()):  # damage the grid, then compress it again
-        packed = zlib.compress(data.draw(damaged_bytes(zlib.decompress(packed), 4096)))
-    else:  # damage the compressed stream
-        packed = data.draw(damaged_bytes(packed, len(packed)))
-    damaged = replaced(doc, ("objects", k, "voxels", "b64"), base64.b64encode(packed).decode())
+    text = doc["objects"][k]["voxels"]["bits"]
+    choice = data.draw(st.integers(0, 2))
+    if choice == 0:  # damage the packed bits, then encode them again
+        packed = base64.b64decode(text)
+        text = base64.b64encode(data.draw(damaged_bytes(packed, len(packed)))).decode()
+    elif choice == 1:  # damage the base64 text
+        chars = st.sampled_from("A/+=_ \n!")
+        edits = data.draw(st.lists(st.tuples(st.integers(0, len(text) - 1), chars),
+                                   min_size=1, max_size=4))
+        for pos, char in edits:
+            text = text[:pos] + char + text[pos + 1:]
+        text = text[:data.draw(st.integers(len(text) - 8, len(text) + 8))]
+    else:  # text of about the right length, from near the base64 alphabet
+        text = data.draw(BASE64_TEXT)
+    damaged = replaced(doc, ("objects", k, "voxels", "bits"), text)
     scene_file = root / "damaged_payload.json"
     scene_file.write_text(json.dumps(damaged))
     only_format_errors(read_scene, scene_file)
