@@ -17,6 +17,7 @@ construction.  Every consumer binarizes at one fixed threshold,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,6 +136,14 @@ class VoxelGrid:
         """Boolean mask of the cells at or above :data:`OCCUPANCY_THRESHOLD`."""
         return self.occupancy >= OCCUPANCY_THRESHOLD
 
+    @cached_property
+    def _packed(self) -> tuple[np.ndarray, int]:
+        """:attr:`occupied` packed eight cells to a byte, and its popcount.
+        Built on first use and kept, so a grid is packed once however many
+        IoUs it enters."""
+        bits = np.packbits(self.occupied)
+        return bits, int(np.bitwise_count(bits).sum())
+
     def count(self) -> int:
         return int(self.occupied.sum())
 
@@ -158,15 +167,17 @@ def _same_lattice(a: VoxelGrid, b: VoxelGrid) -> None:
 def voxel_iou(a: VoxelGrid, b: VoxelGrid) -> float:
     """Intersection over union of the occupied cells of two grids.
 
-    Both grids empty counts as perfect agreement (1.0).
+    Both grids empty counts as perfect agreement (1.0).  Cells are counted
+    on each grid's packed mask; the zero bits that pad the last byte count
+    in neither grid.
     """
     _same_lattice(a, b)
-    occ_a = a.occupied
-    occ_b = b.occupied
-    union = int(np.logical_or(occ_a, occ_b).sum())
+    bits_a, count_a = a._packed
+    bits_b, count_b = b._packed
+    inter = int(np.bitwise_count(bits_a & bits_b).sum())
+    union = count_a + count_b - inter
     if union == 0:
         return 1.0
-    inter = int(np.logical_and(occ_a, occ_b).sum())
     return inter / union
 
 

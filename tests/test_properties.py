@@ -8,7 +8,8 @@ valid document, random bytes written over a valid file, random bytes
 written into an inline voxel payload, before or after its base64 encoding, or a
 well-formed PFM whose size or values (NaN, infinities, negatives) a depth
 map cannot take.  The point-cloud writer's bytes equal what ``csv.writer``
-makes of ``repr(float(v))`` per coordinate, whatever the finite values.
+makes of ``repr(float(v))`` per coordinate, whatever the finite values, and
+``voxel_iou`` on packed masks equals the cell-by-cell boolean reference.
 Examples are derandomized and capped, so every run checks the same inputs.
 """
 
@@ -36,7 +37,7 @@ from scenefactor.io_formats import (
     write_scene,
     write_voxels,
 )
-from scenefactor.voxels import VoxelGrid
+from scenefactor.voxels import CANONICAL_SPEC, VoxelGrid, voxel_iou
 
 # The camera of ``small_files``'s 4x5 ``image.pfm``.
 CAMERA_5X4 = Camera(fx=5.0, fy=5.0, cx=2.5, cy=2.0, width=5, height=4)
@@ -231,3 +232,31 @@ def test_pointcloud_csv_bytes(small_files, data):
     writer.writerow(["x", "y", "z"])
     writer.writerows([repr(float(v)) for v in p] for p in points)
     assert path.read_bytes() == expected.getvalue().encode()
+
+
+def reference_iou(a: VoxelGrid, b: VoxelGrid) -> float:
+    union = int(np.logical_or(a.occupied, b.occupied).sum())
+    inter = int(np.logical_and(a.occupied, b.occupied).sum())
+    return 1.0 if union == 0 else inter / union
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_packed_iou_matches_boolean_reference(data):
+    # Canonical grids, and scene grids of any size: 3 x 5 x 7 = 105 cells
+    # leaves seven pad bits in the last packed byte.
+    dims = data.draw(st.sampled_from([CANONICAL_SPEC.dims, (3, 5, 7), (1, 1, 1), (4, 2, 3)])
+                     | st.tuples(*[st.integers(1, 9)] * 3))
+    make = VoxelGrid.canonical if dims == CANONICAL_SPEC.dims else \
+        (lambda occ: VoxelGrid.scene(occ, origin=(0, 0, 0)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    fills = data.draw(st.tuples(*[st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0])] * 2))
+    # Values on both sides of the occupancy threshold, not only 0 and 1.
+    a, b = (make(np.where(rng.random(dims) < fill, rng.uniform(0.5, 1.0, dims),
+                          rng.uniform(0.0, 0.5, dims))) for fill in fills)
+    assert voxel_iou(a, b) == reference_iou(a, b)
+    assert voxel_iou(b, a) == voxel_iou(a, b)
+    assert voxel_iou(a, a) == 1.0
+    if not fills[0]:
+        assert voxel_iou(a, make(np.zeros(dims))) == 1.0  # both empty

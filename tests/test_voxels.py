@@ -70,6 +70,17 @@ class TestVoxelIou:
             assert voxel_iou(a, b) == brute_force_iou(a, b, 0.5)
             assert voxel_iou(a, b) == voxel_iou(b, a)
 
+    def test_each_grid_packed_once(self, rng, monkeypatch):
+        calls = []
+        packbits = np.packbits
+        monkeypatch.setattr(np, "packbits", lambda *a, **k: calls.append(1) or packbits(*a, **k))
+        grids = [small_scene_grid((rng.random((3, 5, 7)) < 0.5).astype(np.float32))
+                 for _ in range(3)]
+        for a in grids:
+            for b in grids:
+                assert voxel_iou(a, b) == brute_force_iou(a, b, 0.5)
+        assert len(calls) == 3
+
     def test_dim_mismatch_rejected(self):
         a = small_scene_grid(np.zeros((2, 2, 2)))
         b = small_scene_grid(np.zeros((2, 2, 3)))
