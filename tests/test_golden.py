@@ -50,12 +50,9 @@ def test_compare_reps_digests(tmp_path):
 # ---------------------------------------------------------------------------
 # gen, render and convert on two 64x48 three-piece scenes.
 
-# Scene JSON bytes embed zlib's deflate output for each voxel payload, so
-# these digests (and the two scene files in WIDE_SHA256) hold for the zlib
-# they were recorded with: zlib.ZLIB_RUNTIME_VERSION 1.2.13.
 GEN_SHA256 = {
-    "scene_00007.json": "175edf8a993e1e0b2c4623950b73cdeff448ca95ec071ed76c03632a6dffe5c1",
-    "scene_00008.json": "ece72050330d51dc244d98cfd9ef70914047747dd718d60f08f5b0829d66d02c",
+    "scene_00007.json": "a804a9a7587448bb69eb071b08596366605111ae2c893cdb82960a21701b6119",
+    "scene_00008.json": "41cbfa39b8a3f7423cb6f1a929972ccbb9cb75b638785bb537a7aa9968c8dc9f",
 }
 
 RENDER_CONVERT_SHA256 = {
@@ -104,8 +101,8 @@ def test_render_and_convert_digests(generated, tmp_path):
 # neither square nor a multiple of 64x48, with objects cut by the image border.
 
 WIDE_SHA256 = {
-    "scene_00012.json": "a4dadffd8c58a34f1813b49fd80e5271dbb65d0039daec9a234cd81c519de25a",
-    "scene_00013.json": "54c7565ef7626566fe39f88144518b6a0dbf947a71b405c6ca4b7cba293bf3ce",
+    "scene_00012.json": "4cdc431f4cef9b65d76ee3f30096fd90e683268aa76917440a88f87df5c0d1be",
+    "scene_00013.json": "22932a4a4ed6e3131bc57042b18b9bdb0c3ff554d68c70672cadaa1dab0ad87a",
     "analytic_00012.pfm": "a4556c3e14aefa87edc1684e3b62815ca91636bf218aefad5c1410d46035dde8",
     "voxel_00012.pfm": "a4556c3e14aefa87edc1684e3b62815ca91636bf218aefad5c1410d46035dde8",
     "layout_00012.pfm": "594bfebcff5f78b0617b7f4a409fcaaec65f3f0910bac18f246811c53751e94a",
