@@ -70,10 +70,18 @@ class GeneratorConfig:
     camera: Camera = field(default_factory=lambda: DEFAULT_CAMERA.scaled(64, 48))
 
     def __post_init__(self):
+        # Booleans and fractions are not counts, and booleans are not weights,
+        # although int() and float() would take them.
+        if any(isinstance(v, bool) or (isinstance(v, float) and not v.is_integer())
+               for v in self.object_count_range):
+            raise ValueError(f"object_count_range must hold integers, got "
+                             f"{list(self.object_count_range)}")
         lo, hi = (int(v) for v in self.object_count_range)
         if lo < 0 or hi < lo:
             raise ValueError(f"bad object_count_range {self.object_count_range}")
         object.__setattr__(self, "object_count_range", (lo, hi))
+        if any(isinstance(v, bool) for v in dict(self.class_mix).values()):
+            raise ValueError(f"class_mix weights must be numbers, got {dict(self.class_mix)}")
         mix = {str(k): float(v) for k, v in dict(self.class_mix).items()}
         if not mix or any(k not in CLASS_LABELS for k in mix) or any(v < 0 for v in mix.values()):
             raise ValueError(f"class_mix must map known classes to non-negative weights, got {mix}")

@@ -87,7 +87,13 @@ class TestGen:
     @pytest.mark.parametrize("config", [{"class_mix": {"chair": "x"}}, {"class_mix": 5},
                                         {"object_count_range": ["a", 2]},
                                         {"object_count_range": [1e999, 2]},
-                                        {"object_count_range": [5, 2]}])
+                                        {"object_count_range": [5, 2]},
+                                        {"object_count_range": [True, 2]},
+                                        {"object_count_range": [1, 2.9]},
+                                        {"object_count_range": [1, 1e999]},
+                                        {"class_mix": {"chair": True}},
+                                        {"object_count_range": [True, 2.9],
+                                         "class_mix": {"chair": True}}])
     def test_config_mistyped_value(self, tmp_path, capsys, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

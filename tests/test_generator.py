@@ -152,6 +152,17 @@ class TestPlacementFailure:
         with pytest.raises(ValueError):
             GeneratorConfig(object_count_range=(-1, 3))
 
+    def test_config_counts_are_integers_and_weights_numbers(self):
+        # Integral floats (JSON "2.0") are counts; booleans and fractions are not.
+        config = GeneratorConfig(object_count_range=(1.0, 2), class_mix={"chair": 1})
+        assert config.object_count_range == (1, 2)
+        assert config.class_mix == {"chair": 1.0}
+        for counts in ((True, 2), (1, 2.5), (1, np.float64(2.5)), (0, float("inf"))):
+            with pytest.raises(ValueError, match="integers"):
+                GeneratorConfig(object_count_range=counts)
+        with pytest.raises(ValueError, match="numbers"):
+            GeneratorConfig(class_mix={"chair": True})
+
     def test_anchor_and_tv_cap(self):
         for seed in range(12):
             scene = generate_scene(GeneratorConfig(seed=seed))
