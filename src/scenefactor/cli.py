@@ -20,9 +20,11 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
+from . import registration
 from .compare import REPRESENTATIONS, compare_representations, cumulative_curve
 from .detection import ThresholdTuple, ap_sweep
 from .generator import GeneratorConfig, generate_scene
@@ -289,9 +291,11 @@ def _cmd_compare_reps(args) -> int:
     for name, scene in scenes:
         rows.extend(compare_representations(scene, name))
     # compare_representations leaves out registrations of empty shapes or
-    # clouds, and curves.csv leaves out non-finite values; both are counted.
+    # clouds, and curves.csv leaves out non-finite values; both are counted,
+    # as are the registrations that stopped without converging.
     registrations = len(REPRESENTATIONS) * sum(len(scene.objects) for _, scene in scenes)
-    skipped = registrations - sum(r.task == "object_fitness" for r in rows)
+    stops = Counter(r.icp_stop for r in rows if r.task == "object_fitness")
+    skipped = registrations - stops.total()
     nonfinite = sum(not math.isfinite(r.value) for r in rows)
     _write_csv(out_dir / "values.csv",
                ["scene", "task", "representation", "object_index", "value"],
@@ -309,8 +313,10 @@ def _cmd_compare_reps(args) -> int:
     _write_csv(out_dir / "curves.csv", ["task", "representation", "value", "fraction"],
                curve_rows)
     _log(f"compared {len(scenes)} scene(s); skipped {skipped} of {registrations} object "
-         f"registration(s) (empty shape or cloud); left {nonfinite} non-finite value(s) "
-         f"out of curves.csv; wrote values.csv and curves.csv to {out_dir}")
+         f"registration(s) (empty shape or cloud); {stops['max_iter']} stopped at "
+         f"ICP_MAX_ITER = {registration.ICP_MAX_ITER} without converging and "
+         f"{stops['degenerate']} on degenerate correspondences; left {nonfinite} "
+         f"non-finite value(s) out of curves.csv; wrote values.csv and curves.csv to {out_dir}")
     return 0
 
 

@@ -53,6 +53,8 @@ class ComparisonRow:
     representation: str
     value: float
     object_index: int | None = None
+    # How the ICP run of an object_fitness row stopped (IcpResult.stop).
+    icp_stop: str | None = None
 
 
 def gt_scene_voxels(scene: FactoredScene) -> VoxelGrid:
@@ -121,7 +123,7 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene") -> li
         with ThreadPoolExecutor(workers, thread_name_prefix="scenefactor-icp") as pool:
             results = list(pool.map(icp, *zip(*jobs)))
         rows.extend(ComparisonRow(scene_id, "object_fitness", rep, result.fitness,
-                                  object_index=index)
+                                  object_index=index, icp_stop=result.stop)
                     for (index, rep), result in zip(keys, results))
 
     layout_preds = {

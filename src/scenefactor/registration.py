@@ -138,13 +138,25 @@ def kabsch_align(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
 
 @dataclass(frozen=True)
 class IcpResult:
-    """Alignment outcome; fitness is mean squared residual / size_norm^2."""
+    """Alignment outcome; fitness is mean squared residual / size_norm^2.
+
+    A run that did not converge stopped on degenerate correspondences
+    (``degenerate``) or else at ``ICP_MAX_ITER``; :attr:`stop` names which.
+    """
 
     transform: RigidTransform
     fitness: float
     iterations: int
     converged: bool
     fitness_history: tuple[float, ...]
+    degenerate: bool = False
+
+    @property
+    def stop(self) -> str:
+        """Why the run stopped: "converged", "degenerate" or "max_iter"."""
+        if self.converged:
+            return "converged"
+        return "degenerate" if self.degenerate else "max_iter"
 
 
 def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
@@ -184,7 +196,7 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
 
     fitness, corr = fitness_of(rotation, translation)
     history = [fitness]
-    converged = False
+    converged = degenerate = False
     iterations = 0
     for _ in range(ICP_MAX_ITER):
         iterations += 1
@@ -192,6 +204,7 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
             R, t = _kabsch(src_centered, src_mean, corr)
         except ValueError:
             # Degenerate inner alignment: keep the best transform so far.
+            degenerate = True
             break
         new_fitness, new_corr = fitness_of(R, t)
         if new_fitness > fitness:
@@ -206,4 +219,4 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
             break
     return IcpResult(transform=RigidTransform(rotation, translation), fitness=fitness,
                      iterations=iterations, converged=converged,
-                     fitness_history=tuple(history))
+                     fitness_history=tuple(history), degenerate=degenerate)

@@ -311,9 +311,15 @@ class TestAp:
 
 
 class TestCompareReps:
-    def test_scene_dir_input(self, scene_dir, tmp_path):
+    def test_scene_dir_input(self, scene_dir, tmp_path, capsys):
         out_dir = tmp_path / "cmp2"
         assert run(["compare-reps", "--scenes", scene_dir, "--out-dir", out_dir]) == 0
+        # Ten of the 36 registrations on these scenes (beds and sofas) stop
+        # at the cap.
+        log = capsys.readouterr().err
+        assert "skipped 0 of 36 object registration(s)" in log
+        assert ("10 stopped at ICP_MAX_ITER = 50 without converging and 0 on degenerate "
+                "correspondences") in log
         values = (out_dir / "values.csv").read_text().splitlines()
         curves = (out_dir / "curves.csv").read_text().splitlines()
         assert values[0] == "scene,task,representation,object_index,value"
@@ -339,6 +345,20 @@ class TestCompareReps:
         assert "left 0 non-finite value(s) out of curves.csv" in log
         values = (out_dir / "values.csv").read_text().splitlines()
         assert sum(",object_fitness," in line for line in values) == 3
+
+    def test_icp_stops_counted(self, scene_dir, tmp_path, capsys, monkeypatch):
+        def fake_compare(scene, scene_id):
+            return [ComparisonRow(scene_id, "object_fitness", rep, 0.5, object_index=0,
+                                  icp_stop=stop)
+                    for rep, stop in (("factored", "max_iter"), ("depth", "degenerate"),
+                                      ("voxels", "converged"))]
+
+        monkeypatch.setattr(cli, "compare_representations", fake_compare)
+        assert run(["compare-reps", "--scenes", scene_dir, "--out-dir", tmp_path / "out"]) == 0
+        log = capsys.readouterr().err
+        assert "skipped 27 of 36 object registration(s)" in log
+        assert ("3 stopped at ICP_MAX_ITER = 50 without converging and 3 on degenerate "
+                "correspondences") in log
 
     def test_nonfinite_values_reported(self, scene_dir, tmp_path, capsys, monkeypatch):
         def fake_compare(scene, scene_id):

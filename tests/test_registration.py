@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scenefactor.geometry import quat_to_matrix, random_unit_quaternion
+from scenefactor import registration
 from scenefactor.registration import (
     NNIndex,
     RigidTransform,
@@ -165,8 +166,16 @@ class TestIcp:
         cloud = cuboid_surface_cloud(np.array([0.3, 0.5, 0.8]), rng)
         result = icp(cloud, cloud, size_norm=bbox_diagonal(cloud))
         assert result.fitness == 0.0
-        assert result.converged
+        assert result.converged and result.stop == "converged"
         assert np.allclose(result.transform.rotation, np.eye(3), atol=1e-9)
+
+    def test_stop_at_iteration_cap(self, rng, monkeypatch):
+        dst = cuboid_surface_cloud(np.array([0.3, 0.5, 0.8]), rng)
+        monkeypatch.setattr(registration, "ICP_MAX_ITER", 1)
+        result = icp(dst + [0.05, 0.0, 0.0], dst, size_norm=bbox_diagonal(dst))
+        assert result.iterations == 1
+        assert not result.converged and not result.degenerate
+        assert result.stop == "max_iter"
 
     def test_known_perturbation_recovery(self):
         rng = np.random.default_rng(5)
@@ -229,6 +238,7 @@ class TestIcp:
         for dst in (coincident, collinear):
             result = icp(src, dst, size_norm=1.0)
             assert result.iterations == 1 and not result.converged
+            assert result.degenerate and result.stop == "degenerate"
             assert np.array_equal(result.transform.rotation, np.eye(3))
             assert np.array_equal(result.transform.translation, np.zeros(3))
             assert len(result.fitness_history) == 1
