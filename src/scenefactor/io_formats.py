@@ -388,11 +388,12 @@ def _object_to_dict(obj: SceneObject, fvox_name: str) -> dict:
     """The object's document; a grid that is not binary is referenced as
     ``fvox_name``, which the caller writes."""
     occ = obj.shape.occupancy
+    voxels = {"dims": list(obj.shape.dims)}
     if np.all((occ == 0.0) | (occ == 1.0)):
         bits = np.packbits(obj.shape.occupied.ravel(order="F"))
-        voxels = {"dims": list(obj.shape.dims), "bits": base64.b64encode(bits).decode("ascii")}
+        voxels["bits"] = base64.b64encode(bits).decode("ascii")
     else:
-        voxels = {"dims": list(obj.shape.dims), "fvox": fvox_name}
+        voxels["fvox"] = fvox_name
     return {
         "class_label": obj.class_label,
         "score": obj.score,
@@ -412,12 +413,10 @@ def _unpack(payload, loc, path) -> np.ndarray:
     length is checked before anything is decoded."""
     if not isinstance(payload, str):
         raise FileFormatError("voxel payload must be a base64 string", path, location=loc)
-    if len(payload) < _INLINE_CHARS:
-        raise TruncatedFileError(f"voxel payload has {len(payload)} base64 characters, "
-                                 f"expected {_INLINE_CHARS}", path, location=loc)
-    if len(payload) > _INLINE_CHARS:
-        raise FileFormatError(f"voxel payload has {len(payload)} base64 characters, "
-                              f"expected {_INLINE_CHARS}", path, location=loc)
+    if len(payload) != _INLINE_CHARS:
+        error = TruncatedFileError if len(payload) < _INLINE_CHARS else FileFormatError
+        raise error(f"voxel payload has {len(payload)} base64 characters, expected "
+                    f"{_INLINE_CHARS}", path, location=loc)
     try:
         packed = base64.b64decode(payload, validate=True)
     except ValueError as exc:

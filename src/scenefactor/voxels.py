@@ -142,6 +142,7 @@ class VoxelGrid:
         Built on first use and kept, so a grid is packed once however many
         IoUs it enters."""
         bits = np.packbits(self.occupied)
+        bits.setflags(write=False)
         return bits, int(np.bitwise_count(bits).sum())
 
     def count(self) -> int:
