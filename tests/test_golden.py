@@ -6,6 +6,7 @@ any other change must reproduce them exactly.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import pytest
 from scenefactor.cli import main
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import Pose, rotation_about_y
-from scenefactor.io_formats import write_scene
-from scenefactor.scene import FactoredScene, SceneObject
+from scenefactor.io_formats import read_scene, write_scene
+from scenefactor.scene import FactoredScene, Layout, SceneObject
 from scenefactor.voxels import VoxelGrid
 
 COMPARE_REPS_SHA256 = {
@@ -189,3 +190,42 @@ GRAD_CHECK_SHA256 = "c14b3ee8ef1d7658eb776975c36d0f5c8962757721abf419c3ecf45baf0
 def test_grad_check_digest(tmp_path):
     run("grad-check", "--seed", 0, "--points", 10, "--out", tmp_path / "report.json")
     assert sha256(tmp_path / "report.json") == GRAD_CHECK_SHA256
+
+
+# ---------------------------------------------------------------------------
+# render, convert, eval and compare-reps on a scene holding the two forms a
+# prediction takes: a soft occupancy grid and a layout that is not the room
+# render.
+
+SOFT_SHA256 = {
+    "read_back": "5df802515e5321d1c2e67143266ce16d8d05bcb8574a04edd771c2fcc286273e",
+    "voxel.pfm": "6c85752515380e157fe0f3912a0ce18e1d311e091609f44f25abe2cf37059409",
+    "scene.fvox": "d283bc82e83caa95a029f6435e270d9d9285c900ee93795f92fa8b17e644f8ce",
+    "eval.json": "5c92d4e2caca2a92bd3d18d42cb30f8df8416987a35829fec023cc7696240655",
+    "values.csv": "d0c745439015bba5bfd51e7396fd50fbea11e1a10994e5eccf2a54998e993642",
+    "curves.csv": "cc1dcdac79429a266aebe8ecae79e6e96ff627f905bed0859166f3dcd159f727",
+}
+
+
+def test_soft_grid_and_custom_layout_digests(tmp_path):
+    rng = np.random.default_rng(17)
+    gt = generate_scene(GeneratorConfig(seed=17, object_count_range=(1, 1), **FURNITURE))
+    (obj,) = gt.objects
+    occ = obj.shape.occupancy.copy()
+    occ[occ == 1.0] = rng.uniform(0.01, 0.99, size=int((occ == 1.0).sum()))
+    soft = replace(gt, objects=(replace(obj, shape=VoxelGrid.canonical(occ)),),
+                   layout=Layout(gt.layout.disparity * 0.9))
+    for sub in ("gt", "soft"):
+        (tmp_path / sub).mkdir()
+    write_scene(gt, tmp_path / "gt" / "s.json")
+    scene = tmp_path / "soft" / "s.json"
+    write_scene(soft, scene)
+    back = read_scene(scene)
+    (tmp_path / "read_back").write_bytes(back.objects[0].shape.occupancy.tobytes()
+                                         + back.layout.disparity.tobytes())
+    run("render", "--scene", scene, "--out", tmp_path / "voxel.pfm", "--method", "voxel")
+    run("convert", "--scene", scene, "--to", "scene-voxels", "--out", tmp_path / "scene.fvox")
+    run("eval", "--pred", scene, "--gt", tmp_path / "gt" / "s.json",
+        "--out", tmp_path / "eval.json")
+    run("compare-reps", "--scenes", tmp_path / "soft", "--out-dir", tmp_path)
+    assert {name: sha256(tmp_path / name) for name in SOFT_SHA256} == SOFT_SHA256
