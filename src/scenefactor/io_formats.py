@@ -3,20 +3,18 @@ point-cloud CSV.
 
 Formats
 -------
-* Scene JSON (``format_version`` 3): camera, optional room cuboid,
-  layout policy, warnings, and objects (pose, score, class, optional 2D
-  box, voxel payload inline or as an FVOX reference, optional analytic
-  cuboid solid).  A grid whose every value is 0.0 or 1.0 is stored
-  inline as ``{"dims": [32, 32, 32], "bits": base64(packbits(occupied,
-  x-fastest))}``: exactly 4,096 bytes, so 5,464 base64 characters, which
-  the reader checks before it decodes anything.  Any other grid goes to
-  an FVOX file next to the scene file, ``<stem>.obj<i>.fvox``, named by
-  ``{"dims": [...], "fvox": ...}``.  A layout that matches the analytic
-  room render is stored as ``{"from_room": true}`` and regenerated on
-  parse, which keeps the round trip exact at float64; otherwise the
-  disparity goes to a single-precision PFM next to the scene file.  So
-  each field is stored inline when that is exact, else in a sibling
-  file.
+* Scene JSON (``format_version`` 4), one self-contained file: camera,
+  optional room cuboid, layout, warnings, and objects (pose, score,
+  class, optional 2D box, canonical voxel grid, optional analytic cuboid
+  solid).  A grid whose every value is 0.0 or 1.0 is stored as
+  ``{"dims": [32, 32, 32], "bits": base64(packbits(occupied,
+  x-fastest))}``, 4,096 bytes; any other grid as ``{"dims": [32, 32,
+  32], "f4": base64(<f4 cells, x-fastest>)}``, 131,072 bytes.  A layout
+  that matches the analytic room render is stored as ``{"from_room":
+  true}`` and regenerated on parse, which keeps the round trip exact at
+  float64; any other layout as ``{"f4": base64(<f4 disparity, rows
+  top-down>)}``, 4 * width * height bytes of the scene's camera.  The
+  reader checks each payload's base64 length before it decodes anything.
 * FVOX: magic ``FVOX``, u32 version, u32 dims[3], u32 frame tag
   (0 canonical, 1 scene), f64 extent[6] (min then max), then float32
   occupancy, x-fastest, little-endian.
@@ -66,18 +64,16 @@ __all__ = [
     "write_voxels",
 ]
 
-SCENE_FORMAT_VERSION = 3
+SCENE_FORMAT_VERSION = 4
 FVOX_MAGIC = b"FVOX"
 FVOX_VERSION = 1
 # Largest camera width or height a scene file may declare; checked before
 # any image-sized array is allocated.
 MAX_IMAGE_SIDE = 8192
 _FVOX_HEADER = struct.Struct("<4sI3II6d")
-# Inline scene voxels are binary canonical grids, one bit per cell: their
-# dims, packed size and base64 length.
-_INLINE_DIMS = list(CANONICAL_SPEC.dims)
-_INLINE_BYTES = math.prod(CANONICAL_SPEC.dims) // 8
-_INLINE_CHARS = 4 * math.ceil(_INLINE_BYTES / 3)
+# Scene voxels are canonical grids: their dims and cell count.
+_GRID_DIMS = list(CANONICAL_SPEC.dims)
+_GRID_CELLS = math.prod(CANONICAL_SPEC.dims)
 
 
 class FileFormatError(ValueError):
@@ -325,20 +321,28 @@ def load_json(path):
                               path, location=f"byte {exc.pos}") from exc
 
 
-def _reference(doc, key, loc, path) -> Path:
-    """The file a scene names under ``doc[key]``: a regular file inside the
-    scene's directory (subdirectories allowed)."""
-    name = str(doc[key])
-    base = Path(path).parent.resolve()
+def _encode(cells: np.ndarray) -> str:
+    return base64.b64encode(cells.tobytes()).decode("ascii")
+
+
+def _payload(text, size: int, loc, path) -> bytes:
+    """The ``size`` bytes of a base64 payload.  Its length is checked
+    before anything is decoded."""
+    if not isinstance(text, str):
+        raise FileFormatError("payload must be a base64 string", path, location=loc)
+    chars = 4 * math.ceil(size / 3)
+    if len(text) != chars:
+        error = TruncatedFileError if len(text) < chars else FileFormatError
+        raise error(f"payload has {len(text)} base64 characters, expected {chars}", path,
+                    location=loc)
     try:
-        ref = (base / name).resolve()
-        inside = ref.is_relative_to(base) and ref.is_file()
-    except (OSError, ValueError):  # a name the file system rejects
-        inside = False
-    if not inside:
-        raise FileFormatError(f"reference {name!r} is not a file in the scene's directory",
-                              path, location=f"{loc}.{key}")
-    return ref
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise FileFormatError(f"invalid base64 payload: {exc}", path, location=loc) from exc
+    if len(data) != size:  # the padding decides the last byte or two
+        raise FileFormatError(f"payload decodes to {len(data)} bytes, expected {size}", path,
+                              location=loc)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +388,12 @@ def _cuboid_from_dict(doc, loc, path) -> Cuboid:
         raise FileFormatError(str(exc), path, location=loc) from exc
 
 
-def _object_to_dict(obj: SceneObject, fvox_name: str) -> dict:
-    """The object's document; a grid that is not binary is referenced as
-    ``fvox_name``, which the caller writes."""
+def _object_to_dict(obj: SceneObject) -> dict:
     occ = obj.shape.occupancy
-    voxels = {"dims": list(obj.shape.dims)}
     if np.all((occ == 0.0) | (occ == 1.0)):
-        bits = np.packbits(obj.shape.occupied.ravel(order="F"))
-        voxels["bits"] = base64.b64encode(bits).decode("ascii")
+        kind, cells = "bits", np.packbits(obj.shape.occupied.ravel(order="F"))
     else:
-        voxels["fvox"] = fvox_name
+        kind, cells = "f4", occ.astype("<f4").ravel(order="F")
     return {
         "class_label": obj.class_label,
         "score": obj.score,
@@ -403,28 +403,9 @@ def _object_to_dict(obj: SceneObject, fvox_name: str) -> dict:
             "translation": obj.pose.translation.tolist(),
         },
         "box2d": list(obj.box2d) if obj.box2d is not None else None,
-        "voxels": voxels,
+        "voxels": {"dims": list(obj.shape.dims), kind: _encode(cells)},
         "solid": [_cuboid_to_dict(c) for c in obj.solid] if obj.solid is not None else None,
     }
-
-
-def _unpack(payload, loc, path) -> np.ndarray:
-    """The cells of an inline ``bits`` payload, 0 or 1, x-fastest.  Its
-    length is checked before anything is decoded."""
-    if not isinstance(payload, str):
-        raise FileFormatError("voxel payload must be a base64 string", path, location=loc)
-    if len(payload) != _INLINE_CHARS:
-        error = TruncatedFileError if len(payload) < _INLINE_CHARS else FileFormatError
-        raise error(f"voxel payload has {len(payload)} base64 characters, expected "
-                    f"{_INLINE_CHARS}", path, location=loc)
-    try:
-        packed = base64.b64decode(payload, validate=True)
-    except ValueError as exc:
-        raise FileFormatError(f"invalid base64 payload: {exc}", path, location=loc) from exc
-    if len(packed) != _INLINE_BYTES:  # the padding decides the last byte or two
-        raise FileFormatError(f"voxel payload decodes to {len(packed)} bytes, expected "
-                              f"{_INLINE_BYTES}", path, location=loc)
-    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
 
 
 def _object_from_dict(doc, loc, path) -> SceneObject:
@@ -453,25 +434,24 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
 
     vox = _expect(doc, "voxels", loc, path, kind=dict)
     dims = _expect(vox, "dims", f"{loc}.voxels", path)
-    if not (isinstance(dims, list) and len(dims) == 3
-            and all(_is_number(d) and isinstance(d, int) and d > 0 for d in dims)):
-        raise FileFormatError(f"dims must be three positive integers, got {dims!r}", path,
+    if dims != _GRID_DIMS:
+        raise FileFormatError(f"voxels must have dims {_GRID_DIMS}, got {dims!r}", path,
                               location=f"{loc}.voxels.dims")
-    inline, fvox = vox.get("bits") is not None, vox.get("fvox") is not None
-    if inline == fvox:
-        raise FileFormatError("voxels need either a 'bits' payload or an 'fvox' reference",
+    kinds = set(vox) - {"dims"}
+    if kinds not in ({"bits"}, {"f4"}):
+        raise FileFormatError("voxels need exactly one of a 'bits' and an 'f4' payload",
                               path, location=f"{loc}.voxels")
-    if inline:
-        if dims != _INLINE_DIMS:
-            raise FileFormatError(f"inline voxels must have dims {_INLINE_DIMS}, got {dims!r}",
-                                  path, location=f"{loc}.voxels.dims")
-        occ = _unpack(vox["bits"], f"{loc}.voxels.bits", path).reshape(dims, order="F")
-        shape = VoxelGrid.canonical(occ)
+    (kind,) = kinds
+    payload_loc = f"{loc}.voxels.{kind}"
+    if kind == "bits":
+        packed = _payload(vox[kind], _GRID_CELLS // 8, payload_loc, path)
+        occ = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
     else:
-        shape = read_voxels(_reference(vox, "fvox", f"{loc}.voxels", path))
-        if list(shape.dims) != dims:
-            raise FileFormatError("referenced grid dims do not match the document", path,
-                                  location=f"{loc}.voxels.fvox")
+        occ = np.frombuffer(_payload(vox[kind], 4 * _GRID_CELLS, payload_loc, path), dtype="<f4")
+    try:
+        shape = VoxelGrid.canonical(occ.reshape(_GRID_DIMS, order="F"))
+    except ValueError as exc:
+        raise FileFormatError(str(exc), path, location=payload_loc) from exc
 
     solid_doc = _expect(doc, "solid", loc, path, allow_none=True)
     solid = None
@@ -495,35 +475,25 @@ def _analytic_layout(scene: FactoredScene) -> Layout:
 
 
 def write_scene(scene: FactoredScene, path) -> None:
-    """Serialize a scene.  A binary canonical grid is stored inline as
-    packed bits, any other grid as a sibling FVOX file; the layout is stored
-    as ``from_room`` when it is exactly the analytic room render, else as a
-    sibling PFM file."""
-    path = Path(path)
+    """Serialize a scene as one JSON file.  A binary grid is stored as
+    packed bits, any other grid as float32 cells; the layout is stored as
+    ``from_room`` when it is exactly the analytic room render, else as
+    float32 disparities."""
     layout_doc = None
-    pfm_to_write = None
     if scene.layout is not None:
         if scene.room is not None and np.array_equal(
                 scene.layout.disparity, _analytic_layout(scene).disparity):
             layout_doc = {"from_room": True}
         else:
-            pfm_name = path.stem + ".layout.pfm"
-            layout_doc = {"pfm": pfm_name}
-            pfm_to_write = path.parent / pfm_name
+            layout_doc = {"f4": _encode(scene.layout.disparity.astype("<f4"))}
     doc = {
         "format_version": SCENE_FORMAT_VERSION,
         "camera": _camera_to_dict(scene.camera),
         "room": _cuboid_to_dict(scene.room) if scene.room is not None else None,
         "layout": layout_doc,
         "warnings": list(scene.warnings),
-        "objects": [_object_to_dict(o, f"{path.stem}.obj{i}.fvox")
-                    for i, o in enumerate(scene.objects)],
+        "objects": [_object_to_dict(o) for o in scene.objects],
     }
-    for obj, obj_doc in zip(scene.objects, doc["objects"]):
-        if "fvox" in obj_doc["voxels"]:
-            write_voxels(path.parent / obj_doc["voxels"]["fvox"], obj.shape)
-    if pfm_to_write is not None:
-        write_pfm(pfm_to_write, scene.layout.disparity)
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
@@ -556,9 +526,11 @@ def read_scene(path) -> FactoredScene:
     layout_doc = _expect(doc, "layout", "$", path, allow_none=True)
     if layout_doc is None:
         return scene
-    if not isinstance(layout_doc, dict):
-        raise FileFormatError("layout must be an object or null", path, location="$.layout")
-    if layout_doc.get("from_room"):
+    if (not isinstance(layout_doc, dict) or set(layout_doc) not in ({"from_room"}, {"f4"})
+            or layout_doc.get("from_room", True) is not True):
+        raise FileFormatError('layout must be null, {"from_room": true} or {"f4": <base64>}',
+                              path, location="$.layout")
+    if "from_room" in layout_doc:
         if room is None:
             raise FileFormatError("layout says from_room but the scene has no room", path,
                                   location="$.layout")
@@ -566,16 +538,10 @@ def read_scene(path) -> FactoredScene:
             layout = _analytic_layout(scene)
         except ValueError as exc:
             raise FileFormatError(str(exc), path, location="$.room") from exc
-    elif "pfm" in layout_doc:
-        disparity = read_pfm(_reference(layout_doc, "pfm", "$.layout", path))
-        try:
-            layout = Layout(disparity)
-        except ValueError as exc:
-            raise FileFormatError(str(exc), path, location="$.layout.pfm") from exc
     else:
-        raise FileFormatError("layout needs 'from_room' or a 'pfm' reference", path,
-                              location="$.layout")
-    try:
-        return replace(scene, layout=layout)
-    except ValueError as exc:
-        raise FileFormatError(str(exc), path, location="$.layout") from exc
+        data = _payload(layout_doc["f4"], 4 * camera.width * camera.height, "$.layout.f4", path)
+        try:
+            layout = Layout(np.frombuffer(data, dtype="<f4").reshape(camera.height, camera.width))
+        except ValueError as exc:
+            raise FileFormatError(str(exc), path, location="$.layout.f4") from exc
+    return replace(scene, layout=layout)

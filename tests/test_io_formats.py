@@ -11,7 +11,6 @@ import pytest
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import DEFAULT_CAMERA
 from scenefactor import render
-from scenefactor.cli import main
 from scenefactor.io_formats import (
     MAX_IMAGE_SIDE,
     SCENE_FORMAT_VERSION,
@@ -182,6 +181,16 @@ def scenes_identical(a, b):
     return True
 
 
+def soft_first_object(scene, rng):
+    """``scene`` with its first object's occupied cells set to values in
+    (0, 1), so that the grid is not binary."""
+    first, *rest = scene.objects
+    occ = first.shape.occupancy.copy()
+    occ[occ == 1.0] = rng.uniform(0.01, 0.99, size=int((occ == 1.0).sum()))
+    soft = dataclasses.replace(first, shape=VoxelGrid.canonical(occ))
+    return dataclasses.replace(scene, objects=(soft, *rest))
+
+
 class TestSceneJson:
     def test_empty_scene_roundtrip(self, tmp_path):
         scene = FactoredScene(camera=DEFAULT_CAMERA)
@@ -202,23 +211,50 @@ class TestSceneJson:
         write_scene(read_scene(tmp_path / "a.json"), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_custom_layout_goes_to_pfm(self, tmp_path):
-        disparity = np.full((DEFAULT_CAMERA.height, DEFAULT_CAMERA.width), 0.25,
-                            dtype=np.float32).astype(float)
+    def test_custom_layout_stored_inline(self, tmp_path):
+        disparity = np.linspace(0.1, 0.4, DEFAULT_CAMERA.height * DEFAULT_CAMERA.width)
+        disparity = disparity.reshape(DEFAULT_CAMERA.height, DEFAULT_CAMERA.width)
         scene = FactoredScene(camera=DEFAULT_CAMERA, layout=Layout(disparity))
         write_scene(scene, tmp_path / "layout.json")
-        assert (tmp_path / "layout.layout.pfm").exists()
+        layout = json.loads((tmp_path / "layout.json").read_text())["layout"]
+        # float32 disparities, rows top-down.
+        assert base64.b64decode(layout["f4"]) == disparity.astype("<f4").tobytes()
         back = read_scene(tmp_path / "layout.json")
-        assert np.array_equal(back.layout.disparity, disparity)
+        assert np.array_equal(back.layout.disparity, disparity.astype(np.float32))
 
-    def test_invalid_layout_pfm_names_location(self, tmp_path):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_invalid_layout_values_name_location(self, tmp_path, value):
         disparity = np.full((DEFAULT_CAMERA.height, DEFAULT_CAMERA.width), 0.25)
         write_scene(FactoredScene(camera=DEFAULT_CAMERA, layout=Layout(disparity)),
                     tmp_path / "layout.json")
-        write_pfm(tmp_path / "layout.layout.pfm", np.full(disparity.shape, np.nan))
+        doc = json.loads((tmp_path / "layout.json").read_text())
+        doc["layout"]["f4"] = base64.b64encode(
+            np.full(disparity.shape, value, dtype="<f4").tobytes()).decode()
+        (tmp_path / "layout.json").write_text(json.dumps(doc))
         with pytest.raises(FileFormatError) as err:
             read_scene(tmp_path / "layout.json")
-        assert err.value.location == "$.layout.pfm"
+        assert err.value.location == "$.layout.f4"
+
+    @pytest.mark.parametrize("cut, error", [(4, TruncatedFileError), (-4, FileFormatError)])
+    def test_layout_payload_sized_by_camera(self, tmp_path, monkeypatch, cut, error):
+        # 4 * 64 * 48 bytes: 16,384 base64 characters, checked before decoding.
+        scene = generate_scene(GeneratorConfig(seed=2))
+        layout = Layout(scene.layout.disparity * 0.9)
+        write_scene(dataclasses.replace(scene, objects=(), layout=layout), tmp_path / "l.json")
+        doc = json.loads((tmp_path / "l.json").read_text())
+        assert len(doc["layout"]["f4"]) == 16_384
+        doc["layout"]["f4"] = doc["layout"]["f4"][:-cut] if cut > 0 else \
+            doc["layout"]["f4"] + "A" * -cut
+        (tmp_path / "l.json").write_text(json.dumps(doc))
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("layout decoded despite its length")
+
+        monkeypatch.setattr(base64, "b64decode", no_decode)
+        with pytest.raises(error) as err:
+            read_scene(tmp_path / "l.json")
+        assert err.value.location == "$.layout.f4"
+        assert "expected 16384" in str(err.value)
 
     def test_truncated_json_reports_location(self, tmp_path):
         scene = generate_scene(GeneratorConfig(seed=2))
@@ -232,19 +268,21 @@ class TestSceneJson:
     def test_unknown_version_rejected(self, tmp_path):
         scene = generate_scene(GeneratorConfig(seed=2))
         write_scene(scene, tmp_path / "v.json")
-        v3 = json.loads((tmp_path / "v.json").read_text())
+        current = json.loads((tmp_path / "v.json").read_text())
         older = []
         # Versions 1 and 2 stored each grid's float32 cells under "b64":
-        # raw, then zlib-compressed.
+        # raw, then zlib-compressed.  Version 3 stored binary grids as
+        # "bits", as version 4 does.
         for version, encode in ((1, bytes), (2, zlib.compress)):
-            doc = json.loads(json.dumps(v3))
+            doc = json.loads(json.dumps(current))
             doc["format_version"] = version
             for obj, entry in zip(scene.objects, doc["objects"]):
                 raw = obj.shape.occupancy.astype("<f4").ravel(order="F").tobytes()
                 entry["voxels"] = {"dims": [32, 32, 32],
                                    "b64": base64.b64encode(encode(raw)).decode()}
             older.append(doc)
-        for doc in (*older, {**v3, "format_version": 4}):
+        for doc in (*older, {**current, "format_version": 3},
+                    {**current, "format_version": 5}):
             (tmp_path / "v.json").write_text(json.dumps(doc))
             with pytest.raises(UnknownVersionError) as err:
                 read_scene(tmp_path / "v.json")
@@ -274,37 +312,49 @@ class TestSceneJson:
             read_scene(tmp_path / "m.json")
         assert "objects[0].pose.scale" in str(err.value)
 
-    def test_unresolvable_reference(self, tmp_path):
-        scene = generate_scene(GeneratorConfig(seed=2))
-        write_scene(scene, tmp_path / "r.json")
-        doc = json.loads((tmp_path / "r.json").read_text())
-        doc["objects"][0]["voxels"] = {"dims": [32, 32, 32], "fvox": "missing.fvox"}
-        (tmp_path / "r.json").write_text(json.dumps(doc))
-        with pytest.raises(FileFormatError) as err:
-            read_scene(tmp_path / "r.json")
-        assert "missing.fvox" in str(err.value)
-
-    def test_fvox_reference_supported(self, tmp_path, rng):
-        scene = generate_scene(GeneratorConfig(seed=4))
-        write_scene(scene, tmp_path / "inline.json")
-        doc = json.loads((tmp_path / "inline.json").read_text())
-        write_voxels(tmp_path / "obj0.fvox", scene.objects[0].shape)
-        doc["objects"][0]["voxels"] = {"dims": [32, 32, 32], "fvox": "obj0.fvox"}
-        (tmp_path / "ref.json").write_text(json.dumps(doc))
-        back = read_scene(tmp_path / "ref.json")
-        assert back.objects[0].shape == scene.objects[0].shape
-
     def test_schema_validation(self, tmp_path):
         import importlib.resources as resources
 
         import jsonschema
 
+        # Every form write_scene emits: "bits" and "f4" grids; "from_room",
+        # "f4" and null layouts.
         scene = generate_scene(GeneratorConfig(seed=7))
-        write_scene(scene, tmp_path / "s.json")
-        doc = json.loads((tmp_path / "s.json").read_text())
+        soft = soft_first_object(scene, np.random.default_rng(7))
         schema = json.loads(
             resources.files("scenefactor").joinpath("schemas/scene.schema.json").read_text())
-        jsonschema.validate(doc, schema)
+        forms = set()
+        for variant in (scene, dataclasses.replace(soft, layout=Layout(
+                scene.layout.disparity * 0.9)), dataclasses.replace(scene, layout=None)):
+            write_scene(variant, tmp_path / "s.json")
+            doc = json.loads((tmp_path / "s.json").read_text())
+            jsonschema.validate(doc, schema)
+            forms |= {tuple(o["voxels"]) for o in doc["objects"]}
+            forms.add(tuple(doc["layout"]) if doc["layout"] is not None else None)
+        assert forms == {("dims", "bits"), ("dims", "f4"), ("from_room",), ("f4",), None}
+        # The schema rejects what the reader rejects.
+        for layout in ({"from_room": True, "pfm": "nowhere.pfm"}, {"from_room": 1},
+                       {"pfm": "s.layout.pfm"}):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**doc, "layout": layout}, schema)
+
+    @pytest.mark.parametrize("layout", [
+        {"from_room": True, "pfm": "nowhere.pfm"},
+        {"from_room": "yes"},
+        {"from_room": 1},
+        {"from_room": False},
+        {"from_room": True, "f4": ""},
+        {"pfm": "e.layout.pfm"},
+        {},
+        [],
+    ], ids=["extra-key", "string", "one", "false", "both", "v3-pfm", "empty", "list"])
+    def test_layout_needs_from_room_xor_f4(self, tmp_path, layout):
+        def put(doc):
+            doc["layout"] = layout
+
+        with pytest.raises(FileFormatError) as err:
+            read_scene(self._edited(tmp_path, put))
+        assert err.value.location == "$.layout"
 
 
     def _edited(self, tmp_path, edit):
@@ -399,10 +449,11 @@ class TestSceneJson:
         assert read_scene(self._edited(tmp_path, largest)).camera.width == MAX_IMAGE_SIDE
 
 
-# A packed canonical grid, and the float32 grid that format 1 stored inline.
+# A packed canonical grid, and a float32 one: its bytes and base64 length.
 PACKED_BYTES = 32**3 // 8
 PACKED_CHARS = 5464
 GRID_BYTES = 4 * 32**3
+F4_CHARS = 174_764
 
 
 class TestInlinePayload:
@@ -503,15 +554,14 @@ class TestInlinePayload:
         assert err.value.location == "$.objects[0].voxels.dims"
 
     @pytest.mark.parametrize("voxels", [
-        {"dims": [32, 32, 32], "bits": "", "fvox": "obj.fvox"},
+        {"dims": [32, 32, 32], "bits": "", "f4": ""},
         {"dims": [32, 32, 32]},
-        {"dims": [32, 32, 32], "bits": None, "fvox": None},
+        {"dims": [32, 32, 32], "bits": None, "f4": None},
         {"dims": [32, 32, 32], "b64": ""},
-    ], ids=["both", "neither", "nulls", "v2-key"])
-    def test_bits_xor_fvox(self, tmp_path, voxels):
+        {"dims": [32, 32, 32], "fvox": "obj.fvox"},
+    ], ids=["both", "neither", "nulls", "v2-key", "v3-fvox"])
+    def test_bits_xor_f4(self, tmp_path, voxels):
         scene, path = self._scene(tmp_path, "")
-        if "fvox" in voxels:
-            write_voxels(tmp_path / "obj.fvox", scene.objects[0].shape)
         if voxels.get("bits") == "":
             voxels = {**voxels, "bits": base64.b64encode(self._bits(scene)).decode()}
         doc = json.loads(path.read_text())
@@ -520,66 +570,62 @@ class TestInlinePayload:
         with pytest.raises(FileFormatError) as err:
             read_scene(path)
         assert err.value.location == "$.objects[0].voxels"
-        assert "either a 'bits' payload or an 'fvox' reference" in str(err.value)
+        assert "exactly one of a 'bits' and an 'f4' payload" in str(err.value)
 
-    def test_non_binary_grid_goes_to_sibling_fvox(self, tmp_path, rng):
+    def test_non_binary_grid_stored_as_f4(self, tmp_path, rng):
         scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(2, 2)))
-        first, second = scene.objects
-        occ = first.shape.occupancy.copy()
-        occ[occ == 1.0] = rng.uniform(0.0, 1.0, size=int((occ == 1.0).sum()))
-        soft = VoxelGrid.canonical(occ)
-        scene = dataclasses.replace(scene, objects=(dataclasses.replace(first, shape=soft),
-                                                    second))
-        write_scene(scene, tmp_path / "s.json")
-        docs = [o["voxels"] for o in json.loads((tmp_path / "s.json").read_text())["objects"]]
-        assert docs[0] == {"dims": [32, 32, 32], "fvox": "s.obj0.fvox"}
+        scene = soft_first_object(scene, rng)
+        # float32 values, which the file stores exactly.
+        disparity = (scene.layout.disparity * 0.9).astype(np.float32)
+        scene = dataclasses.replace(scene, layout=Layout(disparity))
+        occ = scene.objects[0].shape.occupancy
+        for _ in range(2):  # a rewrite leaves nothing behind either
+            write_scene(scene, tmp_path / "s.json")
+            assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+        doc = json.loads((tmp_path / "s.json").read_text())
+        docs = [o["voxels"] for o in doc["objects"]]
+        assert set(docs[0]) == {"dims", "f4"} and len(docs[0]["f4"]) == F4_CHARS
+        assert base64.b64decode(docs[0]["f4"]) == occ.astype("<f4").ravel(order="F").tobytes()
         assert set(docs[1]) == {"dims", "bits"}
-        assert sorted(p.name for p in tmp_path.glob("*.fvox")) == ["s.obj0.fvox"]
-        assert read_voxels(tmp_path / "s.obj0.fvox") == soft
+        assert set(doc["layout"]) == {"f4"}
         back = read_scene(tmp_path / "s.json")
         assert scenes_identical(back, scene)
         assert np.array_equal(back.objects[0].shape.occupancy.view(np.uint32),
-                              occ.astype(np.float32).view(np.uint32))
+                              occ.view(np.uint32))
         write_scene(back, tmp_path / "t.json")
-        assert (tmp_path / "t.obj0.fvox").read_bytes() == (tmp_path / "s.obj0.fvox").read_bytes()
+        assert (tmp_path / "t.json").read_bytes() == (tmp_path / "s.json").read_bytes()
 
-
-class TestReferences:
-    """``voxels.fvox`` and ``layout.pfm`` name regular files inside the
-    scene's directory; subdirectories are allowed."""
-
-    def _scene(self, tmp_path, fvox, pfm):
+    def _f4_scene(self, tmp_path, occ):
+        """A one-object scene file whose first grid is stored as ``f4``
+        holding ``occ``, written whatever its values."""
         scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
-        scenes = tmp_path / "scenes"
-        (scenes / "sub").mkdir(parents=True)
-        for folder in (tmp_path, scenes / "sub"):
-            write_voxels(folder / "obj.fvox", scene.objects[0].shape)
-            write_pfm(folder / "layout.pfm", scene.layout.disparity)
-        write_scene(scene, scenes / "s.json")
-        doc = json.loads((scenes / "s.json").read_text())
-        doc["objects"][0]["voxels"] = {"dims": [32, 32, 32], "fvox": fvox}
-        doc["layout"] = {"pfm": pfm}
-        (scenes / "s.json").write_text(json.dumps(doc))
-        return scene, scenes / "s.json"
+        write_scene(soft_first_object(scene, np.random.default_rng(0)), tmp_path / "s.json")
+        doc = json.loads((tmp_path / "s.json").read_text())
+        doc["objects"][0]["voxels"]["f4"] = base64.b64encode(
+            np.asarray(occ, dtype="<f4").ravel(order="F").tobytes()).decode()
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        return tmp_path / "s.json"
 
-    def test_subdirectory_reference_read(self, tmp_path):
-        scene, path = self._scene(tmp_path, "sub/obj.fvox", "sub/layout.pfm")
-        back = read_scene(path)
-        assert back.objects[0].shape == scene.objects[0].shape
-        assert np.array_equal(back.layout.disparity,
-                              scene.layout.disparity.astype(np.float32))
-
-    @pytest.mark.parametrize("which", ["fvox", "pfm"])
-    @pytest.mark.parametrize("where", ["absolute", "parent", "directory"])
-    def test_reference_outside_directory_rejected(self, tmp_path, capsys, which, where):
-        target = {"fvox": "obj.fvox", "pfm": "layout.pfm"}[which]
-        name = {"absolute": str(tmp_path / target), "parent": f"../{target}",
-                "directory": "sub"}[where]
-        refs = {"fvox": "sub/obj.fvox", "pfm": "sub/layout.pfm", which: name}
-        _, path = self._scene(tmp_path, refs["fvox"], refs["pfm"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1.5, -0.25])
+    def test_invalid_f4_values_name_location(self, tmp_path, value):
+        occ = np.zeros((32, 32, 32))
+        occ[3, 4, 5] = value
         with pytest.raises(FileFormatError) as err:
+            read_scene(self._f4_scene(tmp_path, occ))
+        assert err.value.location == "$.objects[0].voxels.f4"
+
+    @pytest.mark.parametrize("cells, error", [(32**3 - 1, TruncatedFileError),
+                                              (32**3 + 1, FileFormatError),
+                                              (32**3 // 8, TruncatedFileError)],
+                             ids=["short", "long", "bits-sized"])
+    def test_f4_length_checked_before_decoding(self, tmp_path, monkeypatch, cells, error):
+        path = self._f4_scene(tmp_path, np.zeros(cells))
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("payload decoded despite its length")
+
+        monkeypatch.setattr(base64, "b64decode", no_decode)
+        with pytest.raises(error) as err:
             read_scene(path)
-        assert err.value.location == {"fvox": "$.objects[0].voxels.fvox",
-                                      "pfm": "$.layout.pfm"}[which]
-        assert main(["render", "--scene", str(path), "--out", str(tmp_path / "d.pfm")]) == 1
-        assert capsys.readouterr().err.count("\n") == 1
+        assert err.value.location == "$.objects[0].voxels.f4"
+        assert f"expected {F4_CHARS}" in str(err.value)

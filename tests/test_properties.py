@@ -5,8 +5,8 @@ Whatever the bytes, ``read_scene``, ``read_voxels``, ``read_pfm`` and
 location, and ``render`` on a damaged scene exits 1 or 2 instead of
 raising.  The damage is a random JSON value put at a random path of a
 valid document, random bytes written over a valid file, random bytes
-written into an inline voxel payload, before or after its base64 encoding, or a
-well-formed PFM whose size or values (NaN, infinities, negatives) a depth
+written into an inline voxel or layout payload, before or after its base64
+encoding, or a well-formed PFM whose size or values (NaN, infinities, negatives) a depth
 map cannot take.  The point-cloud writer's bytes equal what ``csv.writer``
 makes of ``repr(float(v))`` per coordinate, whatever the finite values, and
 ``voxel_iou`` on packed masks equals the cell-by-cell boolean reference.
@@ -17,6 +17,7 @@ import base64
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from scenefactor.io_formats import (
     write_scene,
     write_voxels,
 )
+from scenefactor.scene import Layout
 from scenefactor.voxels import CANONICAL_SPEC, VoxelGrid, voxel_iou
 
 # The camera of ``small_files``'s 4x5 ``image.pfm``.
@@ -102,18 +104,19 @@ def only_format_errors(read, path) -> bool:
 
 @pytest.fixture(scope="module")
 def scene_docs(tmp_path_factory):
-    """Two valid 64x48 scene documents in one directory: one fully inline,
-    one whose first object and layout are stored in sibling files."""
+    """Two valid 64x48 scene documents in one directory: one with binary
+    grids and a ``from_room`` layout, one whose first grid and layout are
+    float32 ``f4`` payloads."""
     root = tmp_path_factory.mktemp("damaged")
     scene = generate_scene(GeneratorConfig(seed=5, object_count_range=(2, 2)))
     write_scene(scene, root / "base.json")
-    inline = json.loads((root / "base.json").read_text())
-    write_voxels(root / "obj0.fvox", scene.objects[0].shape)
-    write_pfm(root / "layout.pfm", scene.layout.disparity)
-    referenced = replaced(inline, ("objects", 0, "voxels"),
-                          {"dims": [32, 32, 32], "fvox": "obj0.fvox"})
-    referenced = replaced(referenced, ("layout",), {"pfm": "layout.pfm"})
-    return root, [inline, referenced]
+    first, second = scene.objects
+    occ = first.shape.occupancy.copy()
+    occ[occ == 1.0] = np.random.default_rng(5).uniform(0.01, 0.99, int((occ == 1.0).sum()))
+    soft = replace(scene, objects=(replace(first, shape=VoxelGrid.canonical(occ)), second),
+                   layout=Layout(scene.layout.disparity * 0.9))
+    write_scene(soft, root / "soft.json")
+    return root, [json.loads((root / name).read_text()) for name in ("base.json", "soft.json")]
 
 
 @EXAMPLES
@@ -148,13 +151,18 @@ BASE64_TEXT = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuv
 @given(data=st.data())
 def test_damaged_voxel_payload(scene_docs, data):
     root, docs = scene_docs
-    doc = docs[0]
-    k = data.draw(st.integers(0, len(doc["objects"]) - 1))
-    text = doc["objects"][k]["voxels"]["bits"]
+    # Both grids' "bits", and the "f4" payloads of a grid and of a layout.
+    doc, where = data.draw(st.sampled_from([
+        (docs[0], ("objects", 0, "voxels", "bits")), (docs[0], ("objects", 1, "voxels", "bits")),
+        (docs[1], ("objects", 0, "voxels", "f4")), (docs[1], ("layout", "f4"))]))
+    text = doc
+    for key in where:
+        text = text[key]
     choice = data.draw(st.integers(0, 2))
-    if choice == 0:  # damage the packed bits, then encode them again
+    if choice == 0:  # damage the decoded bytes, then encode them again
         packed = base64.b64decode(text)
-        text = base64.b64encode(data.draw(damaged_bytes(packed, len(packed)))).decode()
+        # Edits mostly within the first 4,096 bytes: all of a "bits" payload.
+        text = base64.b64encode(data.draw(damaged_bytes(packed, 4096))).decode()
     elif choice == 1:  # damage the base64 text
         chars = st.sampled_from("A/+=_ \n!")
         edits = data.draw(st.lists(st.tuples(st.integers(0, len(text) - 1), chars),
@@ -162,9 +170,9 @@ def test_damaged_voxel_payload(scene_docs, data):
         for pos, char in edits:
             text = text[:pos] + char + text[pos + 1:]
         text = text[:data.draw(st.integers(len(text) - 8, len(text) + 8))]
-    else:  # text of about the right length, from near the base64 alphabet
+    else:  # text of about a "bits" payload's length, from near the base64 alphabet
         text = data.draw(BASE64_TEXT)
-    damaged = replaced(doc, ("objects", k, "voxels", "bits"), text)
+    damaged = replaced(doc, where, text)
     scene_file = root / "damaged_payload.json"
     scene_file.write_text(json.dumps(damaged))
     only_format_errors(read_scene, scene_file)
