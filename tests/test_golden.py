@@ -52,8 +52,8 @@ def test_compare_reps_digests(tmp_path):
 # gen, render and convert on two 64x48 three-piece scenes.
 
 GEN_SHA256 = {
-    "scene_00007.json": "a804a9a7587448bb69eb071b08596366605111ae2c893cdb82960a21701b6119",
-    "scene_00008.json": "41cbfa39b8a3f7423cb6f1a929972ccbb9cb75b638785bb537a7aa9968c8dc9f",
+    "scene_00007.json": "063075a6ac696fd967a5d0a0d4b0a4418ff894289e071b0a7034ff3ecfbbbe57",
+    "scene_00008.json": "54ac932fa170ee3ac75899dfc88cc21f096db1d3e7e23bc6bd16d8e3b3e4f30a",
 }
 
 RENDER_CONVERT_SHA256 = {
@@ -102,8 +102,8 @@ def test_render_and_convert_digests(generated, tmp_path):
 # neither square nor a multiple of 64x48, with objects cut by the image border.
 
 WIDE_SHA256 = {
-    "scene_00012.json": "4cdc431f4cef9b65d76ee3f30096fd90e683268aa76917440a88f87df5c0d1be",
-    "scene_00013.json": "22932a4a4ed6e3131bc57042b18b9bdb0c3ff554d68c70672cadaa1dab0ad87a",
+    "scene_00012.json": "c08f2fa47eb343b757276379ff2267322c6ecf3367c48fabbad9db4e3843343e",
+    "scene_00013.json": "368a1cc0d4fc4cbfdb530f8fcc70277fb7a8b05211624c8abec52b3c4b51b3bd",
     "analytic_00012.pfm": "a4556c3e14aefa87edc1684e3b62815ca91636bf218aefad5c1410d46035dde8",
     "voxel_00012.pfm": "a4556c3e14aefa87edc1684e3b62815ca91636bf218aefad5c1410d46035dde8",
     "layout_00012.pfm": "594bfebcff5f78b0617b7f4a409fcaaec65f3f0910bac18f246811c53751e94a",
