@@ -34,7 +34,6 @@ from .io_formats import (
     load_json,
     read_depth_pfm,
     read_scene,
-    write_depth_pfm,
     write_pfm,
     write_pointcloud_csv,
     write_scene,
@@ -136,7 +135,7 @@ def _cmd_render(args) -> int:
     if args.unit == "disparity":
         write_pfm(args.out, depth_to_disparity(depth).disparity)
     else:
-        write_depth_pfm(args.out, depth)
+        write_pfm(args.out, depth.depth)
     return 0
 
 
@@ -146,27 +145,24 @@ def _cmd_render(args) -> int:
 def _cmd_convert(args) -> int:
     if args.scene and args.depth:
         raise ValueError("pass either --scene or --depth, not both")
+    if not (args.scene or args.depth):
+        raise ValueError("convert needs --scene or --depth")
+    # A scene converts only to scene voxels, a depth map only to the others.
+    if (args.to == "scene-voxels") != bool(args.scene):
+        source = "a scene" if args.scene else "a depth map"
+        raise ValueError(f"cannot convert {source} to {args.to!r}")
     if args.scene:
-        scene = read_scene(args.scene)
-        if args.to == "scene-voxels":
-            write_voxels(args.out, compose_scene_voxels(scene))
-        else:
-            raise ValueError(f"cannot convert a scene to {args.to!r}")
+        write_voxels(args.out, compose_scene_voxels(read_scene(args.scene)))
         return 0
-    if args.depth:
-        if not args.camera_scene:
-            raise ValueError("--depth input needs --camera-scene for intrinsics")
-        camera = read_scene(args.camera_scene).camera
-        depth = read_depth_pfm(args.depth, camera)
-        points = depth_to_pointcloud(depth)
-        if args.to == "voxels":
-            write_voxels(args.out, pointcloud_to_voxels(points))
-        elif args.to == "pointcloud":
-            write_pointcloud_csv(args.out, points)
-        else:
-            raise ValueError(f"cannot convert a depth map to {args.to!r}")
-        return 0
-    raise ValueError("convert needs --scene or --depth")
+    if not args.camera_scene:
+        raise ValueError("--depth input needs --camera-scene for intrinsics")
+    camera = read_scene(args.camera_scene).camera
+    points = depth_to_pointcloud(read_depth_pfm(args.depth, camera))
+    if args.to == "voxels":
+        write_voxels(args.out, pointcloud_to_voxels(points))
+    else:
+        write_pointcloud_csv(args.out, points)
+    return 0
 
 
 # ---------------------------------------------------------------------------

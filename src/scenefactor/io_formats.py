@@ -57,7 +57,6 @@ __all__ = [
     "read_pfm",
     "read_scene",
     "read_voxels",
-    "write_depth_pfm",
     "write_pfm",
     "write_pointcloud_csv",
     "write_scene",
@@ -180,10 +179,6 @@ def read_pfm(path) -> np.ndarray:
             location=f"byte {offset}")
     img = np.frombuffer(payload, dtype=dtype).reshape(height, width)
     return np.flipud(img).astype(float)
-
-
-def write_depth_pfm(path, depth_map) -> None:
-    write_pfm(path, depth_map.depth)
 
 
 def read_depth_pfm(path, camera: Camera):

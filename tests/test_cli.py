@@ -440,6 +440,11 @@ def error_inputs(scene_dir, tmp_path_factory):
      "cannot convert a scene to 'voxels'"),
     (["convert", "--depth", "in/d.pfm", "--camera-scene", "in/s.json", "--to", "scene-voxels",
       "--out", "out/v.fvox"], 1, "cannot convert a depth map to 'scene-voxels'"),
+    # The input and --to are checked before any file is read.
+    (["convert", "--scene", "in/missing.json", "--to", "pointcloud", "--out", "out/p.csv"], 1,
+     "cannot convert a scene to 'pointcloud'"),
+    (["convert", "--depth", "in/missing.pfm", "--camera-scene", "in/missing.json", "--to",
+      "scene-voxels", "--out", "out/v.fvox"], 1, "cannot convert a depth map to 'scene-voxels'"),
     (["eval", "--pred", "in/zero", "--gt", "in/gt", "--out", "out/e.json"], 1,
      "object counts differ"),
     (["eval", "--pred", "in/zero", "--gt", "in/zero", "--out", "out/e.json"], 1,
@@ -450,7 +455,8 @@ def error_inputs(scene_dir, tmp_path_factory):
     (["eval", "--pred", "in/missing.json", "--gt", "in/s.json", "--out", "out/e.json"], 2,
      "no such file"),
 ], ids=["scene_and_depth", "no_input", "depth_without_camera", "scene_to_voxels",
-        "depth_to_scene_voxels", "object_counts_differ", "no_objects", "eval_empty_dir",
+        "depth_to_scene_voxels", "missing_scene_to_pointcloud", "missing_depth_to_scene_voxels",
+        "object_counts_differ", "no_objects", "eval_empty_dir",
         "compare_empty_dir", "missing_pred"])
 def test_rejected_input_is_one_line_and_writes_nothing(error_inputs, tmp_path, monkeypatch,
                                                        capsys, argv, code, message):
