@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import math
+import pathlib
 import struct
 import zlib
 
@@ -11,6 +12,7 @@ import pytest
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import DEFAULT_CAMERA
 from scenefactor import render
+from scenefactor.cli import main
 from scenefactor.io_formats import (
     MAX_IMAGE_SIDE,
     SCENE_FORMAT_VERSION,
@@ -629,3 +631,41 @@ class TestInlinePayload:
             read_scene(path)
         assert err.value.location == "$.objects[0].voxels.f4"
         assert f"expected {F4_CHARS}" in str(err.value)
+
+
+class TestReferences:
+    """A scene names no other file: a format-3 ``fvox`` or ``pfm``
+    reference fails at its location wherever it points, and the file it
+    names is never opened."""
+
+    @pytest.mark.parametrize("which", ["fvox", "pfm"])
+    @pytest.mark.parametrize("where", ["absolute", "parent", "directory"])
+    def test_reference_outside_directory_rejected(self, tmp_path, capsys, monkeypatch,
+                                                  which, where):
+        scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
+        scenes = tmp_path / "scenes"
+        (scenes / "sub").mkdir(parents=True)
+        write_voxels(tmp_path / "obj.fvox", scene.objects[0].shape)
+        write_pfm(tmp_path / "layout.pfm", scene.layout.disparity)
+        write_scene(scene, scenes / "s.json")
+        target = {"fvox": "obj.fvox", "pfm": "layout.pfm"}[which]
+        name = {"absolute": str(tmp_path / target), "parent": f"../{target}",
+                "directory": "sub"}[where]
+        doc = json.loads((scenes / "s.json").read_text())
+        if which == "fvox":
+            doc["objects"][0]["voxels"] = {"dims": [32, 32, 32], "fvox": name}
+        else:
+            doc["layout"] = {"pfm": name}
+        (scenes / "s.json").write_text(json.dumps(doc))
+
+        opened = []
+        read_bytes = pathlib.Path.read_bytes
+        monkeypatch.setattr(pathlib.Path, "read_bytes",
+                            lambda self: opened.append(self.name) or read_bytes(self))
+        with pytest.raises(FileFormatError) as err:
+            read_scene(scenes / "s.json")
+        assert err.value.location == {"fvox": "$.objects[0].voxels", "pfm": "$.layout"}[which]
+        assert opened == ["s.json"]
+        assert main(["render", "--scene", str(scenes / "s.json"),
+                     "--out", str(tmp_path / "d.pfm")]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
