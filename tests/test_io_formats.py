@@ -346,10 +346,9 @@ class TestSceneJson:
         {"from_room": 1},
         {"from_room": False},
         {"from_room": True, "f4": ""},
-        {"pfm": "e.layout.pfm"},
         {},
         [],
-    ], ids=["extra-key", "string", "one", "false", "both", "v3-pfm", "empty", "list"])
+    ], ids=["extra-key", "string", "one", "false", "both", "empty", "list"])
     def test_layout_needs_from_room_xor_f4(self, tmp_path, layout):
         def put(doc):
             doc["layout"] = layout
