@@ -521,11 +521,12 @@ def read_scene(path) -> FactoredScene:
     layout_doc = _expect(doc, "layout", "$", path, allow_none=True)
     if layout_doc is None:
         return scene
-    if (not isinstance(layout_doc, dict) or set(layout_doc) not in ({"from_room"}, {"f4"})
-            or layout_doc.get("from_room", True) is not True):
+    # JSON 1 and 1.0 compare equal to true, so the value is also checked by identity.
+    from_room = layout_doc == {"from_room": True} and layout_doc["from_room"] is True
+    if not (from_room or isinstance(layout_doc, dict) and set(layout_doc) == {"f4"}):
         raise FileFormatError('layout must be null, {"from_room": true} or {"f4": <base64>}',
                               path, location="$.layout")
-    if "from_room" in layout_doc:
+    if from_room:
         if room is None:
             raise FileFormatError("layout says from_room but the scene has no room", path,
                                   location="$.layout")

@@ -5,11 +5,12 @@ Whatever the bytes, ``read_scene``, ``read_voxels``, ``read_pfm`` and
 location, and ``render`` on a damaged scene exits 1 or 2 instead of
 raising.  The damage is a random JSON value put at a random path of a
 valid document, random bytes written over a valid file, random bytes
-written into an inline voxel or layout payload, before or after its base64
-encoding, or a well-formed PFM whose size or values (NaN, infinities, negatives) a depth
-map cannot take.  The point-cloud writer's bytes equal what ``csv.writer``
-makes of ``repr(float(v))`` per coordinate, whatever the finite values, and
-``voxel_iou`` on packed masks equals the cell-by-cell boolean reference.
+written into an inline voxel or layout payload, before or after its
+base64 encoding, or a well-formed PFM whose size or values (NaN,
+infinities, negatives) a depth map cannot take.  The point-cloud writer's
+bytes equal what ``csv.writer`` makes of ``repr(float(v))`` per
+coordinate, whatever the finite values, and ``voxel_iou`` on packed masks
+equals the cell-by-cell boolean reference.
 Examples are derandomized and capped, so every run checks the same inputs.
 """
 
