@@ -32,6 +32,7 @@ from .io_formats import (
     MAX_IMAGE_SIDE,
     atomic_write_text,
     load_json,
+    read_camera,
     read_depth_pfm,
     read_scene,
     write_pfm,
@@ -125,6 +126,8 @@ def _cmd_gen(args) -> int:
 # render
 
 def _cmd_render(args) -> int:
+    if args.what == "layout" and args.method == "voxel":
+        raise ValueError("the layout renders analytically only; drop --method voxel")
     scene = read_scene(args.scene)
     if args.what == "layout":
         depth = render_depth_analytic(scene, include_objects=False)
@@ -156,7 +159,7 @@ def _cmd_convert(args) -> int:
         return 0
     if not args.camera_scene:
         raise ValueError("--depth input needs --camera-scene for intrinsics")
-    camera = read_scene(args.camera_scene).camera
+    camera = read_camera(args.camera_scene)
     points = depth_to_pointcloud(read_depth_pfm(args.depth, camera))
     if args.to == "voxels":
         write_voxels(args.out, pointcloud_to_voxels(points))

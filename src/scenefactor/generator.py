@@ -6,7 +6,7 @@ about the vertical axis only, and an analytically rendered amodal layout.
 All world bounding boxes are pairwise disjoint.  A seed fully determines
 the scene.
 
-Two realism constraints keep the 8 cm scene grid well resolved: each room
+Two realism constraints keep the scene grid well resolved: each room
 gets one large anchor piece (bed or sofa by default; ``anchor_classes``
 sets the choice), and televisions are capped at ``MAX_TELEVISIONS`` per
 scene.
@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import Camera, DEFAULT_CAMERA, Pose, image_extent, rotation_about_y
 from .render import depth_to_disparity, render_depth_analytic
 from .scene import CLASS_LABELS, FactoredScene, SceneObject, parametric_shape
-from .voxels import Cuboid, cuboid_voxelize
+from .voxels import CANONICAL_SPEC, Cuboid, cuboid_voxelize
 
 __all__ = ["GeneratorConfig", "generate_scene"]
 
@@ -106,17 +106,13 @@ def _sample_room(rng: np.random.Generator) -> Cuboid:
     return Cuboid((lo + hi) / 2.0, (hi - lo) / 2.0)
 
 
-def _snap(value: float, unit: float = 1.0 / 32.0) -> float:
-    return round(value / unit) * unit
-
-
 def _shape_params(kind: str, rng: np.random.Generator) -> dict[str, float]:
     """Mild per-scene variation of the class default proportions.
 
-    Every length is snapped to the canonical voxel lattice (1/32), which
-    makes the 32^3 voxelization of the sampled solid exact: every cuboid
-    face lands on a lattice plane, so the voxel shape, the analytic solid,
-    and the trilinear iso-surface all coincide.  The television panel snaps
+    Every length is snapped to the canonical voxel lattice, which makes
+    the 32^3 voxelization of the sampled solid exact: every cuboid face
+    lands on a lattice plane, so the voxel shape, the analytic solid, and
+    the trilinear iso-surface all coincide.  The television panel snaps
     to an even cell count because its faces sit at +-half its size.
     """
     jitter = {
@@ -132,8 +128,8 @@ def _shape_params(kind: str, rng: np.random.Generator) -> dict[str, float]:
     centered = ("panel_width", "panel_thickness")
     out = {}
     for name, (lo, hi) in jitter.items():
-        unit = 1.0 / 16.0 if name in centered else 1.0 / 32.0
-        out[name] = _snap(float(rng.uniform(lo, hi)), unit)
+        unit = (2 if name in centered else 1) * CANONICAL_SPEC.cell_size
+        out[name] = round(float(rng.uniform(lo, hi)) / unit) * unit
     return out
 
 

@@ -17,7 +17,9 @@ Formats
   reader checks each payload's base64 length before it decodes anything.
 * FVOX: magic ``FVOX``, u32 version, u32 dims[3], u32 frame tag
   (0 canonical, 1 scene), f64 extent[6] (min then max), then float32
-  occupancy, x-fastest, little-endian.
+  occupancy, x-fastest, little-endian.  The frame tag fixes the lattice,
+  so the reader takes only that frame's dims and extent
+  (:data:`~scenefactor.voxels.FRAME_SPECS`).
 * PFM: grayscale ``Pf``, bottom-up rows, negative scale marks
   little-endian.  Depth files use 0 as the empty marker.
 * Point-cloud CSV (written only): header ``x,y,z``, then one row per point,
@@ -43,7 +45,7 @@ import numpy as np
 
 from .geometry import Camera, Pose, UnitQuaternion
 from .scene import CLASS_LABELS, FactoredScene, Layout, SceneObject
-from .voxels import CANONICAL_SPEC, Cuboid, VoxelGrid
+from .voxels import CANONICAL_SPEC, FRAME_SPECS, Cuboid, VoxelGrid
 
 __all__ = [
     "BadMagicError",
@@ -53,6 +55,7 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "load_json",
+    "read_camera",
     "read_depth_pfm",
     "read_pfm",
     "read_scene",
@@ -236,6 +239,7 @@ def write_voxels(path, grid: VoxelGrid) -> None:
 
 
 def read_voxels(path) -> VoxelGrid:
+    """Read an FVOX grid; its header must give the lattice of its frame tag."""
     data = Path(path).read_bytes()
     if len(data) < _FVOX_HEADER.size:
         raise TruncatedFileError(
@@ -249,28 +253,25 @@ def read_voxels(path) -> VoxelGrid:
         raise UnknownVersionError(f"unknown version {version}", path, location="byte 4")
     if tag not in _TAG_FRAMES:
         raise FileFormatError(f"unknown frame tag {tag}", path, location="byte 20")
-    if min(nx, ny, nz) <= 0:
-        raise FileFormatError(f"bad dims {(nx, ny, nz)}", path, location="byte 8")
-    expected = _FVOX_HEADER.size + 4 * nx * ny * nz
+    frame = _TAG_FRAMES[tag]
+    spec = FRAME_SPECS[frame]
+    if (nx, ny, nz) != spec.dims:
+        raise FileFormatError(f"{frame} grids have dims {spec.dims}, got {(nx, ny, nz)}",
+                              path, location="header")
+    lattice = [v for corner in spec.extent for v in corner.tolist()]
+    if extent != lattice:
+        raise FileFormatError(f"{frame} grids span {lattice}, got {extent}", path,
+                              location="extent")
+    expected = _FVOX_HEADER.size + 4 * math.prod(spec.dims)
     if len(data) != expected:
         raise TruncatedFileError(
             f"file has {len(data)} bytes, format requires exactly {expected}", path,
             location=f"byte {min(len(data), expected)}")
     occ = np.frombuffer(data, dtype="<f4", offset=_FVOX_HEADER.size)
-    occ = occ.reshape((nx, ny, nz), order="F")
-    if not np.all(np.isfinite(extent)):
-        raise FileFormatError(f"extent {extent} is not finite", path, location="extent")
-    lo = np.array(extent[:3])
-    hi = np.array(extent[3:])
-    frame = _TAG_FRAMES[tag]
-    cells = (hi - lo) / np.array([nx, ny, nz])
-    if np.any(np.abs(cells - cells[0]) > 1e-9) or cells[0] <= 0:
-        raise FileFormatError(f"extent implies non-cubic cells {cells.tolist()}", path,
-                              location="extent")
     try:
-        return VoxelGrid(occ, frame, tuple(lo.tolist()), float(cells[0]))
+        return VoxelGrid(occ.reshape(spec.dims, order="F"), frame)
     except ValueError as exc:
-        raise FileFormatError(str(exc), path, location="header") from exc
+        raise FileFormatError(str(exc), path, location="payload") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +474,19 @@ def write_scene(scene: FactoredScene, path) -> None:
     """Serialize a scene as one JSON file.  A binary grid is stored as
     packed bits, any other grid as float32 cells; the layout is stored as
     ``from_room`` when it is exactly the analytic room render, else as
-    float32 disparities."""
+    float32 disparities.  A custom layout that float32 cannot hold raises
+    ``ValueError`` before anything is written."""
     layout_doc = None
     if scene.layout is not None:
         if scene.room is not None and np.array_equal(
                 scene.layout.disparity, _analytic_layout(scene).disparity):
             layout_doc = {"from_room": True}
         else:
-            layout_doc = {"f4": _encode(scene.layout.disparity.astype("<f4"))}
+            with np.errstate(over="ignore"):
+                disparity = scene.layout.disparity.astype("<f4")
+            if not np.all(np.isfinite(disparity)):
+                raise ValueError("layout disparities exceed the float32 range of a scene file")
+            layout_doc = {"f4": _encode(disparity)}
     doc = {
         "format_version": SCENE_FORMAT_VERSION,
         "camera": _camera_to_dict(scene.camera),
@@ -492,8 +498,9 @@ def write_scene(scene: FactoredScene, path) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def read_scene(path) -> FactoredScene:
-    path = Path(path)
+def _scene_doc(path) -> tuple[dict, Camera]:
+    """A scene file's JSON document and its camera, past the checks of the
+    top level, ``format_version`` and ``$.camera``."""
     doc = load_json(path)
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object", path, location="$")
@@ -503,6 +510,17 @@ def read_scene(path) -> FactoredScene:
                                   f"version {SCENE_FORMAT_VERSION}", path,
                                   location="$.format_version")
     camera = _camera_from_dict(_expect(doc, "camera", "$", path, kind=dict), "$.camera", path)
+    return doc, camera
+
+
+def read_camera(path) -> Camera:
+    """The camera of a scene file, without decoding its objects or layout."""
+    return _scene_doc(path)[1]
+
+
+def read_scene(path) -> FactoredScene:
+    path = Path(path)
+    doc, camera = _scene_doc(path)
     room_doc = _expect(doc, "room", "$", path, allow_none=True)
     room = _cuboid_from_dict(room_doc, "$.room", path) if room_doc is not None else None
     warnings_doc = _expect(doc, "warnings", "$", path, kind=list)

@@ -140,23 +140,23 @@ def kabsch_align(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
 class IcpResult:
     """Alignment outcome; fitness is mean squared residual / size_norm^2.
 
-    A run that did not converge stopped on degenerate correspondences
-    (``degenerate``) or else at ``ICP_MAX_ITER``; :attr:`stop` names which.
+    ``stop`` says why the run stopped: "converged", "degenerate" (on
+    degenerate correspondences) or "max_iter" (at ``ICP_MAX_ITER``).
     """
 
     transform: RigidTransform
     fitness: float
     iterations: int
-    converged: bool
+    stop: str
     fitness_history: tuple[float, ...]
-    degenerate: bool = False
+
+    def __post_init__(self):
+        if self.stop not in ("converged", "degenerate", "max_iter"):
+            raise ValueError(f"unknown ICP stop {self.stop!r}")
 
     @property
-    def stop(self) -> str:
-        """Why the run stopped: "converged", "degenerate" or "max_iter"."""
-        if self.converged:
-            return "converged"
-        return "degenerate" if self.degenerate else "max_iter"
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
@@ -196,7 +196,7 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
 
     fitness, corr = fitness_of(rotation, translation)
     history = [fitness]
-    converged = degenerate = False
+    stop = "max_iter"
     iterations = 0
     for _ in range(ICP_MAX_ITER):
         iterations += 1
@@ -204,19 +204,18 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
             R, t = _kabsch(src_centered, src_mean, corr)
         except ValueError:
             # Degenerate inner alignment: keep the best transform so far.
-            degenerate = True
+            stop = "degenerate"
             break
         new_fitness, new_corr = fitness_of(R, t)
         if new_fitness > fitness:
             # Cannot happen in exact arithmetic; guards float round-off.
-            converged = True
+            stop = "converged"
             break
         improvement = (fitness - new_fitness) / max(fitness, 1e-300)
         rotation, translation, fitness, corr = R, t, new_fitness, new_corr
         history.append(fitness)
         if improvement < ICP_REL_TOL:
-            converged = True
+            stop = "converged"
             break
     return IcpResult(transform=RigidTransform(rotation, translation), fitness=fitness,
-                     iterations=iterations, converged=converged,
-                     fitness_history=tuple(history), degenerate=degenerate)
+                     iterations=iterations, stop=stop, fitness_history=tuple(history))

@@ -1,12 +1,13 @@
 """Occupancy voxel grids: canonical object shapes and camera-frame scene grids.
 
-Two grid families exist, one lattice each.  Canonical grids hold object
-shapes: always 32^3 cells spanning [-0.5, 0.5]^3 in the canonical object
-frame (:data:`CANONICAL_SPEC`).  Scene grids live in the camera frame with
-8 cm cells; every scene grid built here is :data:`DEFAULT_SCENE_SPEC`,
-spanning x in [-2.56, 2.56], y in [-1.28, 1.28], z in [0, 5.12], which
-centers the grid laterally on the optical axis and covers the forward
-frustum.  Grids read from FVOX files carry their own extent.
+Two grid families exist, one lattice each, and a grid's frame fixes its
+lattice (:data:`FRAME_SPECS`).  Canonical grids hold object shapes: always
+32^3 cells spanning [-0.5, 0.5]^3 in the canonical object frame
+(:data:`CANONICAL_SPEC`).  Scene grids live in the camera frame with 8 cm
+cells: always :data:`DEFAULT_SCENE_SPEC`, spanning x in [-2.56, 2.56],
+y in [-1.28, 1.28], z in [0, 5.12], which centers the grid laterally on
+the optical axis and covers the forward frustum.  No other module spells
+out either lattice's origin or cell size.
 
 Occupancy is stored as a dense float32 array in [0, 1], indexed
 ``[ix, iy, iz]``; files serialize it x-fastest.  Grids are immutable after
@@ -26,8 +27,8 @@ from .geometry import Pose, apply_pose
 __all__ = [
     "CANONICAL_SPEC",
     "DEFAULT_SCENE_SPEC",
+    "FRAME_SPECS",
     "OCCUPANCY_THRESHOLD",
-    "SCENE_CELL_SIZE",
     "Cuboid",
     "GridSpec",
     "VoxelGrid",
@@ -38,36 +39,18 @@ __all__ = [
     "voxelize_posed_cuboids",
 ]
 
-SCENE_CELL_SIZE = 0.08
-CANONICAL_CELL_SIZE = 1.0 / 32.0
 # A cell whose occupancy probability reaches this value is occupied.
 OCCUPANCY_THRESHOLD = 0.5
 
 
-def _dims_tuple(dims) -> tuple[int, int, int]:
-    t = tuple(int(d) for d in dims)
-    if len(t) != 3 or any(d <= 0 for d in t):
-        raise ValueError(f"dims must be three positive integers, got {dims}")
-    return t
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of a voxel lattice: dims, minimum corner, and cell size."""
+    """Geometry of a voxel lattice: dims, minimum corner, and cell size.
+    The library builds exactly two, one per frame (:data:`FRAME_SPECS`)."""
 
     dims: tuple[int, int, int]
     origin: tuple[float, float, float]
     cell_size: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _dims_tuple(self.dims))
-        origin = tuple(float(v) for v in self.origin)
-        if len(origin) != 3 or not all(np.isfinite(origin)):
-            raise ValueError(f"origin must be a finite 3-vector, got {self.origin}")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "cell_size", float(self.cell_size))
-        if not (self.cell_size > 0 and np.isfinite(self.cell_size)):
-            raise ValueError("cell_size must be positive and finite")
 
     @property
     def extent(self) -> tuple[np.ndarray, np.ndarray]:
@@ -76,56 +59,57 @@ class GridSpec:
         return lo, hi
 
 
-CANONICAL_SPEC = GridSpec(dims=(32, 32, 32), origin=(-0.5, -0.5, -0.5), cell_size=CANONICAL_CELL_SIZE)
-DEFAULT_SCENE_SPEC = GridSpec(dims=(64, 32, 64), origin=(-2.56, -1.28, 0.0), cell_size=SCENE_CELL_SIZE)
+CANONICAL_SPEC = GridSpec(dims=(32, 32, 32), origin=(-0.5, -0.5, -0.5), cell_size=1.0 / 32.0)
+DEFAULT_SCENE_SPEC = GridSpec(dims=(64, 32, 64), origin=(-2.56, -1.28, 0.0), cell_size=0.08)
+# The one lattice of each grid frame.
+FRAME_SPECS = {"canonical": CANONICAL_SPEC, "scene": DEFAULT_SCENE_SPEC}
 
 
 @dataclass(frozen=True, eq=False)
 class VoxelGrid:
-    """Occupancy-probability lattice in the canonical or scene frame."""
+    """Occupancy-probability lattice in the canonical or scene frame.  The
+    frame fixes the lattice, so ``dims``, ``origin``, ``cell_size``,
+    ``extent`` and ``spec`` are read from :data:`FRAME_SPECS`."""
 
     occupancy: np.ndarray
     frame: str
-    origin: tuple[float, float, float]
-    cell_size: float
 
     def __post_init__(self):
-        occ = np.asarray(self.occupancy)
-        if occ.ndim != 3:
-            raise ValueError(f"occupancy must be a 3D array, got shape {occ.shape}")
-        occ = np.array(occ, dtype=np.float32)
+        if self.frame not in FRAME_SPECS:
+            raise ValueError(f"unknown frame {self.frame!r}")
+        occ = np.array(self.occupancy, dtype=np.float32)
+        if occ.shape != self.dims:
+            raise ValueError(f"{self.frame} grids have dims {self.dims}, got shape {occ.shape}")
         if not np.all(np.isfinite(occ)):
             raise ValueError("occupancy values must be finite")
-        if occ.size and (occ.min() < 0.0 or occ.max() > 1.0):
+        if occ.min() < 0.0 or occ.max() > 1.0:
             raise ValueError("occupancy values must lie in [0, 1]")
         occ.setflags(write=False)
         object.__setattr__(self, "occupancy", occ)
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        object.__setattr__(self, "cell_size", float(self.cell_size))
-        if self.frame == "canonical":
-            if self.spec != CANONICAL_SPEC:
-                raise ValueError("canonical grids must be 32^3 over [-0.5, 0.5]^3")
-        elif self.frame == "scene":
-            if abs(self.cell_size - SCENE_CELL_SIZE) > 1e-12:
-                raise ValueError(f"scene grids use {SCENE_CELL_SIZE} m cells, got {self.cell_size}")
-        else:
-            raise ValueError(f"unknown frame {self.frame!r}")
 
     @classmethod
     def canonical(cls, occupancy) -> "VoxelGrid":
-        return cls(occupancy, "canonical", CANONICAL_SPEC.origin, CANONICAL_SPEC.cell_size)
+        return cls(occupancy, "canonical")
 
     @classmethod
-    def scene(cls, occupancy, origin=DEFAULT_SCENE_SPEC.origin) -> "VoxelGrid":
-        return cls(occupancy, "scene", origin, SCENE_CELL_SIZE)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.occupancy.shape
+    def scene(cls, occupancy) -> "VoxelGrid":
+        return cls(occupancy, "scene")
 
     @property
     def spec(self) -> GridSpec:
-        return GridSpec(self.dims, self.origin, self.cell_size)
+        return FRAME_SPECS[self.frame]
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.spec.dims
+
+    @property
+    def origin(self) -> tuple[float, float, float]:
+        return self.spec.origin
+
+    @property
+    def cell_size(self) -> float:
+        return self.spec.cell_size
 
     @property
     def extent(self) -> tuple[np.ndarray, np.ndarray]:
@@ -151,28 +135,17 @@ class VoxelGrid:
     def __eq__(self, other) -> bool:
         if not isinstance(other, VoxelGrid):
             return NotImplemented
-        return (self.frame == other.frame and self.origin == other.origin
-                and self.cell_size == other.cell_size
-                and np.array_equal(self.occupancy, other.occupancy))
-
-
-def _same_lattice(a: VoxelGrid, b: VoxelGrid) -> None:
-    if a.dims != b.dims:
-        raise ValueError(f"grid dims differ: {a.dims} vs {b.dims}")
-    if a.frame != b.frame:
-        raise ValueError(f"grid frames differ: {a.frame} vs {b.frame}")
-    if a.origin != b.origin or a.cell_size != b.cell_size:
-        raise ValueError("grids do not share the same lattice geometry")
+        return self.frame == other.frame and np.array_equal(self.occupancy, other.occupancy)
 
 
 def voxel_iou(a: VoxelGrid, b: VoxelGrid) -> float:
-    """Intersection over union of the occupied cells of two grids.
+    """Intersection over union of the occupied cells of two grids of one
+    frame, counted on their packed masks.
 
-    Both grids empty counts as perfect agreement (1.0).  Cells are counted
-    on each grid's packed mask; the zero bits that pad the last byte count
-    in neither grid.
+    Both grids empty counts as perfect agreement (1.0).
     """
-    _same_lattice(a, b)
+    if a.frame != b.frame:
+        raise ValueError(f"grid frames differ: {a.frame} vs {b.frame}")
     bits_a, count_a = a._packed
     bits_b, count_b = b._packed
     inter = int(np.bitwise_count(bits_a & bits_b).sum())
@@ -299,7 +272,7 @@ def _trilinear_sample(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
     g = (pts - np.asarray(grid.origin)) / grid.cell_size - 0.5
     dims = np.array(grid.dims)
     g = np.clip(g, 0.0, dims - 1.0)
-    i0 = np.minimum(np.floor(g).astype(int), np.maximum(dims - 2, 0))
+    i0 = np.minimum(np.floor(g).astype(int), dims - 2)
     frac = g - i0
     i1 = np.minimum(i0 + 1, dims - 1)
 

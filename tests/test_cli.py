@@ -214,6 +214,25 @@ class TestConvert:
         assert err.count("\n") == 1 and f"d.pfm: {location}: " in err
         assert not (tmp_path / "points.csv").exists()
 
+    @pytest.mark.parametrize("field, value, code", [
+        ("camera", {"fx": 7.0}, 1), ("objects", [{"score": "x"}], 0)],
+        ids=["camera", "objects"])
+    def test_depth_reads_only_the_camera_of_camera_scene(self, tmp_path, capsys,
+                                                         field, value, code):
+        cam = Camera(fx=7.0, fy=9.0, cx=3.5, cy=2.5, width=8, height=5)
+        write_pfm(tmp_path / "d.pfm", np.ones((5, 8), dtype=np.float32))
+        write_scene(FactoredScene(camera=cam), tmp_path / "cam.json")
+        doc = json.loads((tmp_path / "cam.json").read_text())
+        doc[field] = value
+        (tmp_path / "cam.json").write_text(json.dumps(doc))
+        assert run(["convert", "--depth", tmp_path / "d.pfm", "--camera-scene",
+                    tmp_path / "cam.json", "--to", "pointcloud",
+                    "--out", tmp_path / "points.csv"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.count("\n") == 1 and "cam.json: $.camera: missing field 'fy'" in err
+        assert (tmp_path / "points.csv").exists() == (code == 0)
+
     def test_invalid_combination(self, scene_dir, tmp_path):
         scene_file = sorted(scene_dir.glob("*.json"))[0]
         assert run(["convert", "--scene", scene_file, "--to", "pointcloud",
@@ -454,10 +473,12 @@ def error_inputs(scene_dir, tmp_path_factory):
     (["compare-reps", "--scenes", "in/empty", "--out-dir", "out/cmp"], 1, "no scene JSON files"),
     (["eval", "--pred", "in/missing.json", "--gt", "in/s.json", "--out", "out/e.json"], 2,
      "no such file"),
+    (["render", "--scene", "in/s.json", "--what", "layout", "--method", "voxel",
+      "--out", "out/l.pfm"], 1, "the layout renders analytically only"),
 ], ids=["scene_and_depth", "no_input", "depth_without_camera", "scene_to_voxels",
         "depth_to_scene_voxels", "missing_scene_to_pointcloud", "missing_depth_to_scene_voxels",
         "object_counts_differ", "no_objects", "eval_empty_dir",
-        "compare_empty_dir", "missing_pred"])
+        "compare_empty_dir", "missing_pred", "layout_by_voxel"])
 def test_rejected_input_is_one_line_and_writes_nothing(error_inputs, tmp_path, monkeypatch,
                                                        capsys, argv, code, message):
     monkeypatch.chdir(tmp_path)

@@ -56,7 +56,7 @@ def test_registration_error_propagates_and_pool_drains(two_object_scene, monkeyp
     def flaky_icp(src, dst, size_norm):
         if np.array_equal(dst, depth_cloud):
             raise RuntimeError("registration failed")
-        return IcpResult(RigidTransform(np.eye(3), np.zeros(3)), 0.0, 1, True, (0.0,))
+        return IcpResult(RigidTransform(np.eye(3), np.zeros(3)), 0.0, 1, "converged", (0.0,))
 
     monkeypatch.setattr(compare, "icp", flaky_icp)
     with pytest.raises(RuntimeError, match="registration failed"):

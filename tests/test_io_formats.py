@@ -20,6 +20,7 @@ from scenefactor.io_formats import (
     FileFormatError,
     TruncatedFileError,
     UnknownVersionError,
+    read_camera,
     read_pfm,
     read_scene,
     read_voxels,
@@ -28,7 +29,7 @@ from scenefactor.io_formats import (
     write_voxels,
 )
 from scenefactor.scene import FactoredScene, Layout
-from scenefactor.voxels import DEFAULT_SCENE_SPEC, VoxelGrid
+from scenefactor.voxels import DEFAULT_SCENE_SPEC, FRAME_SPECS, VoxelGrid
 
 
 class TestPfm:
@@ -84,6 +85,10 @@ class TestPfm:
         assert "byte" in str(err.value)
 
 
+# Magic, version, dims, frame tag and extent.
+FVOX_HEADER_BYTES = 4 + 4 + 12 + 4 + 48
+
+
 class TestFvox:
     def test_canonical_roundtrip(self, tmp_path, rng):
         occ = rng.random((32, 32, 32)).astype(np.float32)
@@ -101,20 +106,44 @@ class TestFvox:
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_file_size_formula(self, tmp_path, rng):
-        occ = rng.random((5, 7, 3)).astype(np.float32)
-        grid = VoxelGrid.scene(occ, origin=(0.0, 0.0, 0.0))
-        path = tmp_path / "s.fvox"
-        write_voxels(path, grid)
-        header = 4 + 4 + 12 + 4 + 48
-        assert path.stat().st_size == header + 4 * 5 * 7 * 3
+        for frame, spec in FRAME_SPECS.items():
+            path = tmp_path / f"{frame}.fvox"
+            write_voxels(path, VoxelGrid(rng.random(spec.dims), frame))
+            assert path.stat().st_size == FVOX_HEADER_BYTES + 4 * math.prod(spec.dims)
 
     def test_payload_x_fastest(self, tmp_path):
-        occ = np.zeros((2, 2, 2), dtype=np.float32)
+        occ = np.zeros(DEFAULT_SCENE_SPEC.dims, dtype=np.float32)
         occ[1, 0, 0] = 1.0  # second value in x-fastest order
         path = tmp_path / "x.fvox"
-        write_voxels(path, VoxelGrid.scene(occ, origin=(0.0, 0.0, 0.0)))
-        payload = np.frombuffer(path.read_bytes()[-32:], dtype="<f4")
+        write_voxels(path, VoxelGrid.scene(occ))
+        payload = np.frombuffer(path.read_bytes()[FVOX_HEADER_BYTES:], dtype="<f4")
         assert payload[1] == 1.0 and payload.sum() == 1.0
+
+    @pytest.mark.parametrize("frame", ["canonical", "scene"])
+    def test_other_frames_dims_rejected(self, tmp_path, frame):
+        # The file holds a grid of the other frame and is tagged ``frame``.
+        other = "scene" if frame == "canonical" else "canonical"
+        path = tmp_path / "g.fvox"
+        write_voxels(path, VoxelGrid(np.zeros(FRAME_SPECS[other].dims), other))
+        data = bytearray(path.read_bytes())
+        data[20:24] = struct.pack("<I", ("canonical", "scene").index(frame))
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match=f"{frame} grids have dims") as err:
+            read_voxels(path)
+        assert err.value.location == "header"
+
+    @pytest.mark.parametrize("frame", ["canonical", "scene"])
+    def test_extent_shifted_by_one_cell_rejected(self, tmp_path, frame):
+        spec = FRAME_SPECS[frame]
+        path = tmp_path / "g.fvox"
+        write_voxels(path, VoxelGrid(np.zeros(spec.dims), frame))
+        data = bytearray(path.read_bytes())
+        lo, hi = spec.extent
+        data[24:72] = struct.pack("<6d", *(lo + spec.cell_size), *(hi + spec.cell_size))
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match=f"{frame} grids span") as err:
+            read_voxels(path)
+        assert err.value.location == "extent"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fvox"
@@ -223,6 +252,21 @@ class TestSceneJson:
         assert base64.b64decode(layout["f4"]) == disparity.astype("<f4").tobytes()
         back = read_scene(tmp_path / "layout.json")
         assert np.array_equal(back.layout.disparity, disparity.astype(np.float32))
+
+    def test_layout_beyond_float32_not_written(self, tmp_path):
+        layout = Layout(np.full((DEFAULT_CAMERA.height, DEFAULT_CAMERA.width), 1e39))
+        with pytest.raises(ValueError, match="float32"):
+            write_scene(FactoredScene(camera=DEFAULT_CAMERA, layout=layout),
+                        tmp_path / "layout.json")
+        assert not any(tmp_path.iterdir())
+
+    def test_read_camera_skips_objects_and_layout(self, tmp_path):
+        scene = generate_scene(GeneratorConfig(seed=9))
+        write_scene(scene, tmp_path / "s.json")
+        doc = json.loads((tmp_path / "s.json").read_text())
+        doc["objects"] = doc["layout"] = "not read"
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        assert read_camera(tmp_path / "s.json") == scene.camera
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
     def test_invalid_layout_values_name_location(self, tmp_path, value):

@@ -40,7 +40,7 @@ from scenefactor.io_formats import (
     write_voxels,
 )
 from scenefactor.scene import Layout
-from scenefactor.voxels import CANONICAL_SPEC, VoxelGrid, voxel_iou
+from scenefactor.voxels import CANONICAL_SPEC, FRAME_SPECS, VoxelGrid, voxel_iou
 
 # The camera of ``small_files``'s 4x5 ``image.pfm``.
 CAMERA_5X4 = Camera(fx=5.0, fy=5.0, cx=2.5, cy=2.0, width=5, height=4)
@@ -183,7 +183,7 @@ def test_damaged_voxel_payload(scene_docs, data):
 def small_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("small")
     rng = np.random.default_rng(1)
-    write_voxels(root / "grid.fvox", VoxelGrid.scene(rng.random((4, 3, 2)), origin=(0, 0, 0)))
+    write_voxels(root / "grid.fvox", VoxelGrid.canonical(rng.random(CANONICAL_SPEC.dims)))
     write_pfm(root / "image.pfm", rng.random((4, 5)))
     return root
 
@@ -252,20 +252,16 @@ def reference_iou(a: VoxelGrid, b: VoxelGrid) -> float:
 @EXAMPLES
 @given(data=st.data())
 def test_packed_iou_matches_boolean_reference(data):
-    # Canonical grids, and scene grids of any size: 3 x 5 x 7 = 105 cells
-    # leaves seven pad bits in the last packed byte.
-    dims = data.draw(st.sampled_from([CANONICAL_SPEC.dims, (3, 5, 7), (1, 1, 1), (4, 2, 3)])
-                     | st.tuples(*[st.integers(1, 9)] * 3))
-    make = VoxelGrid.canonical if dims == CANONICAL_SPEC.dims else \
-        (lambda occ: VoxelGrid.scene(occ, origin=(0, 0, 0)))
+    frame = data.draw(st.sampled_from(sorted(FRAME_SPECS)))
+    dims = FRAME_SPECS[frame].dims
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     fills = data.draw(st.tuples(*[st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0])] * 2))
     # Values on both sides of the occupancy threshold, not only 0 and 1.
-    a, b = (make(np.where(rng.random(dims) < fill, rng.uniform(0.5, 1.0, dims),
-                          rng.uniform(0.0, 0.5, dims))) for fill in fills)
+    a, b = (VoxelGrid(np.where(rng.random(dims) < fill, rng.uniform(0.5, 1.0, dims),
+                               rng.uniform(0.0, 0.5, dims)), frame) for fill in fills)
     assert voxel_iou(a, b) == reference_iou(a, b)
     assert voxel_iou(b, a) == voxel_iou(a, b)
     assert voxel_iou(a, a) == 1.0
     if not fills[0]:
-        assert voxel_iou(a, make(np.zeros(dims))) == 1.0  # both empty
+        assert voxel_iou(a, VoxelGrid(np.zeros(dims), frame)) == 1.0  # both empty

@@ -6,6 +6,7 @@ import pytest
 from scenefactor.geometry import quat_to_matrix, random_unit_quaternion
 from scenefactor import registration
 from scenefactor.registration import (
+    IcpResult,
     NNIndex,
     RigidTransform,
     bbox_diagonal,
@@ -174,8 +175,12 @@ class TestIcp:
         monkeypatch.setattr(registration, "ICP_MAX_ITER", 1)
         result = icp(dst + [0.05, 0.0, 0.0], dst, size_norm=bbox_diagonal(dst))
         assert result.iterations == 1
-        assert not result.converged and not result.degenerate
-        assert result.stop == "max_iter"
+        assert not result.converged and result.stop == "max_iter"
+
+    def test_stop_names_one_known_reason(self):
+        identity = RigidTransform(np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError, match="unknown ICP stop"):
+            IcpResult(identity, 0.0, 1, "stalled", (0.0,))
 
     def test_known_perturbation_recovery(self):
         rng = np.random.default_rng(5)
@@ -238,7 +243,7 @@ class TestIcp:
         for dst in (coincident, collinear):
             result = icp(src, dst, size_norm=1.0)
             assert result.iterations == 1 and not result.converged
-            assert result.degenerate and result.stop == "degenerate"
+            assert result.stop == "degenerate"
             assert np.array_equal(result.transform.rotation, np.eye(3))
             assert np.array_equal(result.transform.translation, np.zeros(3))
             assert len(result.fitness_history) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from scenefactor.geometry import Pose, UnitQuaternion, rotation_about_y
 from scenefactor.voxels import (
     CANONICAL_SPEC,
     DEFAULT_SCENE_SPEC,
+    FRAME_SPECS,
     Cuboid,
-    GridSpec,
     VoxelGrid,
     cuboid_voxelize,
     resample_to_scene,
@@ -21,25 +22,51 @@ from scenefactor.voxels import (
 def brute_force_iou(a, b, tau):
     """Cell-by-cell enumeration oracle."""
     inter = union = 0
-    nx, ny, nz = a.dims
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                va = a.occupancy[i, j, k] >= tau
-                vb = b.occupancy[i, j, k] >= tau
-                inter += va and vb
-                union += va or vb
+    for va, vb in zip(a.occupancy.ravel().tolist(), b.occupancy.ravel().tolist()):
+        va, vb = va >= tau, vb >= tau
+        inter += va and vb
+        union += va or vb
     return inter / union if union else 1.0
 
 
-def small_scene_grid(occ):
-    return VoxelGrid(np.asarray(occ, dtype=np.float32), "scene", (0.0, 0.0, 0.0), 0.08)
+def scene_grid(block):
+    """A scene grid holding ``block`` in its low corner and empty elsewhere."""
+    block = np.asarray(block, dtype=np.float32)
+    occ = np.zeros(DEFAULT_SCENE_SPEC.dims, dtype=np.float32)
+    occ[tuple(slice(0, n) for n in block.shape)] = block
+    return VoxelGrid.scene(occ)
+
+
+def random_grid(rng, frame, fill):
+    spec = FRAME_SPECS[frame]
+    return VoxelGrid((rng.random(spec.dims) < fill).astype(np.float32), frame)
+
+
+class TestVoxelGrid:
+    def test_frame_fixes_lattice(self):
+        assert [f.name for f in dataclasses.fields(VoxelGrid)] == ["occupancy", "frame"]
+        for frame, spec in FRAME_SPECS.items():
+            g = VoxelGrid(np.zeros(spec.dims), frame)
+            assert g.spec is spec
+            assert (g.dims, g.origin, g.cell_size) == (spec.dims, spec.origin, spec.cell_size)
+            assert all(np.array_equal(a, b) for a, b in zip(g.extent, spec.extent))
+            # Whole bytes: a packed mask has no pad bits.
+            assert math.prod(spec.dims) % 8 == 0
+
+    def test_equality_is_frame_and_cells(self, rng):
+        a = random_grid(rng, "canonical", 0.3)
+        assert a == VoxelGrid.canonical(a.occupancy.copy())
+        occ = a.occupancy.copy()
+        occ[0, 0, 0] = 1.0 - occ[0, 0, 0]
+        assert a != VoxelGrid.canonical(occ)
+        assert VoxelGrid.scene(np.zeros(DEFAULT_SCENE_SPEC.dims)) != \
+            VoxelGrid.canonical(np.zeros(CANONICAL_SPEC.dims))
 
 
 class TestVoxelIou:
     def test_identical(self, rng):
         occ = (rng.random((4, 4, 4)) < 0.4).astype(np.float32)
-        g = small_scene_grid(occ)
+        g = scene_grid(occ)
         assert voxel_iou(g, g) == 1.0
 
     def test_disjoint_single_voxels(self):
@@ -47,49 +74,47 @@ class TestVoxelIou:
         b = np.zeros((2, 2, 2), dtype=np.float32)
         a[0, 0, 0] = 1.0
         b[1, 1, 1] = 1.0
-        assert voxel_iou(small_scene_grid(a), small_scene_grid(b)) == 0.0
+        assert voxel_iou(scene_grid(a), scene_grid(b)) == 0.0
 
     def test_two_three_one_shared(self):
         a = np.zeros((3, 3, 3), dtype=np.float32)
         b = np.zeros((3, 3, 3), dtype=np.float32)
         a[0, 0, 0] = a[1, 0, 0] = 1.0
         b[0, 0, 0] = b[2, 2, 2] = b[0, 2, 1] = 1.0
-        ga, gb = small_scene_grid(a), small_scene_grid(b)
+        ga, gb = scene_grid(a), scene_grid(b)
         assert voxel_iou(ga, gb) == 0.25
         assert voxel_iou(ga, gb) == brute_force_iou(ga, gb, 0.5)
 
     def test_both_empty(self):
-        g = small_scene_grid(np.zeros((2, 2, 2)))
+        g = scene_grid(np.zeros((2, 2, 2)))
         assert voxel_iou(g, g) == 1.0
 
     def test_matches_brute_force_random(self, rng):
-        for _ in range(50):
-            dims = tuple(rng.integers(1, 5, size=3))
-            a = small_scene_grid((rng.random(dims) < 0.5).astype(np.float32))
-            b = small_scene_grid((rng.random(dims) < 0.5).astype(np.float32))
-            assert voxel_iou(a, b) == brute_force_iou(a, b, 0.5)
-            assert voxel_iou(a, b) == voxel_iou(b, a)
+        for trial in range(50):
+            frame = "scene" if trial % 10 == 0 else "canonical"
+            fill = rng.uniform(0.0, 1.0)
+            a, b = random_grid(rng, frame, fill), random_grid(rng, frame, fill)
+            assert voxel_iou(a, b) == brute_force_iou(a, b, 0.5) == voxel_iou(b, a)
 
     def test_each_grid_packed_once(self, rng, monkeypatch):
         calls = []
         packbits = np.packbits
         monkeypatch.setattr(np, "packbits", lambda *a, **k: calls.append(1) or packbits(*a, **k))
-        grids = [small_scene_grid((rng.random((3, 5, 7)) < 0.5).astype(np.float32))
-                 for _ in range(3)]
+        grids = [random_grid(rng, "canonical", 0.5) for _ in range(3)]
         for a in grids:
             for b in grids:
                 assert voxel_iou(a, b) == brute_force_iou(a, b, 0.5)
         assert len(calls) == 3
 
-    def test_dim_mismatch_rejected(self):
-        a = small_scene_grid(np.zeros((2, 2, 2)))
-        b = small_scene_grid(np.zeros((2, 2, 3)))
-        with pytest.raises(ValueError):
+    def test_frame_mismatch_rejected(self):
+        a = VoxelGrid.canonical(np.zeros(CANONICAL_SPEC.dims))
+        b = VoxelGrid.scene(np.zeros(DEFAULT_SCENE_SPEC.dims))
+        with pytest.raises(ValueError, match="frames differ"):
             voxel_iou(a, b)
 
     def test_occupied_at_threshold(self):
-        g = small_scene_grid(np.array([0.0, 0.4999, 0.5, 1.0]).reshape(1, 2, 2))
-        assert g.occupied.tolist() == [[[False, False], [True, True]]]
+        g = scene_grid(np.array([0.0, 0.4999, 0.5, 1.0]).reshape(1, 2, 2))
+        assert g.occupied[:1, :2, :2].tolist() == [[[False, False], [True, True]]]
         assert g.count() == 2
 
 
@@ -146,7 +171,11 @@ class TestCuboidVoxelize:
         with pytest.raises(ValueError):
             VoxelGrid.canonical(np.zeros((16, 16, 16)))
         with pytest.raises(ValueError):
-            VoxelGrid(np.zeros((4, 4, 4)), "scene", (0, 0, 0), 0.1)
+            VoxelGrid.scene(np.zeros((4, 4, 4)))
+        with pytest.raises(ValueError):
+            VoxelGrid.scene(np.zeros(CANONICAL_SPEC.dims))
+        with pytest.raises(ValueError):
+            VoxelGrid(np.zeros(CANONICAL_SPEC.dims), "world")
         with pytest.raises(ValueError):
             VoxelGrid.canonical(np.full((32, 32, 32), 1.5))
 
@@ -222,12 +251,6 @@ class TestGridSpec:
         assert CANONICAL_SPEC.dims == (32, 32, 32)
         lo, hi = CANONICAL_SPEC.extent
         assert np.allclose(lo, -0.5) and np.allclose(hi, 0.5)
-
-    def test_bad_spec_rejected(self):
-        with pytest.raises(ValueError):
-            GridSpec((0, 4, 4), (0, 0, 0), 0.08)
-        with pytest.raises(ValueError):
-            GridSpec((4, 4, 4), (0, 0, 0), -1.0)
 
 
 class TestCuboid:
