@@ -19,7 +19,13 @@ import numpy as np
 
 from .geometry import rotation_geodesic
 from .registration import NNIndex
-from .render import DepthMap, depth_to_pointcloud, render_depth_analytic, render_surface_ids
+from .render import (
+    ROOM_SURFACE,
+    DepthMap,
+    depth_to_pointcloud,
+    render_depth_analytic,
+    render_surface_ids,
+)
 from .scene import FactoredScene, SceneObject
 from .voxels import voxel_iou
 
@@ -135,7 +141,7 @@ def visible_surface_error(pred_points: np.ndarray, gt_points: np.ndarray) -> flo
     pred = np.asarray(pred_points, dtype=float).reshape(-1, 3)
     if len(pred) == 0:
         return math.inf
-    dist, _ = NNIndex(gt).query(pred)
+    dist = NNIndex(gt).query(pred)[0]
     return float(np.mean(dist))
 
 
@@ -152,12 +158,20 @@ def layout_depth_error(pred: DepthMap, gt_scene: FactoredScene, mode: str = "amo
     if pred.camera != gt_scene.camera:
         raise ValueError("prediction and ground truth must share the camera")
     if mode == "amodal":
-        gt_depth = render_depth_analytic(gt_scene, include_objects=False)
+        return _layout_error(pred, render_depth_analytic(gt_scene, include_objects=False))
+    return _layout_error(pred, *render_surface_ids(gt_scene))
+
+
+def _layout_error(pred: DepthMap, gt_depth: DepthMap,
+                  surface_ids: np.ndarray | None = None) -> float:
+    """:func:`layout_depth_error` against ground-truth renders of one
+    scene: the room render over every pixel (amodal), or, given the full
+    render and its surface ids, the pixels where the room is visible
+    (modal)."""
+    if surface_ids is None:
         mask = np.ones(gt_depth.depth.shape, dtype=bool)
     else:
-        gt_depth, ids = render_surface_ids(gt_scene)
-        mask = ids == -1
+        mask = surface_ids == ROOM_SURFACE
     gt_pts = depth_to_pointcloud(DepthMap(np.where(mask, gt_depth.depth, 0.0), gt_depth.camera))
     pred_pts = depth_to_pointcloud(DepthMap(np.where(mask, pred.depth, 0.0), pred.camera))
     return visible_surface_error(pred_pts, gt_pts)
-

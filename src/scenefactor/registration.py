@@ -5,6 +5,18 @@ candidates resolve to the lowest point index.  ICP alternates exact
 nearest-neighbor correspondence with a closed-form least-squares fit from
 identity initialization; its fitness (mean squared residual divided by the
 squared object size) never increases across iterations.
+
+ICP asks the index again only for the source points whose nearest neighbor
+can have changed since their last query: the exact form of cached
+correspondence search (Nuechter, Lingemann & Hertzberg, "Cached k-d tree
+search for ICP algorithms", 3DIM 2007).  The certificate is the triangle
+inequality.  A point that has moved m from where it was last queried keeps
+its unique nearest neighbor while 2m is below the margin between its
+second-nearest and nearest distances.  Its distance is then recomputed from
+that neighbor as ``sqrt(dx*dx + dy*dy + dz*dz)`` in x, y, z order, which
+is bit for bit what the kd-tree computes; a test pins that assumption.
+So the correspondences, the fitness and every ICP result are exactly
+those of querying every point on every iteration.
 """
 
 from __future__ import annotations
@@ -29,6 +41,9 @@ __all__ = [
 # fraction of its previous value, or after ICP_MAX_ITER iterations.
 ICP_REL_TOL = 1e-6
 ICP_MAX_ITER = 50
+# Relative slack of ICP's reuse test, far above the ~1e-15 relative
+# rounding of a distance or a movement (see ``icp``).
+_SLACK = 1e-9
 
 
 class NNIndex:
@@ -41,37 +56,37 @@ class NNIndex:
         self.points = pts
         self._tree = cKDTree(pts)
 
-    def query(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def query(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest indexed point per row of an (N, 3) query array; returns
-        (distances, indices), each of length N.
+        (distances, indices, margins), each of length N.
 
-        Ties break to the lowest index.  The second-nearest distance from
-        the tree tells us when a tie is possible; only those queries pay
+        A margin is the second-nearest distance minus the nearest one: 0
+        when the nearest point is tied, and inf when the index holds one
+        point.  Ties break to the lowest index.  The second-nearest
+        distance tells us when a tie is possible; only those queries pay
         for the exhaustive ball lookup.  The kd-tree search runs on every
         visible CPU; each query's answer is independent of that split, so
         results do not depend on scheduling.
         """
         q = np.asarray(queries, dtype=float)
-        k = min(2, len(self.points))
-        dist, idx = self._tree.query(q, k=k, workers=-1)
-        if k == 1:
-            dist = dist[:, None] if dist.ndim == 1 else dist
-            idx = idx[:, None] if idx.ndim == 1 else idx
+        if len(self.points) == 1:
+            dist, idx = self._tree.query(q, k=1, workers=-1)
+            return dist, idx.astype(int), np.full(len(q), np.inf)
+        dist, idx = self._tree.query(q, k=2, workers=-1)
         best_d = dist[:, 0]
         best_i = idx[:, 0].astype(int)
-        if k == 2:
-            tied = dist[:, 1] <= best_d
-            for row in np.flatnonzero(tied):
-                ball = self._tree.query_ball_point(q[row], r=best_d[row], p=2.0)
-                if not ball:
-                    # The ball test squares the rounded radius and can miss
-                    # every tied point; rank a slightly wider ball by the
-                    # tree's own distances instead.
-                    near = self._tree.query_ball_point(q[row], r=best_d[row] * (1 + 1e-9))
-                    near_d, near_i = self._tree.query(q[row], k=len(near))
-                    ball = near_i[near_d == best_d[row]]
-                best_i[row] = min(ball)
-        return best_d, best_i
+        margin = dist[:, 1] - best_d
+        for row in np.flatnonzero(dist[:, 1] <= best_d):
+            ball = self._tree.query_ball_point(q[row], r=best_d[row], p=2.0)
+            if not ball:
+                # The ball test squares the rounded radius and can miss
+                # every tied point; rank a slightly wider ball by the
+                # tree's own distances instead.
+                near = self._tree.query_ball_point(q[row], r=best_d[row] * (1 + 1e-9))
+                near_d, near_i = self._tree.query(q[row], k=len(near))
+                ball = near_i[near_d == best_d[row]]
+            best_i[row] = min(ball)
+        return best_d, best_i, margin
 
 
 def bbox_diagonal(points: np.ndarray) -> float:
@@ -159,6 +174,12 @@ class IcpResult:
         return self.stop == "converged"
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row lengths of an (N, 3) array, summed in x, y, z order: the
+    kd-tree's own distance arithmetic, bit for bit."""
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+
+
 def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
     """Point-to-point ICP from identity initialization.
 
@@ -170,6 +191,18 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
     ``size_norm`` (meters) is the object size used to normalize the
     fitness; the bounding-box diagonal of the ground-truth object is the
     package convention (:func:`bbox_diagonal`).
+
+    A source point is queried again only when its nearest neighbor can
+    have changed.  Each point keeps where it was last queried, the
+    neighbor found there and its reach: half the margin to the
+    second-nearest point, less a slack of ``_SLACK`` times the sum of both
+    distances for rounding.  A point that has moved less than its reach
+    keeps its unique nearest neighbor by the triangle inequality, and its
+    distance is recomputed from that neighbor.  A tied point has no reach,
+    so it is always queried again and the lowest-index tie rule holds.
+    The results are bit-identical to querying every point on every
+    iteration, as long as the kd-tree computes each distance as
+    ``sqrt(dx*dx + dy*dy + dz*dz)`` summed in x, y, z order.
     Each nearest-neighbor query runs on every visible CPU; the result does
     not depend on how the work is scheduled.
     """
@@ -189,10 +222,27 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
     # The loop carries the bare (R, t); a Kabsch fit is a rotation by
     # construction, so only the returned transform is validated.
     rotation, translation = np.eye(3), np.zeros(3)
+    # Per source point: where it was last queried, its nearest dst index
+    # there, and how far it may move from there with that answer kept.
+    # No point has a reach before its first query.
+    anchor = np.zeros_like(src)
+    nearest = np.zeros(len(src), dtype=int)
+    reach = np.full(len(src), -np.inf)
 
     def fitness_of(R: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-        d, i = index.query(src @ R.T + t)
-        return float(np.mean(d * d)) / norm2, dst[i]
+        moved = src @ R.T + t
+        stale = np.flatnonzero(~(_norms(moved - anchor) < reach))
+        if len(stale):
+            queried = moved[stale]
+            d, i, margin = index.query(queried)
+            anchor[stale] = queried
+            nearest[stale] = i
+            # (margin - _SLACK * (d1 + d2)) / 2, written so that the inf
+            # margin of a one-point dst gives an infinite reach.
+            reach[stale] = 0.5 * (1.0 - _SLACK) * margin - _SLACK * d
+        corr = dst[nearest]
+        d = _norms(corr - moved)
+        return float(np.mean(d * d)) / norm2, corr
 
     fitness, corr = fitness_of(rotation, translation)
     history = [fitness]

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 import scenefactor.compare as compare
+import scenefactor.metrics as metrics
 import scenefactor.registration as registration
 from scenefactor.compare import REPRESENTATIONS, compare_representations, gt_scene_voxels
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import apply_pose
 from scenefactor.registration import IcpResult, RigidTransform, bbox_diagonal, icp
-from scenefactor.render import depth_to_pointcloud, render_depth_analytic, render_depth_voxel
+from scenefactor.render import (
+    depth_to_pointcloud,
+    disparity_to_depth,
+    render_depth_analytic,
+    render_depth_voxel,
+)
 from scenefactor.voxels import voxel_centers
 
 
@@ -64,3 +70,34 @@ def test_registration_error_propagates_and_pool_drains(two_object_scene, monkeyp
     for thread in icp_threads():
         thread.join(timeout=10.0)
     assert not any(thread.is_alive() for thread in icp_threads())
+
+
+
+def test_layout_rows_render_each_ground_truth_image_once(two_object_scene, monkeypatch):
+    # One full render with surface ids and one room render per scene feed
+    # all four layout rows, which equal the public metric's values.
+    monkeypatch.setattr(registration, "ICP_MAX_ITER", 1)
+    renders = []
+
+    def count_renders(module, name):
+        render = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            renders.append((module.__name__, name, kwargs.get("include_objects", True)))
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (compare, metrics):
+        count_renders(module, "render_depth_analytic")
+        count_renders(module, "render_surface_ids")
+    rows = compare_representations(two_object_scene, "s3")
+    assert sorted(renders) == [("scenefactor.compare", "render_depth_analytic", False),
+                               ("scenefactor.compare", "render_surface_ids", True)]
+    monkeypatch.undo()
+    preds = {"factored": disparity_to_depth(two_object_scene.layout, two_object_scene.camera),
+             "depth": render_depth_analytic(two_object_scene, include_objects=True)}
+    for mode in ("modal", "amodal"):
+        got = {r.representation: r.value for r in rows if r.task == f"{mode}_layout"}
+        assert got == {rep: metrics.layout_depth_error(pred, two_object_scene, mode)
+                       for rep, pred in preds.items()}

@@ -38,27 +38,28 @@ class TestNNIndex:
     def test_query_indexed_point(self, rng):
         pts = rng.normal(size=(50, 3))
         index = NNIndex(pts)
-        d, i = index.query(pts[17:18])
+        d, i, _ = index.query(pts[17:18])
         assert d[0] == 0.0 and i[0] == 17
 
     def test_matches_brute_force(self, rng):
         pts = rng.normal(size=(1000, 3))
         queries = rng.normal(size=(100, 3))
         index = NNIndex(pts)
-        d, i = index.query(queries)
+        d, i, margin = index.query(queries)
         for k in range(len(queries)):
             dists = np.linalg.norm(pts - queries[k], axis=1)
             assert i[k] == np.argmin(dists)
             assert d[k] == pytest.approx(dists.min(), rel=1e-12)
+            assert margin[k] == pytest.approx(np.sort(dists)[1] - dists.min(), abs=1e-12)
 
     def test_tie_breaks_to_lowest_index(self):
         pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         index = NNIndex(pts)
-        d, i = index.query(np.zeros((1, 3)))
-        assert d[0] == 1.0 and i[0] == 0
+        d, i, margin = index.query(np.zeros((1, 3)))
+        assert d[0] == 1.0 and i[0] == 0 and margin[0] == 0.0
         # Same distances, different insertion order.
         index2 = NNIndex(pts[::-1])
-        _, i2 = index2.query(np.zeros((1, 3)))
+        _, i2, _ = index2.query(np.zeros((1, 3)))
         assert i2[0] == 0
 
     def test_empty_rejected(self):
@@ -73,7 +74,7 @@ class TestNNIndex:
         pts = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
         pts = pts[rng.permutation(len(pts))]
         queries = rng.integers(-2, 17, size=(3000, 3)) / 2.0
-        d, i = NNIndex(pts).query(queries)
+        d, i, _ = NNIndex(pts).query(queries)
         sq = ((queries[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         ties = (sq == sq.min(axis=1, keepdims=True)).sum(axis=1)
         assert (ties > 1).sum() > 1000
@@ -92,11 +93,38 @@ class TestNNIndex:
         scene = generate_scene(GeneratorConfig(seed=105))
         depth_cloud = depth_to_pointcloud(render_depth_analytic(scene, include_objects=True))
         voxel_cloud = voxel_centers(gt_scene_voxels(scene))
-        d, i = NNIndex(depth_cloud).query(voxel_cloud)
+        d, i, _ = NNIndex(depth_cloud).query(voxel_cloud)
         gap = np.linalg.norm(depth_cloud - voxel_cloud[1408], axis=1)
         assert np.flatnonzero(gap == gap.min()).tolist() == [1638, 1953]
         assert i[1408] == 1638
         assert d[1408] == gap.min()
+
+    def test_one_point_index_has_no_second_neighbour(self):
+        d, i, margin = NNIndex(np.array([[1.0, 2.0, 2.0]])).query(np.zeros((2, 3)))
+        assert d.tolist() == [3.0, 3.0] and i.tolist() == [0, 0]
+        assert margin.tolist() == [math.inf, math.inf]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_distances_are_norms_summed_in_xyz_order(self, rng, scale):
+        # ICP recomputes the distance of a kept answer with _norms; the
+        # results are exact only while that equals the kd-tree bit for bit.
+        pts = rng.normal(size=(2000, 3)) * scale
+        queries = rng.normal(size=(20000, 3)) * scale
+        d, i, _ = NNIndex(pts).query(queries)
+        assert np.array_equal(d, registration._norms(pts[i] - queries))
+
+    def test_lattice_distances_are_norms_summed_in_xyz_order(self, rng):
+        axis = np.arange(10.0) / 16.0
+        pts = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+        pts = pts[rng.permutation(len(pts))]
+        # Cell centres and cell corners, so many answers are exact ties.
+        half_cells = rng.integers(-6, 26, size=(5000, 3)) / 32.0
+        d, i, margin = NNIndex(pts).query(half_cells)
+        assert (margin == 0.0).sum() > 1000
+        assert np.array_equal(d, registration._norms(pts[i] - half_cells))
+        off_lattice = rng.uniform(-0.2, 0.8, size=(5000, 3))
+        d, i, _ = NNIndex(pts).query(off_lattice)
+        assert np.array_equal(d, registration._norms(pts[i] - off_lattice))
 
 
 class TestKabsch:
@@ -272,3 +300,150 @@ class TestIcp:
     def test_rigid_transform_validation(self):
         with pytest.raises(ValueError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+
+def reference_icp(src, dst, size_norm):
+    """ICP that queries every source point on every iteration: the loop
+    that ``icp`` reproduces while skipping the queries whose answer cannot
+    change."""
+    index = NNIndex(dst)
+    norm2 = size_norm * size_norm
+    src_mean = src.mean(axis=0)
+    src_centered = src - src_mean
+    rotation, translation = np.eye(3), np.zeros(3)
+
+    def fitness_of(R, t):
+        d, i, _ = index.query(src @ R.T + t)
+        return float(np.mean(d * d)) / norm2, dst[i]
+
+    fitness, corr = fitness_of(rotation, translation)
+    history = [fitness]
+    stop = "max_iter"
+    iterations = 0
+    for _ in range(registration.ICP_MAX_ITER):
+        iterations += 1
+        try:
+            R, t = registration._kabsch(src_centered, src_mean, corr)
+        except ValueError:
+            stop = "degenerate"
+            break
+        new_fitness, new_corr = fitness_of(R, t)
+        if new_fitness > fitness:
+            stop = "converged"
+            break
+        improvement = (fitness - new_fitness) / max(fitness, 1e-300)
+        rotation, translation, fitness, corr = R, t, new_fitness, new_corr
+        history.append(fitness)
+        if improvement < registration.ICP_REL_TOL:
+            stop = "converged"
+            break
+    return IcpResult(transform=RigidTransform(rotation, translation), fitness=fitness,
+                     iterations=iterations, stop=stop, fitness_history=tuple(history))
+
+
+def result_bits(result):
+    """Every field of an IcpResult, floats as their bytes."""
+    return (result.transform.rotation.tobytes(), result.transform.translation.tobytes(),
+            np.float64(result.fitness).tobytes(),
+            np.array(result.fitness_history, dtype=np.float64).tobytes(),
+            result.iterations, result.stop)
+
+
+def scene_registrations(scene):
+    """(src, dst, size_norm) of every registration compare_representations
+    runs on ``scene``."""
+    from scenefactor.compare import gt_scene_voxels
+    from scenefactor.geometry import apply_pose
+    from scenefactor.render import depth_to_pointcloud, render_depth_analytic, render_depth_voxel
+    from scenefactor.voxels import voxel_centers
+
+    clouds = [depth_to_pointcloud(render_depth_voxel(scene)),
+              depth_to_pointcloud(render_depth_analytic(scene, include_objects=True)),
+              voxel_centers(gt_scene_voxels(scene))]
+    jobs = []
+    for obj in scene.objects:
+        src = apply_pose(obj.pose, voxel_centers(obj.shape))
+        jobs.extend((src, cloud, bbox_diagonal(src)) for cloud in clouds if len(cloud))
+    return jobs
+
+
+@pytest.fixture
+def queried_points(monkeypatch):
+    """Count the points passed to NNIndex.query."""
+    count = [0]
+    query = NNIndex.query
+
+    def counted(self, queries):
+        count[0] += len(queries)
+        return query(self, queries)
+
+    monkeypatch.setattr(NNIndex, "query", counted)
+    return count
+
+
+class TestIcpMatchesFullQueries:
+    """icp skips nearest-neighbor queries whose answer cannot change; every
+    result must equal, bit for bit, that of querying every point."""
+
+    def assert_matches(self, jobs, queried_points):
+        saved = []
+        for src, dst, size in jobs:
+            before = queried_points[0]
+            want = reference_icp(src, dst, size)
+            full = queried_points[0] - before
+            got = icp(src, dst, size)
+            issued = queried_points[0] - before - full
+            saved.append(1.0 - issued / full)
+            assert result_bits(got) == result_bits(want)
+        return saved
+
+    def test_piece_scenes(self, queried_points):
+        from scenefactor.generator import GeneratorConfig, generate_scene
+
+        jobs = []
+        for seed in (11, 12):
+            config = GeneratorConfig(seed=seed, object_count_range=(1, 1), anchor_classes=(),
+                                     class_mix={"chair": 1.0, "desk": 1.0, "table": 1.0})
+            jobs += scene_registrations(generate_scene(config))
+        assert len(jobs) == 6
+        saved = self.assert_matches(jobs, queried_points)
+        # The reuse is what makes icp fast: most queries are skipped.
+        assert min(saved) > 0.3
+
+    def test_run_capped_at_max_iter(self, queried_points):
+        # The television of default scene 41 stops at the cap against the
+        # factored and depth clouds.
+        from scenefactor.generator import GeneratorConfig, generate_scene
+
+        jobs = scene_registrations(generate_scene(GeneratorConfig(seed=41)))[3:5]
+        assert [icp(*job).stop for job in jobs] == ["max_iter", "max_iter"]
+        self.assert_matches(jobs, queried_points)
+
+    def test_one_television_scene(self, queried_points):
+        from scenefactor.generator import GeneratorConfig, generate_scene
+
+        config = GeneratorConfig(seed=7, object_count_range=(1, 1), anchor_classes=(),
+                                 class_mix={"television": 1.0})
+        jobs = scene_registrations(generate_scene(config))
+        assert len(jobs) == 3
+        self.assert_matches(jobs, queried_points)
+
+    def test_degenerate_and_one_point_destinations(self, rng, queried_points):
+        src = rng.normal(size=(30, 3))
+        coincident = np.tile([0.2, -0.1, 1.5], (5, 1))
+        collinear = np.outer(np.linspace(-1.0, 1.0, 20), [1.0, 2.0, 0.5])
+        one_point = np.array([[0.3, 0.1, -0.4]])
+        jobs = [(src, dst, 1.0) for dst in (coincident, collinear, one_point)]
+        assert {icp(*job).stop for job in jobs} == {"degenerate"}
+        self.assert_matches(jobs, queried_points)
+
+    def test_lattice_with_exact_ties(self, rng, queried_points):
+        # src and dst are cell centres of one lattice with power-of-two
+        # spacing, so distances are exact and many start out tied.
+        axis = np.arange(8.0) / 16.0
+        lattice = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+        src = lattice[rng.random(len(lattice)) < 0.5]
+        dst = lattice[rng.random(len(lattice)) < 0.5] + [1.0 / 16.0, 0.0, 2.0 / 16.0]
+        _, _, margin = NNIndex(dst).query(src)
+        assert (margin == 0.0).sum() > len(src) / 4
+        self.assert_matches([(src, dst, bbox_diagonal(src))], queried_points)
