@@ -64,11 +64,11 @@ class ComparisonRow:
 def gt_scene_voxels(scene: FactoredScene) -> VoxelGrid:
     """Exact objects-only occupancy of the default scene grid, from the
     analytic solids."""
-    occ = np.zeros(DEFAULT_SCENE_SPEC.dims, dtype=np.float32)
+    occ = np.zeros(DEFAULT_SCENE_SPEC.dims, dtype=bool)
     for obj in scene.objects:
         if obj.solid is None:
             raise ValueError("ground-truth scene voxels need objects with cuboid solids")
-        occ = np.maximum(occ, voxelize_posed_cuboids(obj.solid, obj.pose).occupancy)
+        occ |= voxelize_posed_cuboids(obj.solid, obj.pose).occupied
     return VoxelGrid.scene(occ)
 
 

@@ -6,10 +6,14 @@ Formats
 * Scene JSON (``format_version`` 4), one self-contained file: camera,
   optional room cuboid, layout, warnings, and objects (pose, score,
   class, optional 2D box, canonical voxel grid, optional analytic cuboid
-  solid).  A grid whose every value is 0.0 or 1.0 is stored as
+  solid).  A binary grid, whose every value is 0.0 or 1.0, is stored as
   ``{"dims": [32, 32, 32], "bits": base64(packbits(occupied,
-  x-fastest))}``, 4,096 bytes; any other grid as ``{"dims": [32, 32,
-  32], "f4": base64(<f4 cells, x-fastest>)}``, 131,072 bytes.  A layout
+  x-fastest))}``, 4,096 bytes.  These are the bytes of the grid's own
+  mask, and the reader hands them back to a grid that keeps only them
+  (:meth:`~scenefactor.voxels.VoxelGrid.from_bits`).  Any other (soft)
+  grid is stored as ``{"dims": [32, 32, 32], "f4": base64(<f4 cells,
+  x-fastest>)}``, 131,072 bytes, and read back into a grid that keeps its
+  float32 cells.  A layout
   that matches the analytic room render is stored as ``{"from_room":
   true}`` and regenerated on parse, which keeps the round trip exact at
   float64; any other layout as ``{"f4": base64(<f4 disparity, rows
@@ -17,7 +21,7 @@ Formats
   reader checks each payload's base64 length before it decodes anything.
 * FVOX: magic ``FVOX``, u32 version, u32 dims[3], u32 frame tag
   (0 canonical, 1 scene), f64 extent[6] (min then max), then float32
-  occupancy, x-fastest, little-endian.  The frame tag fixes the lattice,
+  occupancy, x-fastest, little-endian, for binary and soft grids alike.  The frame tag fixes the lattice,
   so the reader takes only that frame's dims and extent
   (:data:`~scenefactor.voxels.FRAME_SPECS`).
 * PFM: grayscale ``Pf``, bottom-up rows, negative scale marks
@@ -385,11 +389,10 @@ def _cuboid_from_dict(doc, loc, path) -> Cuboid:
 
 
 def _object_to_dict(obj: SceneObject) -> dict:
-    occ = obj.shape.occupancy
-    if np.all((occ == 0.0) | (occ == 1.0)):
-        kind, cells = "bits", np.packbits(obj.shape.occupied.ravel(order="F"))
+    if obj.shape.bits is not None:
+        kind, cells = "bits", obj.shape.bits
     else:
-        kind, cells = "f4", occ.astype("<f4").ravel(order="F")
+        kind, cells = "f4", obj.shape.occupancy.astype("<f4").ravel(order="F")
     return {
         "class_label": obj.class_label,
         "score": obj.score,
@@ -440,14 +443,15 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
     (kind,) = kinds
     payload_loc = f"{loc}.voxels.{kind}"
     if kind == "bits":
-        packed = _payload(vox[kind], _GRID_CELLS // 8, payload_loc, path)
-        occ = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+        # The payload is the grid's packed mask: kept as it is, no cell unpacked.
+        shape = VoxelGrid.from_bits(_payload(vox[kind], _GRID_CELLS // 8, payload_loc, path),
+                                    "canonical")
     else:
         occ = np.frombuffer(_payload(vox[kind], 4 * _GRID_CELLS, payload_loc, path), dtype="<f4")
-    try:
-        shape = VoxelGrid.canonical(occ.reshape(_GRID_DIMS, order="F"))
-    except ValueError as exc:
-        raise FileFormatError(str(exc), path, location=payload_loc) from exc
+        try:
+            shape = VoxelGrid.canonical(occ.reshape(_GRID_DIMS, order="F"))
+        except ValueError as exc:
+            raise FileFormatError(str(exc), path, location=payload_loc) from exc
 
     solid_doc = _expect(doc, "solid", loc, path, allow_none=True)
     solid = None

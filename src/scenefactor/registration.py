@@ -64,15 +64,16 @@ class NNIndex:
         when the nearest point is tied, and inf when the index holds one
         point.  Ties break to the lowest index.  The second-nearest
         distance tells us when a tie is possible; only those queries pay
-        for the exhaustive ball lookup.  The kd-tree search runs on every
-        visible CPU; each query's answer is independent of that split, so
-        results do not depend on scheduling.
+        for the exhaustive ball lookup.  The kd-tree search runs on the
+        calling thread (``workers=1``): a query starts no threads, and
+        callers that want parallelism run whole queries concurrently, as
+        :func:`~scenefactor.compare.compare_representations` does.
         """
         q = np.asarray(queries, dtype=float)
         if len(self.points) == 1:
-            dist, idx = self._tree.query(q, k=1, workers=-1)
+            dist, idx = self._tree.query(q, k=1, workers=1)
             return dist, idx.astype(int), np.full(len(q), np.inf)
-        dist, idx = self._tree.query(q, k=2, workers=-1)
+        dist, idx = self._tree.query(q, k=2, workers=1)
         best_d = dist[:, 0]
         best_i = idx[:, 0].astype(int)
         margin = dist[:, 1] - best_d
@@ -203,8 +204,7 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
     The results are bit-identical to querying every point on every
     iteration, as long as the kd-tree computes each distance as
     ``sqrt(dx*dx + dy*dy + dz*dz)`` summed in x, y, z order.
-    Each nearest-neighbor query runs on every visible CPU; the result does
-    not depend on how the work is scheduled.
+    Every nearest-neighbor query runs on the calling thread.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)

@@ -123,13 +123,13 @@ class FactoredScene:
 
 
 def compose_scene_voxels(scene: FactoredScene) -> VoxelGrid:
-    """Default scene-grid occupancy of the objects: cell-wise maximum over
-    every object resampled into the grid with :func:`resample_to_scene`.
+    """Default scene-grid occupancy of the objects: the union of every
+    object resampled into the grid with :func:`resample_to_scene`.
     Layout surfaces are not included.
     """
-    occ = np.zeros(DEFAULT_SCENE_SPEC.dims, dtype=np.float32)
+    occ = np.zeros(DEFAULT_SCENE_SPEC.dims, dtype=bool)
     for obj in scene.objects:
-        occ = np.maximum(occ, resample_to_scene(obj.shape, obj.pose).occupancy)
+        occ |= resample_to_scene(obj.shape, obj.pose).occupied
     return VoxelGrid.scene(occ)
 
 

@@ -9,16 +9,20 @@ y in [-1.28, 1.28], z in [0, 5.12], which centers the grid laterally on
 the optical axis and covers the forward frustum.  No other module spells
 out either lattice's origin or cell size.
 
-Occupancy is stored as a dense float32 array in [0, 1], indexed
-``[ix, iy, iz]``; files serialize it x-fastest.  Grids are immutable after
-construction.  Every consumer binarizes at one fixed threshold,
-:data:`OCCUPANCY_THRESHOLD`: a cell is occupied iff its value reaches it.
+Occupancy values lie in [0, 1] and are indexed ``[ix, iy, iz]``.  Every
+consumer binarizes at one fixed threshold, :data:`OCCUPANCY_THRESHOLD`: a
+cell is occupied iff its value reaches it.  Each grid keeps its occupied
+mask packed eight cells to a byte, x-fastest (the bytes of a scene file's
+``bits`` payload), and its popcount.  A binary grid, whose every cell is
+0.0 or 1.0, keeps nothing else: its float32 cells are unpacked afresh on
+each read of :attr:`VoxelGrid.occupancy`.  Any other (soft) grid also
+keeps its float32 cells.  Grids are immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,27 +69,58 @@ DEFAULT_SCENE_SPEC = GridSpec(dims=(64, 32, 64), origin=(-2.56, -1.28, 0.0), cel
 FRAME_SPECS = {"canonical": CANONICAL_SPEC, "scene": DEFAULT_SCENE_SPEC}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class VoxelGrid:
     """Occupancy-probability lattice in the canonical or scene frame.  The
     frame fixes the lattice, so ``dims``, ``origin``, ``cell_size``,
-    ``extent`` and ``spec`` are read from :data:`FRAME_SPECS`."""
+    ``extent`` and ``spec`` are read from :data:`FRAME_SPECS`.
 
-    occupancy: np.ndarray
+    ``VoxelGrid(occupancy, frame)`` takes the cells as any array of the
+    frame's dims; :meth:`from_bits` takes a binary grid's packed mask."""
+
     frame: str
+    # The occupied mask, packed x-fastest, and its popcount.
+    _bits: np.ndarray = field(init=False, repr=False)
+    _count: int = field(init=False)
+    # The float32 cells of a soft grid; None for a binary grid.
+    _cells: np.ndarray | None = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if self.frame not in FRAME_SPECS:
-            raise ValueError(f"unknown frame {self.frame!r}")
-        occ = np.array(self.occupancy, dtype=np.float32)
-        if occ.shape != self.dims:
-            raise ValueError(f"{self.frame} grids have dims {self.dims}, got shape {occ.shape}")
-        if not np.all(np.isfinite(occ)):
-            raise ValueError("occupancy values must be finite")
-        if occ.min() < 0.0 or occ.max() > 1.0:
-            raise ValueError("occupancy values must lie in [0, 1]")
-        occ.setflags(write=False)
-        object.__setattr__(self, "occupancy", occ)
+    def __init__(self, occupancy, frame: str):
+        spec = _frame_spec(frame)
+        cells = np.array(occupancy, dtype=np.float32)
+        if cells.shape != spec.dims:
+            raise ValueError(f"{frame} grids have dims {spec.dims}, got shape {cells.shape}")
+        ones = cells == 1.0
+        if np.all(ones | (cells == 0.0)):
+            mask, cells = ones, None
+        else:
+            if not np.all(np.isfinite(cells)):
+                raise ValueError("occupancy values must be finite")
+            if cells.min() < 0.0 or cells.max() > 1.0:
+                raise ValueError("occupancy values must lie in [0, 1]")
+            cells.setflags(write=False)
+            mask = cells >= OCCUPANCY_THRESHOLD
+        self._set(frame, np.packbits(mask.ravel(order="F")), cells)
+
+    @classmethod
+    def from_bits(cls, bits: bytes, frame: str) -> "VoxelGrid":
+        """The binary grid whose occupied mask is ``bits``, packed eight
+        cells to a byte, x-fastest.  The bytes are kept, not copied."""
+        spec = _frame_spec(frame)
+        mask = np.frombuffer(bits, dtype=np.uint8)
+        if 8 * len(mask) != math.prod(spec.dims):
+            raise ValueError(f"{frame} grids pack into {math.prod(spec.dims) // 8} bytes, "
+                             f"got {len(mask)}")
+        grid = object.__new__(cls)
+        grid._set(frame, mask, None)
+        return grid
+
+    def _set(self, frame: str, bits: np.ndarray, cells: np.ndarray | None) -> None:
+        bits.setflags(write=False)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_count", int(np.bitwise_count(bits).sum()))
+        object.__setattr__(self, "_cells", cells)
 
     @classmethod
     def canonical(cls, occupancy) -> "VoxelGrid":
@@ -116,26 +151,49 @@ class VoxelGrid:
         return self.spec.extent
 
     @property
+    def bits(self) -> np.ndarray | None:
+        """The packed mask of a binary grid (read-only, eight cells to a
+        byte, x-fastest); None for a soft grid."""
+        return self._bits if self._cells is None else None
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        """Read-only float32 cells.  A binary grid builds them afresh on
+        each read and does not keep them."""
+        if self._cells is not None:
+            return self._cells
+        cells = self._unpacked().astype(np.float32, order="C")
+        cells.setflags(write=False)
+        return cells
+
+    @property
     def occupied(self) -> np.ndarray:
         """Boolean mask of the cells at or above :data:`OCCUPANCY_THRESHOLD`."""
-        return self.occupancy >= OCCUPANCY_THRESHOLD
+        return np.ascontiguousarray(self._unpacked())
 
-    @cached_property
-    def _packed(self) -> tuple[np.ndarray, int]:
-        """:attr:`occupied` packed eight cells to a byte, and its popcount.
-        Built on first use and kept, so a grid is packed once however many
-        IoUs it enters."""
-        bits = np.packbits(self.occupied)
-        bits.setflags(write=False)
-        return bits, int(np.bitwise_count(bits).sum())
+    def _unpacked(self) -> np.ndarray:
+        """The occupied mask as a boolean ``[ix, iy, iz]`` view of its
+        unpacked x-fastest bits."""
+        nx, ny, nz = self.dims
+        return np.unpackbits(self._bits).view(bool).reshape(nz, ny, nx).transpose(2, 1, 0)
 
     def count(self) -> int:
-        return int(self.occupied.sum())
+        return self._count
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VoxelGrid):
             return NotImplemented
-        return self.frame == other.frame and np.array_equal(self.occupancy, other.occupancy)
+        if self.frame != other.frame or not np.array_equal(self._bits, other._bits):
+            return False
+        if self._cells is None and other._cells is None:
+            return True
+        return np.array_equal(self.occupancy, other.occupancy)
+
+
+def _frame_spec(frame: str) -> GridSpec:
+    if frame not in FRAME_SPECS:
+        raise ValueError(f"unknown frame {frame!r}")
+    return FRAME_SPECS[frame]
 
 
 def voxel_iou(a: VoxelGrid, b: VoxelGrid) -> float:
@@ -146,10 +204,8 @@ def voxel_iou(a: VoxelGrid, b: VoxelGrid) -> float:
     """
     if a.frame != b.frame:
         raise ValueError(f"grid frames differ: {a.frame} vs {b.frame}")
-    bits_a, count_a = a._packed
-    bits_b, count_b = b._packed
-    inter = int(np.bitwise_count(bits_a & bits_b).sum())
-    union = count_a + count_b - inter
+    inter = int(np.bitwise_count(a._bits & b._bits).sum())
+    union = a._count + b._count - inter
     if union == 0:
         return 1.0
     return inter / union

@@ -4,13 +4,14 @@ import json
 import math
 import pathlib
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from scenefactor.generator import GeneratorConfig, generate_scene
-from scenefactor.geometry import DEFAULT_CAMERA
+from scenefactor.geometry import DEFAULT_CAMERA, Pose
 from scenefactor import render
 from scenefactor.cli import main
 from scenefactor.io_formats import (
@@ -28,8 +29,8 @@ from scenefactor.io_formats import (
     write_scene,
     write_voxels,
 )
-from scenefactor.scene import FactoredScene, Layout
-from scenefactor.voxels import DEFAULT_SCENE_SPEC, FRAME_SPECS, VoxelGrid
+from scenefactor.scene import FactoredScene, Layout, SceneObject
+from scenefactor.voxels import CANONICAL_SPEC, DEFAULT_SCENE_SPEC, FRAME_SPECS, VoxelGrid, voxel_iou
 
 
 class TestPfm:
@@ -712,3 +713,79 @@ class TestReferences:
         assert main(["render", "--scene", str(scenes / "s.json"),
                      "--out", str(tmp_path / "d.pfm")]) == 1
         assert capsys.readouterr().err.count("\n") == 1
+
+
+def one_object_scene(shape: VoxelGrid) -> FactoredScene:
+    return FactoredScene(camera=DEFAULT_CAMERA, objects=(SceneObject(shape, Pose.identity()),))
+
+
+class TestMaskBackedGrids:
+    """A binary grid keeps only its packed mask; nothing that reads or
+    writes it can tell how the grid was built."""
+
+    @pytest.mark.parametrize("frame", sorted(FRAME_SPECS))
+    def test_grid_from_floats_matches_grid_from_bits(self, tmp_path, rng, frame):
+        dims = FRAME_SPECS[frame].dims
+        cells = (rng.random(dims) < 0.3).astype(np.float32)
+        built = VoxelGrid(cells, frame)
+        read = VoxelGrid.from_bits(np.packbits(cells.ravel(order="F") == 1.0).tobytes(), frame)
+        assert built == read and read == built
+        for grid in (built, read):
+            assert grid.occupancy.dtype == np.float32
+            assert np.array_equal(grid.occupancy, cells)
+            assert np.array_equal(grid.occupied, cells == 1.0)
+            assert grid.count() == int(cells.sum())
+        thirds = [VoxelGrid(rng.random(dims) < fill, frame) for fill in (0.0, 0.3, 0.9)]
+        thirds.append(VoxelGrid(rng.random(dims), frame))  # a soft grid
+        for third in thirds:
+            assert voxel_iou(built, third) == voxel_iou(read, third) == voxel_iou(third, read)
+        write_voxels(tmp_path / "built.fvox", built)
+        write_voxels(tmp_path / "read.fvox", read)
+        assert (tmp_path / "built.fvox").read_bytes() == (tmp_path / "read.fvox").read_bytes()
+        assert read_voxels(tmp_path / "read.fvox") == built
+
+    def test_scene_file_of_either_grid_is_the_same(self, tmp_path, rng):
+        cells = (rng.random(CANONICAL_SPEC.dims) < 0.3).astype(np.float32)
+        built = VoxelGrid.canonical(cells)
+        write_scene(one_object_scene(built), tmp_path / "built.json")
+        read = read_scene(tmp_path / "built.json").objects[0].shape
+        assert read == built and np.array_equal(read.occupancy, cells)
+        write_scene(one_object_scene(read), tmp_path / "read.json")
+        assert (tmp_path / "built.json").read_bytes() == (tmp_path / "read.json").read_bytes()
+        voxels = json.loads((tmp_path / "read.json").read_text())["objects"][0]["voxels"]
+        assert base64.b64decode(voxels["bits"]) == np.packbits(cells.ravel(order="F") == 1.0).tobytes()
+
+    def test_soft_grid_round_trips_through_f4(self, tmp_path, rng):
+        cells = rng.random(CANONICAL_SPEC.dims).astype(np.float32)
+        cells[cells < 0.25] = 0.0
+        soft = VoxelGrid.canonical(cells)
+        assert soft.bits is None
+        assert soft != VoxelGrid.canonical(soft.occupied)  # same mask, other cells
+        write_scene(one_object_scene(soft), tmp_path / "s.json")
+        voxels = json.loads((tmp_path / "s.json").read_text())["objects"][0]["voxels"]
+        assert set(voxels) == {"dims", "f4"}
+        back = read_scene(tmp_path / "s.json").objects[0].shape
+        assert back == soft and back.bits is None
+        assert np.array_equal(back.occupancy.view(np.uint32), cells.view(np.uint32))
+        write_voxels(tmp_path / "s.fvox", soft)
+        assert read_voxels(tmp_path / "s.fvox") == soft
+
+    def test_occupancy_is_read_only(self, rng):
+        grid = VoxelGrid.canonical(rng.random(CANONICAL_SPEC.dims) < 0.3)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.occupancy[0, 0, 0] = 0.5
+
+    def test_reading_binary_grids_keeps_only_their_masks(self, tmp_path, rng):
+        n = 40
+        objects = tuple(SceneObject(VoxelGrid.canonical(rng.random(CANONICAL_SPEC.dims) < 0.3),
+                                    Pose.identity()) for _ in range(n))
+        write_scene(FactoredScene(camera=DEFAULT_CAMERA, objects=objects), tmp_path / "s.json")
+        tracemalloc.start()
+        try:
+            scene = read_scene(tmp_path / "s.json")
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(scene.objects) == n
+        # A 4 KiB mask per grid, where float32 cells would take 128 KiB.
+        assert retained < 8 * 1024 * n

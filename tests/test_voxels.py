@@ -44,7 +44,10 @@ def random_grid(rng, frame, fill):
 
 class TestVoxelGrid:
     def test_frame_fixes_lattice(self):
-        assert [f.name for f in dataclasses.fields(VoxelGrid)] == ["occupancy", "frame"]
+        # A grid stores its frame and its mask (and a soft grid its cells),
+        # never a lattice of its own.
+        assert {f.name for f in dataclasses.fields(VoxelGrid)} == {
+            "frame", "_bits", "_count", "_cells"}
         for frame, spec in FRAME_SPECS.items():
             g = VoxelGrid(np.zeros(spec.dims), frame)
             assert g.spec is spec
@@ -97,14 +100,16 @@ class TestVoxelIou:
             assert voxel_iou(a, b) == brute_force_iou(a, b, 0.5) == voxel_iou(b, a)
 
     def test_each_grid_packed_once(self, rng, monkeypatch):
+        # A grid packs its mask when it is built; voxel_iou only reads it.
+        soft = VoxelGrid.canonical(rng.random(CANONICAL_SPEC.dims))
+        grids = [random_grid(rng, "canonical", 0.5) for _ in range(3)] + [soft]
         calls = []
         packbits = np.packbits
         monkeypatch.setattr(np, "packbits", lambda *a, **k: calls.append(1) or packbits(*a, **k))
-        grids = [random_grid(rng, "canonical", 0.5) for _ in range(3)]
         for a in grids:
             for b in grids:
                 assert voxel_iou(a, b) == brute_force_iou(a, b, 0.5)
-        assert len(calls) == 3
+        assert calls == []
 
     def test_frame_mismatch_rejected(self):
         a = VoxelGrid.canonical(np.zeros(CANONICAL_SPEC.dims))
