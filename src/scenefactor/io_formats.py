@@ -21,9 +21,9 @@ Formats
   reader checks each payload's base64 length before it decodes anything.
 * FVOX: magic ``FVOX``, u32 version, u32 dims[3], u32 frame tag
   (0 canonical, 1 scene), f64 extent[6] (min then max), then float32
-  occupancy, x-fastest, little-endian, for binary and soft grids alike.  The frame tag fixes the lattice,
-  so the reader takes only that frame's dims and extent
-  (:data:`~scenefactor.voxels.FRAME_SPECS`).
+  occupancy, x-fastest, little-endian, for binary and soft grids alike.
+  The frame tag fixes the lattice, so the reader takes only that frame's
+  dims and extent (:data:`~scenefactor.voxels.FRAME_SPECS`).
 * PFM: grayscale ``Pf``, bottom-up rows, negative scale marks
   little-endian.  Depth files use 0 as the empty marker.
 * Point-cloud CSV (written only): header ``x,y,z``, then one row per point,

@@ -162,20 +162,16 @@ class VoxelGrid:
         each read and does not keep them."""
         if self._cells is not None:
             return self._cells
-        cells = self._unpacked().astype(np.float32, order="C")
+        cells = self.occupied.astype(np.float32)
         cells.setflags(write=False)
         return cells
 
     @property
     def occupied(self) -> np.ndarray:
         """Boolean mask of the cells at or above :data:`OCCUPANCY_THRESHOLD`."""
-        return np.ascontiguousarray(self._unpacked())
-
-    def _unpacked(self) -> np.ndarray:
-        """The occupied mask as a boolean ``[ix, iy, iz]`` view of its
-        unpacked x-fastest bits."""
         nx, ny, nz = self.dims
-        return np.unpackbits(self._bits).view(bool).reshape(nz, ny, nx).transpose(2, 1, 0)
+        mask = np.unpackbits(self._bits).view(bool).reshape(nz, ny, nx)
+        return np.ascontiguousarray(mask.transpose(2, 1, 0))
 
     def count(self) -> int:
         return self._count

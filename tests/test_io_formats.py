@@ -731,7 +731,7 @@ class TestMaskBackedGrids:
         read = VoxelGrid.from_bits(np.packbits(cells.ravel(order="F") == 1.0).tobytes(), frame)
         assert built == read and read == built
         for grid in (built, read):
-            assert grid.occupancy.dtype == np.float32
+            assert grid.occupancy.dtype == np.float32 and not grid.occupancy.flags.writeable
             assert np.array_equal(grid.occupancy, cells)
             assert np.array_equal(grid.occupied, cells == 1.0)
             assert grid.count() == int(cells.sum())
@@ -769,11 +769,6 @@ class TestMaskBackedGrids:
         assert np.array_equal(back.occupancy.view(np.uint32), cells.view(np.uint32))
         write_voxels(tmp_path / "s.fvox", soft)
         assert read_voxels(tmp_path / "s.fvox") == soft
-
-    def test_occupancy_is_read_only(self, rng):
-        grid = VoxelGrid.canonical(rng.random(CANONICAL_SPEC.dims) < 0.3)
-        with pytest.raises(ValueError, match="read-only"):
-            grid.occupancy[0, 0, 0] = 0.5
 
     def test_reading_binary_grids_keeps_only_their_masks(self, tmp_path, rng):
         n = 40
