@@ -753,7 +753,8 @@ class TestMaskBackedGrids:
         write_scene(one_object_scene(read), tmp_path / "read.json")
         assert (tmp_path / "built.json").read_bytes() == (tmp_path / "read.json").read_bytes()
         voxels = json.loads((tmp_path / "read.json").read_text())["objects"][0]["voxels"]
-        assert base64.b64decode(voxels["bits"]) == np.packbits(cells.ravel(order="F") == 1.0).tobytes()
+        packed = np.packbits(cells.ravel(order="F") == 1.0).tobytes()
+        assert base64.b64decode(voxels["bits"]) == packed
 
     def test_soft_grid_round_trips_through_f4(self, tmp_path, rng):
         cells = rng.random(CANONICAL_SPEC.dims).astype(np.float32)
