@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import DEFAULT_DELTAS, component_errors
+from .metrics import DEFAULT_DELTAS, component_error_matrix
 from .scene import SceneObject
 
 __all__ = [
@@ -112,12 +112,8 @@ def _passes(errors, thresholds: ThresholdTuple) -> bool:
 def _scene_errors(scene_pairs) -> list[tuple[list[SceneObject], int, list]]:
     """Per scene: its detections, its ground-truth count, and the
     (detections x ground truths) matrix of component errors."""
-    scenes = []
-    for dets, gts in scene_pairs:
-        dets, gts = list(dets), list(gts)
-        errors = [[component_errors(d, g) for g in gts] for d in dets]
-        scenes.append((dets, len(gts), errors))
-    return scenes
+    pairs = [(list(dets), list(gts)) for dets, gts in scene_pairs]
+    return [(dets, len(gts), component_error_matrix(dets, gts)) for dets, gts in pairs]
 
 
 def _match_scene(dets, errors, thresholds: ThresholdTuple,

@@ -20,8 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .geometry import Camera, DEFAULT_CAMERA, Pose, image_extent, rotation_about_y
-from .render import depth_to_disparity, render_depth_analytic
-from .scene import CLASS_LABELS, FactoredScene, SceneObject, parametric_shape
+from .scene import CLASS_LABELS, ROOM_LAYOUT, FactoredScene, SceneObject, parametric_shape
 from .voxels import CANONICAL_SPEC, Cuboid, cuboid_voxelize
 
 __all__ = ["GeneratorConfig", "generate_scene"]
@@ -247,8 +246,5 @@ def generate_scene(cfg: GeneratorConfig) -> FactoredScene:
                 f"placed {len(objects)} of {count} objects")
             break
 
-    partial = FactoredScene(camera=cfg.camera, objects=tuple(objects), room=room,
-                            warnings=tuple(warnings))
-    layout = depth_to_disparity(render_depth_analytic(partial, include_objects=False))
-    return FactoredScene(camera=cfg.camera, objects=tuple(objects), layout=layout,
+    return FactoredScene(camera=cfg.camera, objects=tuple(objects), layout=ROOM_LAYOUT,
                          room=room, warnings=tuple(warnings))

@@ -44,7 +44,7 @@ def _vec3(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} must be finite, got {arr}")
     arr.setflags(write=False)
     return arr
@@ -146,7 +146,11 @@ def rotation_geodesic(a: UnitQuaternion, b: UnitQuaternion) -> float:
     """
     av = a.as_array()
     bv = b.as_array()
-    chord = min(float(np.linalg.norm(av - bv)), float(np.linalg.norm(av + bv)))
+    return _chord_angle(min(float(np.linalg.norm(av - bv)), float(np.linalg.norm(av + bv))))
+
+
+def _chord_angle(chord: float) -> float:
+    """The rotation angle whose sign-folded quaternion chord is ``chord``."""
     return 4.0 * math.asin(min(1.0, 0.5 * chord))
 
 
@@ -164,7 +168,7 @@ class Pose:
 
     def __post_init__(self):
         scale = _vec3(self.scale, "scale")
-        if np.any(scale <= 0.0):
+        if min(scale.tolist()) <= 0.0:
             raise ValueError(f"scale components must be strictly positive, got {scale}")
         object.__setattr__(self, "scale", scale)
         if not isinstance(self.rotation, UnitQuaternion):

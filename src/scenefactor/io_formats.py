@@ -15,7 +15,7 @@ Formats
   x-fastest>)}``, 131,072 bytes, and read back into a grid that keeps its
   float32 cells.  A layout
   that matches the analytic room render is stored as ``{"from_room":
-  true}`` and regenerated on parse, which keeps the round trip exact at
+  true}`` and rendered on first read, which keeps the round trip exact at
   float64; any other layout as ``{"f4": base64(<f4 disparity, rows
   top-down>)}``, 4 * width * height bytes of the scene's camera.  The
   reader checks each payload's base64 length before it decodes anything.
@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Camera, Pose, UnitQuaternion
-from .scene import CLASS_LABELS, FactoredScene, Layout, SceneObject
+from .scene import CLASS_LABELS, ROOM_LAYOUT, FactoredScene, Layout, SceneObject
 from .voxels import CANONICAL_SPEC, FRAME_SPECS, Cuboid, VoxelGrid
 
 __all__ = [
@@ -301,8 +301,10 @@ def _is_number(value) -> bool:
 
 
 def _floats(value, n, loc, path) -> list[float]:
-    """A JSON list of ``n`` numbers."""
-    if not isinstance(value, list) or len(value) != n or not all(map(_is_number, value)):
+    """A JSON list of ``n`` numbers; ``json.loads`` makes exact types, so
+    ``bool`` fails the type test."""
+    if not isinstance(value, list) or len(value) != n or \
+            not all(type(v) in (int, float) for v in value):
         raise FileFormatError(f"expected a list of {n} numbers", path, location=loc)
     return [float(v) for v in value]
 
@@ -468,22 +470,18 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
         raise FileFormatError(str(exc), path, location=loc) from exc
 
 
-def _analytic_layout(scene: FactoredScene) -> Layout:
-    from .render import depth_to_disparity, render_depth_analytic
-
-    return depth_to_disparity(render_depth_analytic(scene, include_objects=False))
-
-
 def write_scene(scene: FactoredScene, path) -> None:
     """Serialize a scene as one JSON file.  A binary grid is stored as
     packed bits, any other grid as float32 cells; the layout is stored as
-    ``from_room`` when it is exactly the analytic room render, else as
-    float32 disparities.  A custom layout that float32 cannot hold raises
-    ``ValueError`` before anything is written."""
+    ``from_room`` when it is ``ROOM_LAYOUT`` (unrendered) or exactly the
+    analytic room render, else as float32 disparities.  A custom layout
+    that float32 cannot hold raises ``ValueError`` before anything is written."""
     layout_doc = None
-    if scene.layout is not None:
+    if scene.layout_from_room:
+        layout_doc = {"from_room": True}
+    elif scene.layout is not None:
         if scene.room is not None and np.array_equal(
-                scene.layout.disparity, _analytic_layout(scene).disparity):
+                scene.layout.disparity, replace(scene, layout=ROOM_LAYOUT).layout.disparity):
             layout_doc = {"from_room": True}
         else:
             with np.errstate(over="ignore"):
@@ -553,13 +551,13 @@ def read_scene(path) -> FactoredScene:
             raise FileFormatError("layout says from_room but the scene has no room", path,
                                   location="$.layout")
         try:
-            layout = _analytic_layout(scene)
+            # Checked now, rendered when something reads the layout.
+            return replace(scene, layout=ROOM_LAYOUT)
         except ValueError as exc:
             raise FileFormatError(str(exc), path, location="$.room") from exc
-    else:
-        data = _payload(layout_doc["f4"], 4 * camera.width * camera.height, "$.layout.f4", path)
-        try:
-            layout = Layout(np.frombuffer(data, dtype="<f4").reshape(camera.height, camera.width))
-        except ValueError as exc:
-            raise FileFormatError(str(exc), path, location="$.layout.f4") from exc
+    data = _payload(layout_doc["f4"], 4 * camera.width * camera.height, "$.layout.f4", path)
+    try:
+        layout = Layout(np.frombuffer(data, dtype="<f4").reshape(camera.height, camera.width))
+    except ValueError as exc:
+        raise FileFormatError(str(exc), path, location="$.layout.f4") from exc
     return replace(scene, layout=layout)

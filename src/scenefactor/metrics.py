@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import rotation_geodesic
+from .geometry import _chord_angle
 from .registration import NNIndex
 from .render import (
     ROOM_SURFACE,
@@ -27,13 +27,14 @@ from .render import (
     render_surface_ids,
 )
 from .scene import FactoredScene, SceneObject
-from .voxels import voxel_iou
+from .voxels import voxel_iou_matrix
 
 __all__ = [
     "DEFAULT_DELTAS",
     "ComponentErrors",
     "SummaryStats",
     "box_iou_2d",
+    "component_error_matrix",
     "component_errors",
     "layout_depth_error",
     "summarize",
@@ -87,14 +88,29 @@ def component_errors(pred: SceneObject, gt: SceneObject) -> ComponentErrors:
     Shape IoU compares occupied cells (:attr:`VoxelGrid.occupied`).  Box
     IoU is present only when both objects carry a 2D box.
     """
-    shape_iou = voxel_iou(pred.shape, gt.shape)
-    rot = rotation_geodesic(pred.pose.rotation, gt.pose.rotation)
-    trans = float(np.linalg.norm(pred.pose.translation - gt.pose.translation))
-    scale = float(np.mean(np.abs(np.log2(pred.pose.scale) - np.log2(gt.pose.scale))))
-    box = None
-    if pred.box2d is not None and gt.box2d is not None:
-        box = box_iou_2d(pred.box2d, gt.box2d)
-    return ComponentErrors(shape_iou, rot, trans, scale, box)
+    return component_error_matrix([pred], [gt])[0][0]
+
+
+def component_error_matrix(preds: list[SceneObject],
+                           gts: list[SceneObject]) -> list[list[ComponentErrors]]:
+    """:func:`component_errors` of every (prediction, ground truth) pair, one
+    row per prediction, bit for bit: lengths take the BLAS dot of a 1-D
+    ``np.linalg.norm`` (``np.vecdot``), log2 and arcsine are taken per item."""
+    if not preds or not gts:
+        return [[] for _ in preds]
+    # Per object: quaternion (4), translation (3), log2 scale (3).
+    p, g = (np.array([[*o.pose.rotation.as_array(), *o.pose.translation,
+                       *np.log2(o.pose.scale)] for o in objs]) for objs in (preds, gts))
+    d, q_sum = p[:, None] - g[None], p[:, None, :4] + g[None, :, :4]
+    shape, chord, trans, scale = (m.tolist() for m in (
+        voxel_iou_matrix([o.shape for o in preds], [o.shape for o in gts]),
+        np.sqrt(np.minimum(np.vecdot(d[..., :4], d[..., :4]), np.vecdot(q_sum, q_sum))),
+        np.sqrt(np.vecdot(d[..., 4:7], d[..., 4:7])),
+        np.mean(np.abs(d[..., 7:]), axis=-1)))
+    return [[ComponentErrors(shape[i][j], _chord_angle(chord[i][j]), trans[i][j], scale[i][j],
+                             None if a.box2d is None or b.box2d is None
+                             else box_iou_2d(a.box2d, b.box2d))
+             for j, b in enumerate(gts)] for i, a in enumerate(preds)]
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,13 @@ def render_depth_analytic(scene: FactoredScene, include_objects: bool = True) ->
     return DepthMap(depth, scene.camera)
 
 
+def _check_room_layout(scene: FactoredScene) -> None:
+    """Raise what rendering the scene's layout would, without making it."""
+    depth, _ = _raycast_analytic(scene, include_objects=False)
+    if not math.isfinite(1.0 / float(depth[depth > 0.0].min(initial=math.inf))):
+        raise ValueError("disparity values must be finite")
+
+
 def render_surface_ids(scene: FactoredScene) -> tuple[DepthMap, np.ndarray]:
     """Full analytic render from the scene's camera plus a per-pixel
     surface id image.

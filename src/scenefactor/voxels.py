@@ -40,6 +40,7 @@ __all__ = [
     "resample_to_scene",
     "voxel_centers",
     "voxel_iou",
+    "voxel_iou_matrix",
     "voxelize_posed_cuboids",
 ]
 
@@ -198,13 +199,18 @@ def voxel_iou(a: VoxelGrid, b: VoxelGrid) -> float:
 
     Both grids empty counts as perfect agreement (1.0).
     """
-    if a.frame != b.frame:
-        raise ValueError(f"grid frames differ: {a.frame} vs {b.frame}")
-    inter = int(np.bitwise_count(a._bits & b._bits).sum())
-    union = a._count + b._count - inter
-    if union == 0:
-        return 1.0
-    return inter / union
+    return float(voxel_iou_matrix([a], [b])[0, 0])
+
+
+def voxel_iou_matrix(a: list[VoxelGrid], b: list[VoxelGrid]) -> np.ndarray:
+    """``voxel_iou(a[i], b[j])`` for every pair, from one AND of the masks."""
+    other = next((g.frame for g in b + a if g.frame != a[0].frame), None)
+    if other is not None:
+        raise ValueError(f"grid frames differ: {a[0].frame} vs {other}")
+    bits_a, bits_b = (np.stack([g._bits for g in grids]).view(np.uint64) for grids in (a, b))
+    inter = np.bitwise_count(bits_a[:, None] & bits_b[None]).sum(axis=-1, dtype=np.int64)
+    union = np.array([g._count for g in a])[:, None] + np.array([g._count for g in b]) - inter
+    return np.where(union > 0, inter / np.maximum(union, 1), 1.0)
 
 
 def voxel_centers(grid: VoxelGrid) -> np.ndarray:
@@ -227,9 +233,9 @@ class Cuboid:
         half = np.array(self.half_extents, dtype=float)
         if center.shape != (3,) or half.shape != (3,):
             raise ValueError("cuboid center and half_extents must be 3-vectors")
-        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(half))):
+        if not all(map(math.isfinite, center.tolist() + half.tolist())):
             raise ValueError("cuboid parameters must be finite")
-        if np.any(half <= 0.0):
+        if min(half.tolist()) <= 0.0:
             raise ValueError(f"half_extents must be strictly positive, got {half}")
         center.setflags(write=False)
         half.setflags(write=False)

@@ -12,7 +12,7 @@ from scenefactor.detection import (
     evaluate_dataset,
 )
 from scenefactor.geometry import Pose, UnitQuaternion, rotation_about_y
-from scenefactor.metrics import component_errors
+from scenefactor.metrics import component_error_matrix, component_errors
 from scenefactor.scene import SceneObject
 from scenefactor.voxels import Cuboid, cuboid_voxelize
 
@@ -238,14 +238,14 @@ class TestApSweep:
         pairs = [(dets[:4], gts[:2]), (dets[4:], gts[2:])]
         calls = []
 
-        def counted(det, gt):
-            calls.append((det, gt))
-            return component_errors(det, gt)
+        def counted(scene_dets, scene_gts):
+            calls.append((len(scene_dets), len(scene_gts)))
+            return component_error_matrix(scene_dets, scene_gts)
 
-        monkeypatch.setattr(detection, "component_errors", counted)
+        monkeypatch.setattr(detection, "component_error_matrix", counted)
         rows = ap_sweep(pairs)
-        # One evaluation per (detection, ground truth) pair in each scene.
-        assert len(calls) == 4 * 2 + 2 * 1
+        # One (detections x ground truths) error matrix per scene.
+        assert calls == [(4, 2), (2, 1)]
         for row in rows:
             alone = evaluate_dataset(pairs, row.thresholds)
             assert row.ap == alone.ap

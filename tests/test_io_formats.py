@@ -423,6 +423,37 @@ class TestSceneJson:
         assert err.value.location == "$.room"
         assert "inside the room box" in str(err.value)
 
+    def test_room_whose_layout_overflows_names_location(self, tmp_path):
+        """The camera is inside this room, but a wall 1e-310 m away has a
+        disparity beyond float64.  The reader fails, as it did when it
+        rendered every layout, and not the first read of ``layout``."""
+        def thin_room(doc):
+            doc["room"] = {"center": [0.0, 0.0, 0.0], "half_extents": [1e-310, 1.0, 1.0]}
+
+        with pytest.raises(FileFormatError) as err:
+            read_scene(self._edited(tmp_path, thin_room))
+        assert err.value.location == "$.room"
+        assert "disparity values must be finite" in str(err.value)
+
+    def test_room_layout_rendered_only_when_read(self, tmp_path, monkeypatch):
+        """Generating, reading and writing a ``from_room`` scene renders
+        nothing; the first read of ``layout`` renders it once."""
+        calls = []
+        analytic = render.render_depth_analytic
+        monkeypatch.setattr(render, "render_depth_analytic",
+                            lambda *args, **kwargs: calls.append(args) or analytic(*args, **kwargs))
+        write_scene(generate_scene(GeneratorConfig(seed=2)), tmp_path / "a.json")
+        scene = read_scene(tmp_path / "a.json")
+        write_scene(scene, tmp_path / "b.json")
+        assert calls == []
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert scene.layout_from_room
+        assert scene.layout is scene.layout
+        assert len(calls) == 1
+        monkeypatch.undo()
+        eager = render.depth_to_disparity(render.render_depth_analytic(scene, include_objects=False))
+        assert np.array_equal(scene.layout.disparity, eager.disparity)
+
     def test_box2d_out_of_bounds_names_location(self, tmp_path):
         def widen_box(doc):
             doc["objects"][0]["box2d"][2] = doc["camera"]["width"] + 5.0

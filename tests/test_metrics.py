@@ -9,6 +9,7 @@ from scenefactor.geometry import DEFAULT_CAMERA, Pose, UnitQuaternion, random_un
 from scenefactor.metrics import (
     ComponentErrors,
     box_iou_2d,
+    component_error_matrix,
     component_errors,
     layout_depth_error,
     summarize,
@@ -21,7 +22,7 @@ from scenefactor.render import (
     render_surface_ids,
 )
 from scenefactor.scene import FactoredScene, SceneObject
-from scenefactor.voxels import Cuboid, cuboid_voxelize
+from scenefactor.voxels import CANONICAL_SPEC, Cuboid, VoxelGrid, cuboid_voxelize
 
 CAM = DEFAULT_CAMERA.scaled(64, 48)
 
@@ -88,6 +89,80 @@ class TestComponentErrors:
             make_object(Pose(a * factor, UnitQuaternion.identity(), np.zeros(3))),
             make_object(Pose(b * factor, UnitQuaternion.identity(), np.zeros(3))))
         assert scaled.scale_err == pytest.approx(base.scale_err, abs=1e-12)
+
+
+def scalar_errors(pred, gt):
+    """The per-pair formulas that ``component_error_matrix`` replaced: the
+    oracle for its bits."""
+    a, b = pred.shape.occupied, gt.shape.occupied
+    inter, union = int((a & b).sum()), int((a | b).sum())
+    shape_iou = 1.0 if union == 0 else inter / union
+    av, bv = pred.pose.rotation.as_array(), gt.pose.rotation.as_array()
+    chord = min(float(np.linalg.norm(av - bv)), float(np.linalg.norm(av + bv)))
+    rot = 4.0 * math.asin(min(1.0, 0.5 * chord))
+    trans = float(np.linalg.norm(pred.pose.translation - gt.pose.translation))
+    scale = float(np.mean(np.abs(np.log2(pred.pose.scale) - np.log2(gt.pose.scale))))
+    box = None if pred.box2d is None or gt.box2d is None else box_iou_2d(pred.box2d, gt.box2d)
+    return shape_iou, rot, trans, scale, box
+
+
+def assert_matrix_matches_scalar(preds, gts):
+    matrix = component_error_matrix(preds, gts)
+    assert len(matrix) == len(preds) and all(len(row) == len(gts) for row in matrix)
+    for pred, row in zip(preds, matrix):
+        for gt, err in zip(gts, row):
+            got = (err.shape_iou, err.rot_err, err.trans_err, err.scale_err, err.box_iou)
+            assert got == scalar_errors(pred, gt)
+            assert all(type(v) is float for v in got if v is not None)
+
+
+class TestComponentErrorMatrix:
+    def random_object(self, rng, shape=None, box2d=None, pose=None):
+        if shape is None:
+            shape = VoxelGrid.canonical(rng.random(CANONICAL_SPEC.dims) < rng.uniform(0.05, 0.9))
+        if pose is None:
+            pose = Pose(rng.uniform(0.3, 3.0, 3), random_unit_quaternion(rng),
+                        rng.normal(scale=3.0, size=3))
+        return SceneObject(shape=shape, pose=pose, box2d=box2d)
+
+    def test_every_cell_matches_the_scalar_formulas(self, rng):
+        boxes = [None, (0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 2.0, 1.0), (2.0, 2.0, 3.0, 3.0),
+                 (0.5, 0.25, 1.5, 3.0)]
+        gts = [self.random_object(rng, box2d=boxes[i % len(boxes)]) for i in range(9)]
+        empty = VoxelGrid.canonical(np.zeros(CANONICAL_SPEC.dims))
+        gts.append(self.random_object(rng, shape=empty))
+        preds = [self.random_object(rng, box2d=boxes[i % len(boxes)]) for i in range(20)]
+        for gt in gts[:4]:
+            pose = gt.pose
+            preds.append(gt)  # identical pose, shape and box
+            flipped = UnitQuaternion(*-pose.rotation.as_array())  # -q: the same rotation
+            preds.append(self.random_object(rng, box2d=gt.box2d, pose=Pose(
+                pose.scale, flipped, pose.translation)))
+            near = UnitQuaternion.normalized(
+                pose.rotation.as_array() + rng.normal(scale=1e-9, size=4))
+            preds.append(self.random_object(rng, pose=Pose(pose.scale * 1.001, near,
+                                                           pose.translation + 1e-12)))
+        preds.append(self.random_object(rng, shape=empty))  # empty vs empty: IoU 1.0
+        assert_matrix_matches_scalar(preds, gts)
+        assert component_error_matrix(preds, gts)[-1][-1].shape_iou == 1.0
+        flipped = component_error_matrix([preds[21]], [gts[0]])[0][0]
+        assert flipped.rot_err == 0.0
+
+    def test_box_iou_cases(self, rng):
+        gts = [self.random_object(rng, box2d=(0.0, 0.0, 1.0, 1.0))]
+        touching, disjoint = (1.0, 0.0, 2.0, 1.0), (2.0, 2.0, 3.0, 3.0)
+        preds = [self.random_object(rng, box2d=b) for b in (touching, disjoint, None)]
+        assert [row[0].box_iou for row in component_error_matrix(preds, gts)] == [0.0, 0.0, None]
+        assert_matrix_matches_scalar(preds, gts)
+
+    def test_one_by_one_is_component_errors(self, rng):
+        pred, gt = self.random_object(rng), self.random_object(rng)
+        assert component_errors(pred, gt) == component_error_matrix([pred], [gt])[0][0]
+
+    def test_empty_sides(self, rng):
+        objs = [self.random_object(rng) for _ in range(2)]
+        assert component_error_matrix([], objs) == []
+        assert component_error_matrix(objs, []) == [[], []]
 
 
 class TestBoxIou:

@@ -3,7 +3,8 @@
 Whatever the bytes, ``read_scene``, ``read_voxels``, ``read_pfm`` and
 ``read_depth_pfm`` fail only with a ``FileFormatError`` that names a
 location, and ``render`` on a damaged scene exits 1 or 2 instead of
-raising.  The damage is a random JSON value put at a random path of a
+raising.  A scene that ``read_scene`` accepts has a layout whose first
+read raises nothing and equals the eager room render bit for bit.  The damage is a random JSON value put at a random path of a
 valid document, random bytes written over a valid file, random bytes
 written into an inline voxel or layout payload, before or after its
 base64 encoding, or a well-formed PFM whose size or values (NaN,
@@ -39,6 +40,7 @@ from scenefactor.io_formats import (
     write_scene,
     write_voxels,
 )
+from scenefactor.render import depth_to_disparity, render_depth_analytic
 from scenefactor.scene import Layout
 from scenefactor.voxels import CANONICAL_SPEC, FRAME_SPECS, VoxelGrid, voxel_iou
 
@@ -103,6 +105,15 @@ def only_format_errors(read, path) -> bool:
     return True
 
 
+def read_scene_and_layout(path):
+    """``read_scene``, then the first read of the ``from_room`` layout that
+    it leaves unrendered."""
+    scene = read_scene(path)
+    if scene.layout_from_room:
+        eager = depth_to_disparity(render_depth_analytic(scene, include_objects=False))
+        assert np.array_equal(scene.layout.disparity, eager.disparity)
+
+
 @pytest.fixture(scope="module")
 def scene_docs(tmp_path_factory):
     """Two valid 64x48 scene documents in one directory: one with binary
@@ -129,7 +140,7 @@ def test_damaged_scene_json(scene_docs, data):
     damaged = replaced(doc, path, data.draw(JSON_VALUES))
     scene_file = root / "damaged.json"
     scene_file.write_text(json.dumps(damaged))
-    readable = only_format_errors(read_scene, scene_file)
+    readable = only_format_errors(read_scene_and_layout, scene_file)
     code = main(["render", "--scene", str(scene_file), "--out", str(root / "depth.pfm")])
     assert code in ((0, 1) if readable else (1,))
 
@@ -141,7 +152,7 @@ def test_damaged_scene_bytes(scene_docs, data):
     original = (root / "base.json").read_bytes()
     scene_file = root / "damaged_bytes.json"
     scene_file.write_bytes(data.draw(damaged_bytes(original, 200)))
-    only_format_errors(read_scene, scene_file)
+    only_format_errors(read_scene_and_layout, scene_file)
 
 
 BASE64_TEXT = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
@@ -176,7 +187,7 @@ def test_damaged_voxel_payload(scene_docs, data):
     damaged = replaced(doc, where, text)
     scene_file = root / "damaged_payload.json"
     scene_file.write_text(json.dumps(damaged))
-    only_format_errors(read_scene, scene_file)
+    only_format_errors(read_scene_and_layout, scene_file)
 
 
 @pytest.fixture(scope="module")
