@@ -304,9 +304,9 @@ def _floats(value, n, loc, path) -> list[float]:
     """A JSON list of ``n`` numbers; ``json.loads`` makes exact types, so
     ``bool`` fails the type test."""
     if not isinstance(value, list) or len(value) != n or \
-            not all(type(v) in (int, float) for v in value):
+            not {int, float}.issuperset(map(type, value)):
         raise FileFormatError(f"expected a list of {n} numbers", path, location=loc)
-    return [float(v) for v in value]
+    return list(map(float, value))
 
 
 def load_json(path):
@@ -551,7 +551,6 @@ def read_scene(path) -> FactoredScene:
             raise FileFormatError("layout says from_room but the scene has no room", path,
                                   location="$.layout")
         try:
-            # Checked now, rendered when something reads the layout.
             return replace(scene, layout=ROOM_LAYOUT)
         except ValueError as exc:
             raise FileFormatError(str(exc), path, location="$.room") from exc

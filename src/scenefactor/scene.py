@@ -10,6 +10,7 @@ a 2D box and the analytic cuboid solid it was built from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,8 @@ class SceneObject:
         if self.class_label is not None and self.class_label not in CLASS_LABELS:
             raise ValueError(f"unknown class label {self.class_label!r}")
         if self.box2d is not None:
-            box = tuple(float(v) for v in self.box2d)
-            if len(box) != 4 or not all(np.isfinite(box)):
+            box = tuple(map(float, self.box2d))
+            if len(box) != 4 or not all(map(math.isfinite, box)):
                 raise ValueError(f"box2d must be four finite numbers, got {self.box2d}")
             if box[0] >= box[2] or box[1] >= box[3]:
                 raise ValueError(f"box2d must be non-degenerate, got {box}")
