@@ -440,8 +440,12 @@ class TestSceneJson:
         nothing; the first read of ``layout`` renders it once."""
         calls = []
         analytic = render.render_depth_analytic
-        monkeypatch.setattr(render, "render_depth_analytic",
-                            lambda *args, **kwargs: calls.append(args) or analytic(*args, **kwargs))
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return analytic(*args, **kwargs)
+
+        monkeypatch.setattr(render, "render_depth_analytic", counted)
         write_scene(generate_scene(GeneratorConfig(seed=2)), tmp_path / "a.json")
         scene = read_scene(tmp_path / "a.json")
         write_scene(scene, tmp_path / "b.json")
@@ -450,8 +454,7 @@ class TestSceneJson:
         assert scene.layout_from_room
         assert scene.layout is scene.layout
         assert len(calls) == 1
-        monkeypatch.undo()
-        eager = render.depth_to_disparity(render.render_depth_analytic(scene, include_objects=False))
+        eager = render.depth_to_disparity(analytic(scene, include_objects=False))
         assert np.array_equal(scene.layout.disparity, eager.disparity)
 
     def test_box2d_out_of_bounds_names_location(self, tmp_path):

@@ -4,7 +4,8 @@ Whatever the bytes, ``read_scene``, ``read_voxels``, ``read_pfm`` and
 ``read_depth_pfm`` fail only with a ``FileFormatError`` that names a
 location, and ``render`` on a damaged scene exits 1 or 2 instead of
 raising.  A scene that ``read_scene`` accepts has a layout whose first
-read raises nothing and equals the eager room render bit for bit.  The damage is a random JSON value put at a random path of a
+read raises nothing and equals the eager room render bit for bit.  The
+damage is a random JSON value put at a random path of a
 valid document, random bytes written over a valid file, random bytes
 written into an inline voxel or layout payload, before or after its
 base64 encoding, or a well-formed PFM whose size or values (NaN,
