@@ -41,7 +41,9 @@ from .io_formats import (
     write_voxels,
 )
 from .losses import gradient_report
-from .metrics import DEFAULT_DELTAS, component_errors, summarize
+# component_errors is unused here, but bench/tracer.py patches it under
+# this module's name.
+from .metrics import DEFAULT_DELTAS, component_error_matrix, component_errors, summarize
 from .render import (
     depth_to_disparity,
     depth_to_pointcloud,
@@ -199,8 +201,9 @@ def _cmd_eval(args) -> int:
                 f"{name}: object counts differ "
                 f"({len(pred_scene.objects)} vs {len(gt_scene.objects)}); "
                 "eval pairs objects by index")
-        for i, (p, g) in enumerate(zip(pred_scene.objects, gt_scene.objects)):
-            err = component_errors(p, g)
+        matrix = component_error_matrix(pred_scene.objects, gt_scene.objects)
+        for i, g in enumerate(gt_scene.objects):
+            err = matrix[i][i]
             per_instance.append({
                 "scene": name, "index": i, "class_label": g.class_label,
                 "shape_iou": err.shape_iou, "rot_err_rad": err.rot_err,

@@ -9,14 +9,18 @@ squared object size) never increases across iterations.
 ICP asks the index again only for the source points whose nearest neighbor
 can have changed since their last query: the exact form of cached
 correspondence search (Nuechter, Lingemann & Hertzberg, "Cached k-d tree
-search for ICP algorithms", 3DIM 2007).  The certificate is the triangle
-inequality.  A point that has moved m from where it was last queried keeps
-its unique nearest neighbor while 2m is below the margin between its
-second-nearest and nearest distances.  Its distance is then recomputed from
-that neighbor as ``sqrt(dx*dx + dy*dy + dz*dz)`` in x, y, z order, which
-is bit for bit what the kd-tree computes; a test pins that assumption.
-So the correspondences, the fitness and every ICP result are exactly
-those of querying every point on every iteration.
+search for ICP algorithms", 3DIM 2007), with the distance to the cached
+neighbors carried from one iteration to the next as in Greenspan & Godin
+("A nearest neighbor method for efficient ICP", 3DIM 2001).  Each query
+keeps the two nearest destination points and the third-nearest distance
+d3.  Every destination point other than those two lies at least d3 from
+where the point was queried, so by the triangle inequality at least
+d3 - m once it has moved m.  While the nearer of the two cached points is
+closer than that, it is the nearest neighbor.  Distances to the cached
+points are recomputed as ``sqrt(dx*dx + dy*dy + dz*dz)`` in x, y, z order,
+which is bit for bit what the kd-tree computes; a test pins that
+assumption.  So the correspondences, the fitness and every ICP result are
+exactly those of querying every point on every iteration.
 """
 
 from __future__ import annotations
@@ -57,27 +61,28 @@ class NNIndex:
         self._tree = cKDTree(pts)
 
     def query(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest indexed point per row of an (N, 3) query array; returns
-        (distances, indices, margins), each of length N.
+        """Nearest indexed points per row of an (N, 3) query array; returns
+        (distances, candidates, third).
 
-        A margin is the second-nearest distance minus the nearest one: 0
-        when the nearest point is tied, and inf when the index holds one
-        point.  Ties break to the lowest index.  The second-nearest
-        distance tells us when a tie is possible; only those queries pay
-        for the exhaustive ball lookup.  The kd-tree search runs on the
+        ``distances`` holds the nearest distance per row.  ``candidates`` is
+        (N, 2): column 0 the nearest index, ties broken to the lowest index,
+        and column 1 another point no farther than every point but those
+        two (the nearest one again when the index holds one point).
+        ``third`` is the third-nearest distance, inf when the index holds
+        fewer than 3 points.  Only three-way ties (``third <= distances``)
+        pay for the exhaustive ball lookup.  The kd-tree search runs on the
         calling thread (``workers=1``): a query starts no threads, and
         callers that want parallelism run whole queries concurrently, as
         :func:`~scenefactor.compare.compare_representations` does.
         """
         q = np.asarray(queries, dtype=float)
-        if len(self.points) == 1:
-            dist, idx = self._tree.query(q, k=1, workers=1)
-            return dist, idx.astype(int), np.full(len(q), np.inf)
-        dist, idx = self._tree.query(q, k=2, workers=1)
-        best_d = dist[:, 0]
-        best_i = idx[:, 0].astype(int)
-        margin = dist[:, 1] - best_d
-        for row in np.flatnonzero(dist[:, 1] <= best_d):
+        dist, idx = self._tree.query(q, k=3, workers=1)
+        best_d, third = dist[:, 0], dist[:, 2]
+        first = idx[:, 0]
+        # A one-point index pads the missing neighbours with index 1.
+        second = idx[:, 1] if len(self.points) > 1 else first
+        nearest = np.where((dist[:, 1] <= best_d) & (second < first), second, first)
+        for row in np.flatnonzero(third <= best_d):
             ball = self._tree.query_ball_point(q[row], r=best_d[row], p=2.0)
             if not ball:
                 # The ball test squares the rounded radius and can miss
@@ -86,8 +91,9 @@ class NNIndex:
                 near = self._tree.query_ball_point(q[row], r=best_d[row] * (1 + 1e-9))
                 near_d, near_i = self._tree.query(q[row], k=len(near))
                 ball = near_i[near_d == best_d[row]]
-            best_i[row] = min(ball)
-        return best_d, best_i, margin
+            nearest[row] = min(ball)
+        runner_up = np.where(first == nearest, second, first)
+        return best_d, np.stack([nearest, runner_up], axis=1), third
 
 
 def bbox_diagonal(points: np.ndarray) -> float:
@@ -176,9 +182,10 @@ class IcpResult:
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Row lengths of an (N, 3) array, summed in x, y, z order: the
-    kd-tree's own distance arithmetic, bit for bit."""
-    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+    """Lengths along the last axis of an (..., 3) array, summed in x, y, z
+    order: the kd-tree's own distance arithmetic, bit for bit."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
@@ -194,17 +201,19 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
     package convention (:func:`bbox_diagonal`).
 
     A source point is queried again only when its nearest neighbor can
-    have changed.  Each point keeps where it was last queried, the
-    neighbor found there and its reach: half the margin to the
-    second-nearest point, less a slack of ``_SLACK`` times the sum of both
-    distances for rounding.  A point that has moved less than its reach
-    keeps its unique nearest neighbor by the triangle inequality, and its
-    distance is recomputed from that neighbor.  A tied point has no reach,
-    so it is always queried again and the lowest-index tie rule holds.
-    The results are bit-identical to querying every point on every
-    iteration, as long as the kd-tree computes each distance as
-    ``sqrt(dx*dx + dy*dy + dz*dz)`` summed in x, y, z order.
-    Every nearest-neighbor query runs on the calling thread.
+    have changed.  Each point keeps where it was last queried, its two
+    candidates and the third-nearest distance d3 there (see
+    :meth:`NNIndex.query`).  On every iteration the distances to both
+    candidates are recomputed; the nearer one wins, a tie going to the
+    lower index.  Once the point has moved m from where it was queried,
+    every other point is at least d3 - m away, so the winner is exact when
+    it is closer than that, with a slack of ``_SLACK`` times d3 and its
+    distance for rounding.  Points that fail the test are queried again;
+    a point in a three-way tie always fails it, so the lowest-index tie
+    rule holds.  The results are bit-identical to querying every point on
+    every iteration, as long as the kd-tree computes each distance as
+    ``sqrt(dx*dx + dy*dy + dz*dz)`` summed in x, y, z order.  Every
+    nearest-neighbor query runs on the calling thread.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
@@ -222,27 +231,32 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
     # The loop carries the bare (R, t); a Kabsch fit is a rotation by
     # construction, so only the returned transform is validated.
     rotation, translation = np.eye(3), np.zeros(3)
-    # Per source point: where it was last queried, its nearest dst index
-    # there, and how far it may move from there with that answer kept.
-    # No point has a reach before its first query.
+    # Per source point: where it was last queried, its two candidate dst
+    # indices and their points, and the third-nearest distance there.  A
+    # third distance of -inf fails the test below, so every point is
+    # queried first.
     anchor = np.zeros_like(src)
-    nearest = np.zeros(len(src), dtype=int)
-    reach = np.full(len(src), -np.inf)
+    candidates = np.zeros((2, len(src)), dtype=int)
+    near = np.zeros((2, *src.shape))
+    third = np.full(len(src), -np.inf)
 
     def fitness_of(R: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
         moved = src @ R.T + t
-        stale = np.flatnonzero(~(_norms(moved - anchor) < reach))
+        d = _norms(near - moved)
+        swap = (d[1] < d[0]) | ((d[1] == d[0]) & (candidates[1] < candidates[0]))
+        dist = np.minimum(d[0], d[1])
+        # dist + m < d3 with rounding slack, written so that the inf and
+        # -inf third distances compare without a NaN.
+        kept = _norms(moved - anchor) + (1.0 + _SLACK) * dist < (1.0 - _SLACK) * third
+        stale = np.flatnonzero(~kept)
         if len(stale):
             queried = moved[stale]
-            d, i, margin = index.query(queried)
+            dist[stale], found, third[stale] = index.query(queried)
+            candidates[:, stale] = found.T
+            near[:, stale] = dst[found.T]
             anchor[stale] = queried
-            nearest[stale] = i
-            # (margin - _SLACK * (d1 + d2)) / 2, written so that the inf
-            # margin of a one-point dst gives an infinite reach.
-            reach[stale] = 0.5 * (1.0 - _SLACK) * margin - _SLACK * d
-        corr = dst[nearest]
-        d = _norms(corr - moved)
-        return float(np.mean(d * d)) / norm2, corr
+            swap[stale] = False
+        return float(np.mean(dist * dist)) / norm2, np.where(swap[:, None], near[1], near[0])
 
     fitness, corr = fitness_of(rotation, translation)
     history = [fitness]

@@ -52,6 +52,7 @@ __all__ = [
 # Surface id codes used by the analytic renderer.
 ROOM_SURFACE = -1
 NO_SURFACE = -2
+_NO_ROOM = "analytic rendering needs a scene with room geometry"
 
 # Cell codes of the voxel marcher's padded grid.
 _EMPTY, _OCCUPIED, _OUTSIDE = 0, 1, 2
@@ -155,9 +156,10 @@ def _slab_hit(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> np.ndarray:
     return np.where(hit, t, np.inf)
 
 
-def _room_depth(cam: Camera, room: Cuboid) -> np.ndarray:
-    """``_slab_hit(0, _pixel_rays(cam), *room.bounds)`` for a camera inside
-    the room, bit for bit: the exit parameter min(tx, ty, tz).
+def _room_exits(cam: Camera, room: Cuboid) -> tuple[np.ndarray, np.ndarray, float]:
+    """Exit parameters of a camera inside the room: per row (ty), per
+    column (tx) and along z (hi_z); pixel (r, c) exits at
+    min(ty[r], tx[c], hi_z).
 
     With lo < 0 < hi on every axis no quotient is 0/0, an entry parameter
     is never positive, and the z exit of a unit-z ray is hi_z.
@@ -169,13 +171,20 @@ def _room_depth(cam: Camera, room: Cuboid) -> np.ndarray:
     with np.errstate(divide="ignore"):
         tx = np.fmax(lo[0] / u, hi[0] / u)
         ty = np.fmax(lo[1] / v, hi[1] / v)
-    return np.minimum(np.minimum(ty[:, None], tx[None, :]), hi[2])
+    return ty, tx, hi[2]
+
+
+def _room_depth(cam: Camera, room: Cuboid) -> np.ndarray:
+    """``_slab_hit(0, _pixel_rays(cam), *room.bounds)`` for a camera inside
+    the room, bit for bit: the exit parameter min(tx, ty, tz)."""
+    ty, tx, hi_z = _room_exits(cam, room)
+    return np.minimum(np.minimum(ty[:, None], tx[None, :]), hi_z)
 
 
 def _raycast_analytic(scene: FactoredScene,
                       include_objects: bool) -> tuple[np.ndarray, np.ndarray]:
     if scene.room is None:
-        raise ValueError("analytic rendering needs a scene with room geometry")
+        raise ValueError(_NO_ROOM)
     cam = scene.camera
     depth = _room_depth(cam, scene.room)
     ids = np.full(depth.shape, ROOM_SURFACE, dtype=np.int32)
@@ -214,9 +223,18 @@ def render_depth_analytic(scene: FactoredScene, include_objects: bool = True) ->
 
 
 def _check_room_layout(scene: FactoredScene) -> None:
-    """Raise what rendering the scene's layout would, without making it."""
-    depth, _ = _raycast_analytic(scene, include_objects=False)
-    if not math.isfinite(1.0 / float(depth[depth > 0.0].min(initial=math.inf))):
+    """Raise what rendering the scene's layout would, without making it.
+
+    A pixel's depth min(ty, tx, hi_z) is positive when its row and column
+    exits are, so the least positive depth is the least of the positive
+    row exits, the positive column exits and hi_z.  Exits that underflow
+    to 0 are empty pixels; with no positive row or column there is none.
+    """
+    if scene.room is None:
+        raise ValueError(_NO_ROOM)
+    ty, tx, hi_z = _room_exits(scene.camera, scene.room)
+    ty, tx = ty[ty > 0.0], tx[tx > 0.0]
+    if len(ty) and len(tx) and not math.isfinite(1.0 / float(min(ty.min(), tx.min(), hi_z))):
         raise ValueError("disparity values must be finite")
 
 

@@ -38,29 +38,52 @@ class TestNNIndex:
     def test_query_indexed_point(self, rng):
         pts = rng.normal(size=(50, 3))
         index = NNIndex(pts)
-        d, i, _ = index.query(pts[17:18])
-        assert d[0] == 0.0 and i[0] == 17
+        d, c, _ = index.query(pts[17:18])
+        assert d[0] == 0.0 and c[0, 0] == 17
 
     def test_matches_brute_force(self, rng):
         pts = rng.normal(size=(1000, 3))
         queries = rng.normal(size=(100, 3))
         index = NNIndex(pts)
-        d, i, margin = index.query(queries)
+        d, c, third = index.query(queries)
         for k in range(len(queries)):
             dists = np.linalg.norm(pts - queries[k], axis=1)
-            assert i[k] == np.argmin(dists)
-            assert d[k] == pytest.approx(dists.min(), rel=1e-12)
-            assert margin[k] == pytest.approx(np.sort(dists)[1] - dists.min(), abs=1e-12)
+            order = np.argsort(dists)
+            assert c[k].tolist() == order[:2].tolist()
+            assert d[k] == pytest.approx(dists[order[0]], rel=1e-12)
+            assert third[k] == pytest.approx(dists[order[2]], rel=1e-12)
 
     def test_tie_breaks_to_lowest_index(self):
+        # Three-way tie: the ball lookup decides.
         pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         index = NNIndex(pts)
-        d, i, margin = index.query(np.zeros((1, 3)))
-        assert d[0] == 1.0 and i[0] == 0 and margin[0] == 0.0
+        d, c, third = index.query(np.zeros((1, 3)))
+        assert d[0] == 1.0 and c[0, 0] == 0 and c[0, 1] in (1, 2) and third[0] == 1.0
         # Same distances, different insertion order.
         index2 = NNIndex(pts[::-1])
-        _, i2, _ = index2.query(np.zeros((1, 3)))
-        assert i2[0] == 0
+        _, c2, _ = index2.query(np.zeros((1, 3)))
+        assert c2[0, 0] == 0 and c2[0, 1] in (1, 2)
+
+    def test_two_way_tie_breaks_to_lowest_index(self):
+        # Two tied points and a farther third: no ball lookup.
+        pts = np.array([[0.0, 3.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        for order in ([0, 1, 2], [0, 2, 1]):
+            d, c, third = NNIndex(pts[order]).query(np.zeros((1, 3)))
+            assert d[0] == 1.0 and c[0].tolist() == [1, 2] and third[0] == 3.0
+
+    def test_tie_missed_by_every_ball_point(self):
+        # Four points at (+-x, +-y, z) are tied from the origin, and for this
+        # draw the ball lookup at their rounded distance finds none of them.
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            x, y, z = rng.uniform(0.1, 1.0, 3)
+        tied = np.array([[x, y, z], [-x, y, z], [x, -y, z], [-x, -y, z]])
+        pts = np.concatenate([[[3.0, 3.0, 3.0], [0.0, 0.0, 2.0]], tied])
+        index = NNIndex(pts)
+        assert index._tree.query_ball_point(np.zeros(3), r=np.linalg.norm(tied[0])) == []
+        d, c, third = index.query(np.zeros((1, 3)))
+        assert c[0, 0] == 2 and c[0, 1] in (3, 4, 5) and third[0] == d[0]
+        assert d[0] == registration._norms(tied[0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -74,17 +97,26 @@ class TestNNIndex:
         pts = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
         pts = pts[rng.permutation(len(pts))]
         queries = rng.integers(-2, 17, size=(3000, 3)) / 2.0
-        d, i, _ = NNIndex(pts).query(queries)
+        d, c, third = NNIndex(pts).query(queries)
         sq = ((queries[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         ties = (sq == sq.min(axis=1, keepdims=True)).sum(axis=1)
         assert (ties > 1).sum() > 1000
-        assert np.array_equal(i, np.argmin(sq, axis=1))
+        assert (ties > 2).sum() > 500
+        assert np.array_equal(c[:, 0], np.argmin(sq, axis=1))
         assert np.allclose(d, np.sqrt(sq.min(axis=1)), rtol=1e-12, atol=0.0)
+        # The second candidate is a second-nearest point, and the third
+        # distance is the third-nearest one.
+        rows = np.arange(len(queries))
+        ranked = np.sort(sq, axis=1)
+        assert np.all(c[:, 1] != c[:, 0])
+        assert np.array_equal(sq[rows, c[:, 1]], ranked[:, 1])
+        assert np.allclose(third, np.sqrt(ranked[:, 2]), rtol=1e-12, atol=0.0)
 
     def test_tie_missed_by_ball_lookup(self):
         # Default generator seed 105: the voxel-centre cloud's row 1408 is
-        # equidistant from depth points 1638 and 1953, and the kd-tree's
-        # ball lookup at that distance rounds to an empty set.
+        # equidistant from depth points 1638 and 1953 only, and the
+        # kd-tree's ball lookup at that distance rounds to an empty set.
+        # A two-way tie is now settled from the k=3 query alone.
         from scenefactor.compare import gt_scene_voxels
         from scenefactor.generator import GeneratorConfig, generate_scene
         from scenefactor.render import depth_to_pointcloud, render_depth_analytic
@@ -93,16 +125,22 @@ class TestNNIndex:
         scene = generate_scene(GeneratorConfig(seed=105))
         depth_cloud = depth_to_pointcloud(render_depth_analytic(scene, include_objects=True))
         voxel_cloud = voxel_centers(gt_scene_voxels(scene))
-        d, i, _ = NNIndex(depth_cloud).query(voxel_cloud)
+        d, c, third = NNIndex(depth_cloud).query(voxel_cloud)
         gap = np.linalg.norm(depth_cloud - voxel_cloud[1408], axis=1)
         assert np.flatnonzero(gap == gap.min()).tolist() == [1638, 1953]
-        assert i[1408] == 1638
-        assert d[1408] == gap.min()
+        assert c[1408].tolist() == [1638, 1953]
+        assert d[1408] == gap.min() < third[1408]
 
     def test_one_point_index_has_no_second_neighbour(self):
-        d, i, margin = NNIndex(np.array([[1.0, 2.0, 2.0]])).query(np.zeros((2, 3)))
-        assert d.tolist() == [3.0, 3.0] and i.tolist() == [0, 0]
-        assert margin.tolist() == [math.inf, math.inf]
+        d, c, third = NNIndex(np.array([[1.0, 2.0, 2.0]])).query(np.zeros((2, 3)))
+        assert d.tolist() == [3.0, 3.0] and c.tolist() == [[0, 0], [0, 0]]
+        assert third.tolist() == [math.inf, math.inf]
+
+    def test_two_point_index_has_no_third_neighbour(self):
+        pts = np.array([[0.0, 0.0, 5.0], [1.0, 2.0, 2.0]])
+        d, c, third = NNIndex(pts).query(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 6.0]]))
+        assert d.tolist() == [3.0, 1.0] and c.tolist() == [[1, 0], [0, 1]]
+        assert third.tolist() == [math.inf, math.inf]
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_distances_are_norms_summed_in_xyz_order(self, rng, scale):
@@ -110,8 +148,8 @@ class TestNNIndex:
         # results are exact only while that equals the kd-tree bit for bit.
         pts = rng.normal(size=(2000, 3)) * scale
         queries = rng.normal(size=(20000, 3)) * scale
-        d, i, _ = NNIndex(pts).query(queries)
-        assert np.array_equal(d, registration._norms(pts[i] - queries))
+        d, c, _ = NNIndex(pts).query(queries)
+        assert np.array_equal(d, registration._norms(pts[c[:, 0]] - queries))
 
     def test_lattice_distances_are_norms_summed_in_xyz_order(self, rng):
         axis = np.arange(10.0) / 16.0
@@ -119,12 +157,12 @@ class TestNNIndex:
         pts = pts[rng.permutation(len(pts))]
         # Cell centres and cell corners, so many answers are exact ties.
         half_cells = rng.integers(-6, 26, size=(5000, 3)) / 32.0
-        d, i, margin = NNIndex(pts).query(half_cells)
-        assert (margin == 0.0).sum() > 1000
-        assert np.array_equal(d, registration._norms(pts[i] - half_cells))
+        d, c, _ = NNIndex(pts).query(half_cells)
+        assert (registration._norms(pts[c[:, 1]] - half_cells) == d).sum() > 1000
+        assert np.array_equal(d, registration._norms(pts[c[:, 0]] - half_cells))
         off_lattice = rng.uniform(-0.2, 0.8, size=(5000, 3))
-        d, i, _ = NNIndex(pts).query(off_lattice)
-        assert np.array_equal(d, registration._norms(pts[i] - off_lattice))
+        d, c, _ = NNIndex(pts).query(off_lattice)
+        assert np.array_equal(d, registration._norms(pts[c[:, 0]] - off_lattice))
 
 
 class TestKabsch:
@@ -313,8 +351,8 @@ def reference_icp(src, dst, size_norm):
     rotation, translation = np.eye(3), np.zeros(3)
 
     def fitness_of(R, t):
-        d, i, _ = index.query(src @ R.T + t)
-        return float(np.mean(d * d)) / norm2, dst[i]
+        d, c, _ = index.query(src @ R.T + t)
+        return float(np.mean(d * d)) / norm2, dst[c[:, 0]]
 
     fitness, corr = fitness_of(rotation, translation)
     history = [fitness]
@@ -408,7 +446,7 @@ class TestIcpMatchesFullQueries:
         assert len(jobs) == 6
         saved = self.assert_matches(jobs, queried_points)
         # The reuse is what makes icp fast: most queries are skipped.
-        assert min(saved) > 0.3
+        assert min(saved) > 0.7
 
     def test_run_capped_at_max_iter(self, queried_points):
         # The television of default scene 41 stops at the cap against the
@@ -437,6 +475,16 @@ class TestIcpMatchesFullQueries:
         assert {icp(*job).stop for job in jobs} == {"degenerate"}
         self.assert_matches(jobs, queried_points)
 
+    def test_two_point_destination(self, rng, queried_points):
+        # Two dst points give an infinite third distance; the correspondences
+        # are collinear, so the first fit is degenerate.
+        src = rng.normal(size=(30, 3))
+        dst = np.array([[0.5, 0.0, 0.0], [-0.5, 0.2, 0.1]])
+        before = queried_points[0]
+        assert icp(src, dst, 1.0).stop == "degenerate"
+        assert queried_points[0] - before == len(src)
+        self.assert_matches([(src, dst, 1.0)], queried_points)
+
     def test_lattice_with_exact_ties(self, rng, queried_points):
         # src and dst are cell centres of one lattice with power-of-two
         # spacing, so distances are exact and many start out tied.
@@ -444,6 +492,18 @@ class TestIcpMatchesFullQueries:
         lattice = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
         src = lattice[rng.random(len(lattice)) < 0.5]
         dst = lattice[rng.random(len(lattice)) < 0.5] + [1.0 / 16.0, 0.0, 2.0 / 16.0]
-        _, _, margin = NNIndex(dst).query(src)
-        assert (margin == 0.0).sum() > len(src) / 4
+        d, c, _ = NNIndex(dst).query(src)
+        assert (registration._norms(dst[c[:, 1]] - src) == d).sum() > len(src) / 4
+        self.assert_matches([(src, dst, bbox_diagonal(src))], queried_points)
+
+    def test_lattice_with_three_way_ties(self, rng, queried_points):
+        # dst sits half a cell off src on every axis, so a src point starts
+        # out equidistant from up to eight dst points: the ball lookup
+        # settles those queries.
+        axis = np.arange(8.0) / 16.0
+        lattice = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+        src = lattice[rng.random(len(lattice)) < 0.5]
+        dst = lattice[rng.random(len(lattice)) < 0.5] + 1.0 / 32.0
+        d, _, third = NNIndex(dst).query(src)
+        assert (third <= d).sum() > len(src) / 4
         self.assert_matches([(src, dst, bbox_diagonal(src))], queried_points)

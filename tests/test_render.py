@@ -15,6 +15,7 @@ from scenefactor.geometry import (
 )
 from scenefactor.render import (
     DepthMap,
+    _check_room_layout,
     _march_grid,
     _pixel_rays,
     _room_depth,
@@ -112,6 +113,52 @@ def test_room_exit_matches_slab_test(scene_batch, cam):
         lo, hi = scene.room.bounds
         expected = _slab_hit(np.zeros(3), _pixel_rays(cam), lo, hi)
         assert np.array_equal(_room_depth(cam, scene.room), expected)
+
+
+def full_size_room_check(scene):
+    """The layout checks made from the full-size layout render."""
+    depth = render_depth_analytic(scene, include_objects=False).depth
+    if not math.isfinite(1.0 / float(depth[depth > 0.0].min(initial=math.inf))):
+        raise ValueError("disparity values must be finite")
+
+
+def check_outcome(check, scene):
+    try:
+        check(scene)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+# Column 20 has its center on the principal point and every other column
+# a slope of at least 1000; with cx = 20 no column has a slope below 500.
+WIDE_CAMERA = Camera(fx=1e-3, fy=40.0, cx=20.5, cy=10.5, width=48, height=32)
+WIDER_CAMERA = Camera(fx=1e-3, fy=40.0, cx=20.0, cy=10.5, width=48, height=32)
+
+
+@pytest.mark.parametrize("cam, room, error", [
+    (CAM, Cuboid((0.0, 0.0, 1.5), (2.0, 1.2, 3.0)), None),
+    (AXIS_CAMERA, Cuboid((0.3, -0.2, 1.0), (2.0, 1.2, 3.0)), None),
+    (CAM, None, "room geometry"),
+    (CAM, Cuboid((0.0, 0.0, 101.5), (2.0, 1.2, 3.0)), "inside the room box"),
+    (CAM, Cuboid((0.0, 0.0, 1.0), (1.0, 1.2, 1.0)), "inside the room box"),
+    # Walls 1e-310 m away: a subnormal depth whose disparity overflows.
+    (CAM, Cuboid((0.0, 0.0, 0.0), (1e-310, 1.0, 1.0)), "disparity values must be finite"),
+    (CAM, Cuboid((0.0, 0.0, 0.0), (1.0, 1e-310, 1.0)), "disparity values must be finite"),
+    (CAM, Cuboid((0.0, 0.0, 0.0), (1.0, 1.0, 1e-310)), "disparity values must be finite"),
+    # Every column but the axis one underflows to depth 0, an empty pixel.
+    (WIDE_CAMERA, Cuboid((0.0, 0.0, 0.0), (5e-324, 1.0, 1.0)), None),
+    # Every column underflows: the layout is empty, which is no error.
+    (WIDER_CAMERA, Cuboid((0.0, 0.0, 0.0), (5e-324, 1.0, 1.0)), None),
+    # Some columns underflow and the others are subnormal.
+    (WIDE_CAMERA, Cuboid((0.0, 0.0, 0.0), (1e-320, 1.0, 1.0)), "disparity values must be finite"),
+])
+def test_room_layout_check_matches_full_size_render(cam, room, error):
+    scene = FactoredScene(camera=cam, room=room)
+    outcome = check_outcome(_check_room_layout, scene)
+    assert outcome == check_outcome(full_size_room_check, scene)
+    assert (outcome is None) == (error is None)
+    assert error is None or error in outcome
 
 
 def all_rays(scene):
