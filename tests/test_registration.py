@@ -74,14 +74,12 @@ class TestNNIndex:
     def test_tie_missed_by_every_ball_point(self):
         # Four points at (+-x, +-y, z) are tied from the origin, and for this
         # draw the ball lookup at their rounded distance finds none of them.
-        rng = np.random.default_rng(0)
-        for _ in range(8):
-            x, y, z = rng.uniform(0.1, 1.0, 3)
+        x, y, z = np.random.default_rng(0).uniform(0.1, 1.0, size=(8, 3))[7]
         tied = np.array([[x, y, z], [-x, y, z], [x, -y, z], [-x, -y, z]])
         pts = np.concatenate([[[3.0, 3.0, 3.0], [0.0, 0.0, 2.0]], tied])
         index = NNIndex(pts)
-        assert index._tree.query_ball_point(np.zeros(3), r=np.linalg.norm(tied[0])) == []
         d, c, third = index.query(np.zeros((1, 3)))
+        assert index._tree.query_ball_point(np.zeros(3), r=d[0]) == []
         assert c[0, 0] == 2 and c[0, 1] in (3, 4, 5) and third[0] == d[0]
         assert d[0] == registration._norms(tied[0])
 
