@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -370,7 +371,10 @@ def _image_side(value: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves no state on
+    it (``_CountRange`` writes only to the namespace)."""
     parser = argparse.ArgumentParser(prog="scenefactor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

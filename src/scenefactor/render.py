@@ -129,19 +129,30 @@ def _window_rays(cam: Camera, dirs: np.ndarray, pose: Pose, corners: np.ndarray)
 
 def _slab(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Entry and exit ray parameters of an axis-aligned box (Kay & Kajiya
-    slab test); the ray misses unless ``t_near <= t_far``."""
+    slab test) for rays from one ``origin`` along (..., 3) ``dirs``; the
+    ray misses unless ``t_near <= t_far``.
+
+    ``dirs`` is read one axis column at a time, and each axis's entry and
+    exit parameters are folded into the running ones with
+    ``np.maximum``/``np.minimum`` in x, y, z order.  Those return the second
+    operand of an equal pair (-0.0 against 0.0), as a ``max``/``min``
+    reduction over a last axis of length 3 does, so the result has that
+    reduction's bits.  ``fmax``/``fmin`` cannot fold: their pick from an
+    equal pair depends on the array length.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    t_near, t_far = -np.inf, np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - origin) / dirs
-        t2 = (hi - origin) / dirs
-    tmin = np.fmin(t1, t2)
-    tmax = np.fmax(t1, t2)
-    # A ray parallel to a slab and exactly on its boundary yields nan;
-    # treat it as inside that slab.
-    tmin = np.where(np.isnan(tmin), -np.inf, tmin)
-    tmax = np.where(np.isnan(tmax), np.inf, tmax)
-    return tmin.max(axis=-1), tmax.min(axis=-1)
+        for axis in range(3):
+            d = dirs[..., axis]
+            t1 = (lo[axis] - origin[axis]) / d
+            t2 = (hi[axis] - origin[axis]) / d
+            # A ray parallel to a slab and exactly on its boundary yields
+            # nan for both planes; treat it as inside that slab.
+            t_near = np.maximum(t_near, np.fmax(np.fmin(t1, t2), -np.inf))
+            t_far = np.minimum(t_far, np.fmin(np.fmax(t1, t2), np.inf))
+    return t_near, t_far
 
 
 def _slab_hit(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> np.ndarray:
@@ -254,31 +265,35 @@ def _march_grid(occ: np.ndarray, origin: float, cell: float,
     """Ray-march a canonical occupancy grid; returns entry parameter of the
     first occupied cell per ray, or inf.
 
-    ``start`` is the ray origin in grid coordinates, ``dirs`` the per-ray
-    directions (shared ray parameter with the world rays).
+    ``start`` is the ray origin in grid coordinates, ``dirs`` the (n, 3)
+    per-ray directions (shared ray parameter with the world rays).
+
+    The per-ray state (next boundary parameter, boundary spacing and flat
+    index step) is held as (3, alive) arrays, one contiguous row per axis.
+    Each step advances the axis with the least next boundary parameter,
+    x before y before z on ties: ``argmin``'s first-minimum rule, on which
+    bit identity with the row-wise marcher rests.
     """
     n = np.array(occ.shape)
     lo = np.full(3, origin)
     t_near, t_far = _slab(start, dirs, lo, lo + n * cell)
-    alive = (t_near <= t_far) & (t_far > 0.0)
-    t_enter = np.maximum(t_near, 0.0)
-
+    idx_alive = np.flatnonzero((t_near <= t_far) & (t_far > 0.0))
     result = np.full(len(dirs), np.inf)
-    if not alive.any():
+    if len(idx_alive) == 0:
         return result
 
-    idx_alive = np.flatnonzero(alive)
-    t_in = t_enter[idx_alive]
-    d = dirs[idx_alive]
-    p = start[None, :] + t_in[:, None] * d
-    cell_idx = np.clip(np.floor((p - lo) / cell).astype(int), 0, n - 1)
+    t_in = np.maximum(t_near[idx_alive], 0.0)
+    d = dirs.T.take(idx_alive, axis=1)
+    start, lo = start[:, None], lo[:, None]
+    p = start + t_in * d
+    cell_idx = np.clip(np.floor((p - lo) / cell).astype(int), 0, n[:, None] - 1)
 
     step = np.sign(d).astype(int)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_delta = np.where(d != 0.0, cell / np.abs(d), np.inf)
         # Parameter at which each ray crosses the next cell boundary per axis.
         next_bound = lo + (cell_idx + (step > 0)) * cell
-        t_max = (next_bound - start[None, :]) / d
+        t_max = (next_bound - start) / d
     t_max = np.where(np.isfinite(t_max), t_max, np.inf)
 
     # One cell of padding on every side: a ray that steps out of the grid
@@ -287,9 +302,10 @@ def _march_grid(occ: np.ndarray, origin: float, cell: float,
     code[1:-1, 1:-1, 1:-1] = occ
     strides = np.array([(n[1] + 2) * (n[2] + 2), n[2] + 2, 1])
     code = code.ravel()
-    flat = (cell_idx + 1) @ strides
-    flat_step = step * strides
+    flat = strides @ (cell_idx + 1)
+    flat_step = step * strides[:, None]
 
+    lanes = np.arange(len(flat))
     max_steps = int(n.sum()) + 4
     for _ in range(max_steps):
         here = code[flat]
@@ -298,23 +314,25 @@ def _march_grid(occ: np.ndarray, origin: float, cell: float,
             result[idx_alive[hit]] = t_in[hit]
         keep = here == _EMPTY
         if not keep.all():
-            idx_alive = idx_alive[keep]
-            if len(idx_alive) == 0:
+            rows = np.flatnonzero(keep)
+            if len(rows) == 0:
                 break
-            flat = flat[keep]
-            t_max = t_max[keep]
-            t_delta = t_delta[keep]
-            flat_step = flat_step[keep]
+            idx_alive = idx_alive[rows]
+            flat = flat[rows]
+            t_max = t_max.take(rows, axis=1)
+            t_delta = t_delta.take(rows, axis=1)
+            flat_step = flat_step.take(rows, axis=1)
 
-        # Offsets of each ray's (row, nearest axis) entry in the raveled
-        # (rays, 3) arrays.
-        k = np.argmin(t_max, axis=-1)
-        k += np.arange(0, 3 * len(k), 3)
-        t_max = t_max.ravel()
-        t_in = t_max[k]
-        flat += flat_step.ravel()[k]
-        t_max[k] += t_delta.ravel()[k]
-        t_max = t_max.reshape(-1, 3)
+        # Offsets of each ray's nearest-axis entry in the raveled (3, alive)
+        # arrays, ties to x, then y.
+        tx, ty, tz = t_max
+        m = len(tx)
+        k = np.where((tx <= ty) & (tx <= tz), 0, np.where(ty <= tz, m, 2 * m))
+        k += lanes[:m]
+        t_max_flat = t_max.reshape(-1)
+        t_in = t_max_flat[k]
+        flat += flat_step.reshape(-1)[k]
+        t_max_flat[k] = t_in + t_delta.reshape(-1)[k]
     return result
 
 

@@ -72,6 +72,16 @@ class TestGen:
         scene = read_scene(next(out.glob("*.json")))
         assert scene.objects == ()
 
+    def test_flags_do_not_leak_between_calls(self, tmp_path):
+        # One parser serves every call in a process.
+        alone, objects, after = (tmp_path / name for name in ("alone", "objects", "after"))
+        assert run(["gen", "--out-dir", alone]) == 0
+        assert run(["gen", "--objects", 1, 1, "--out-dir", objects]) == 0
+        assert run(["gen", "--out-dir", after]) == 0
+        scene = "scene_00000.json"
+        assert (objects / scene).read_bytes() != (alone / scene).read_bytes()
+        assert (after / scene).read_bytes() == (alone / scene).read_bytes()
+
     @pytest.mark.parametrize("config, key", [({"bogus": 1}, "bogus"), ({"seed": 3}, "seed"),
                                              ({"camera": {"fx": 1}}, "camera"),
                                              ({"max_attempts": 5}, "max_attempts"),

@@ -102,6 +102,67 @@ class TestAnalyticRender:
                 assert residual < 1e-6
 
 
+def slab_reference(origin, dirs, lo, hi):
+    """The slab test as a reduction over the last axis of (..., 3)
+    parameter arrays: the reference for the per-axis ``_slab``."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - origin) / dirs
+        t2 = (hi - origin) / dirs
+    tmin = np.fmin(t1, t2)
+    tmax = np.fmax(t1, t2)
+    tmin = np.where(np.isnan(tmin), -np.inf, tmin)
+    tmax = np.where(np.isnan(tmax), np.inf, tmax)
+    return tmin.max(axis=-1), tmax.min(axis=-1)
+
+
+def slab_hit_reference(origin, dirs, lo, hi):
+    t_near, t_far = slab_reference(origin, dirs, lo, hi)
+    hit = (t_near <= t_far) & (t_far > 0.0)
+    return np.where(hit, np.where(t_near > 0.0, t_near, t_far), np.inf)
+
+
+def same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.shape == expected.shape and np.array_equal(got.view(np.int64),
+                                                          expected.view(np.int64))
+
+
+def slab_directions():
+    """Every pattern of -1.5, -0.0, 0.0 and 0.7 components, the zero
+    directions among them, then random rays."""
+    values = (-1.5, -0.0, 0.0, 0.7)
+    grid = np.array([(x, y, z) for x in values for y in values for z in values])
+    return np.concatenate([grid, np.random.default_rng(5).normal(size=(64, 3))])
+
+
+# A box, and one that is flat in x: a ray on its x plane gives nan for both
+# slab planes of that axis.
+SLAB_BOXES = {"box": ((-0.5, -0.25, 0.5), (0.5, 0.75, 2.0)),
+              "flat": ((0.25, -0.25, 0.5), (0.25, 0.75, 2.0))}
+SLAB_ORIGINS = {"inside": (0.1, 0.2, 1.0), "outside": (2.0, -1.0, -3.0),
+                "on_face": (-0.5, 0.2, 1.0), "on_edge": (0.5, 0.75, 1.0),
+                "on_corner": (-0.5, -0.25, 0.5), "on_flat_plane": (0.25, 0.2, 1.0),
+                # On a low plane and a high one: entry (and exit) parameters
+                # of 0.0 and -0.0 on two axes, where fold order shows.
+                "on_mixed_edge": (-0.5, 0.75, 1.0), "on_mixed_corner": (-0.5, 0.75, 2.0),
+                "negative_zero": (-0.0, 0.0, -0.0)}
+
+
+@pytest.mark.parametrize("box", SLAB_BOXES.values(), ids=SLAB_BOXES.keys())
+@pytest.mark.parametrize("origin", SLAB_ORIGINS.values(), ids=SLAB_ORIGINS.keys())
+def test_slab_matches_reduction_reference(box, origin):
+    origin = np.array(origin)
+    dirs = slab_directions()
+    # ndim 2, ndim 3 and each single ray as ndim 1.
+    inputs = [dirs, dirs.reshape(8, 16, 3)] + list(dirs[:64])
+    for d in inputs:
+        got, expected = _slab(origin, d, *box), slab_reference(origin, d, *box)
+        assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
+        assert same_bits(_slab_hit(origin, d, *box), slab_hit_reference(origin, d, *box))
+
+
 # Column 20 and row 10 have their centers on the principal point: u = v = 0.
 AXIS_CAMERA = Camera(fx=40.0, fy=40.0, cx=20.5, cy=10.5, width=48, height=32)
 
@@ -161,27 +222,43 @@ def test_room_layout_check_matches_full_size_render(cam, room, error):
     assert error is None or error in outcome
 
 
-def all_rays(scene):
-    """Analytic depth and surface ids, and voxel depth, from casting every
-    pixel ray at the room and at every object: the reference for the
-    per-object pixel windows."""
-    dirs = _pixel_rays(scene.camera)
-    flat = dirs.reshape(-1, 3)
-    origin = np.zeros(3)
-    depth = _slab_hit(origin, dirs, *scene.room.bounds)
+def object_rays(scene, obj):
+    """An object's local-frame ray origin and every pixel ray of the
+    scene's camera in its local frame, flattened row-major."""
+    flat = _pixel_rays(scene.camera).reshape(-1, 3)
+    local_origin = apply_pose(obj.pose, np.zeros(3), inverse=True)
+    return local_origin, (flat @ obj.pose.rotation_matrix) / obj.pose.scale
+
+
+def analytic_all_rays(scene):
+    """Analytic depth and surface ids from the reference slab test on every
+    pixel ray, at the room and at each cuboid of every object."""
+    depth = slab_hit_reference(np.zeros(3), _pixel_rays(scene.camera), *scene.room.bounds)
     ids = np.full(depth.shape, -1, dtype=np.int32)
-    voxel = np.full(depth.shape, np.inf)
     for index, obj in enumerate(scene.objects):
-        local_origin = apply_pose(obj.pose, origin, inverse=True)
-        local_dirs = (flat @ obj.pose.rotation_matrix) / obj.pose.scale
-        t = np.full(len(flat), np.inf)
+        local_origin, local_dirs = object_rays(scene, obj)
+        # A ray that misses the solid's bounding box misses each cuboid.
+        lows, highs = zip(*(c.bounds for c in obj.solid))
+        box = np.isfinite(slab_hit_reference(local_origin, local_dirs,
+                                             np.min(lows, axis=0), np.max(highs, axis=0)))
+        t = np.full(len(local_dirs), np.inf)
         for c in obj.solid:
-            t = np.minimum(t, _slab_hit(local_origin, local_dirs, *c.bounds))
+            t[box] = np.minimum(t[box], slab_hit_reference(local_origin, local_dirs[box], *c.bounds))
         t = t.reshape(depth.shape)
         ids = np.where(t < depth, np.int32(index), ids)
         depth = np.minimum(depth, t)
-        t = _march_grid(obj.shape.occupied, obj.shape.origin[0], obj.shape.cell_size,
-                        local_origin, local_dirs)
+    return depth, ids
+
+
+def all_rays(scene):
+    """Analytic depth and surface ids, and voxel depth, from the reference
+    kernels on every pixel ray: the reference for the per-object pixel
+    windows."""
+    depth, ids = analytic_all_rays(scene)
+    voxel = np.full(depth.shape, np.inf)
+    for obj in scene.objects:
+        t = march_grid_reference(obj.shape.occupied, obj.shape.origin[0], obj.shape.cell_size,
+                                 *object_rays(scene, obj))
         voxel = np.minimum(voxel, t.reshape(depth.shape))
     return depth, ids, np.where(np.isfinite(voxel), voxel, 0.0)
 
@@ -280,7 +357,7 @@ def march_grid_reference(occ, origin, cell, start, dirs):
     reference for the bit-identity tests below."""
     n = np.array(occ.shape)
     lo = np.full(3, origin)
-    t_near, t_far = _slab(start, dirs, lo, lo + n * cell)
+    t_near, t_far = slab_reference(start, dirs, lo, lo + n * cell)
     alive = (t_near <= t_far) & (t_far > 0.0)
     t_enter = np.maximum(t_near, 0.0)
 
@@ -396,18 +473,42 @@ def test_march_rays_along_cell_boundaries(occ):
     assert_march_bits(occ, (ticks[10], ticks[20], ticks[16]), dirs)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_march_generated_objects_bit_identical(seed):
-    scene = generate_scene(GeneratorConfig(seed=seed))
-    flat = _pixel_rays(scene.camera).reshape(-1, 3)
+def march_objects(scene):
+    """Every object's march over every pixel ray matches the reference;
+    returns the number of rays that hit."""
     hits = 0
     for obj in scene.objects:
-        local_origin = apply_pose(obj.pose, np.zeros(3), inverse=True)
-        local_dirs = (flat @ obj.pose.rotation_matrix) / obj.pose.scale
-        t = assert_march_bits(obj.shape.occupied, local_origin, local_dirs,
+        t = assert_march_bits(obj.shape.occupied, *object_rays(scene, obj),
                               obj.shape.origin[0], obj.shape.cell_size)
         hits += np.isfinite(t).sum()
-    assert hits > 0
+    return hits
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_march_generated_objects_bit_identical(seed):
+    assert march_objects(generate_scene(GeneratorConfig(seed=seed))) > 0
+
+
+# Full size (640x480), four mid-size pieces of furniture per scene.
+FULL_SIZE = {"camera": DEFAULT_CAMERA, "anchor_classes": (), "object_count_range": (4, 4),
+             "class_mix": {"chair": 1.0, "desk": 1.0, "table": 1.0}}
+
+
+@pytest.fixture(scope="module", params=[0, 1], ids=["seed0", "seed1"])
+def full_size_scene(request):
+    return generate_scene(GeneratorConfig(seed=request.param, **FULL_SIZE))
+
+
+def test_march_full_size_bit_identical(full_size_scene):
+    assert march_objects(full_size_scene) > 0
+
+
+def test_surface_ids_full_size_match_reference(full_size_scene):
+    depth, ids = render_surface_ids(full_size_scene)
+    expected_depth, expected_ids = analytic_all_rays(full_size_scene)
+    assert same_bits(depth.depth, expected_depth)
+    assert np.array_equal(ids, expected_ids)
+    assert set(np.unique(ids)) == {-1, 0, 1, 2, 3}
 
 
 class TestDepthDisparity:
