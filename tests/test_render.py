@@ -417,7 +417,7 @@ def assert_march_bits(occ, start, dirs, origin=-0.5, cell=1.0 / 32.0):
     start = np.asarray(start, dtype=float)
     got = _march_grid(occ, origin, cell, start, dirs)
     expected = march_grid_reference(occ, origin, cell, start, dirs)
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert same_bits(got, expected)
     return got
 
 
