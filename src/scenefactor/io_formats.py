@@ -30,13 +30,19 @@ Formats
   each coordinate the shortest ``repr`` of its float64 value, ``\n`` line
   ends.
 
-All writes are atomic (write to a temp file, then rename).  Parse errors
-carry the file path and the offending location.
+All writes are atomic and go through one writer, :func:`atomic_writer`:
+each file is written to a ``.<name>.*`` temp file beside it, then renamed
+onto it; a failed write leaves the target as it was and no temp file.
+PFM and FVOX write their header and then their payload through it, and
+the point-cloud CSV is streamed through it in chunks of rows, each
+distinct value still formatted once.  Parse errors carry the file path
+and the offending location.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import math
 import os
@@ -58,6 +64,7 @@ __all__ = [
     "UnknownVersionError",
     "atomic_write_bytes",
     "atomic_write_text",
+    "atomic_writer",
     "load_json",
     "read_camera",
     "read_depth_pfm",
@@ -109,17 +116,26 @@ class TruncatedFileError(FileFormatError):
     pass
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+@contextlib.contextmanager
+def atomic_writer(path):
+    """A binary handle on a ``.<name>.*`` temp file in ``path``'s
+    directory.  The temp file is renamed onto ``path`` when the block ends,
+    and removed if the block raises."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    with atomic_writer(path) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -134,8 +150,9 @@ def write_pfm(path, image: np.ndarray) -> None:
     img = np.asarray(image, dtype="<f4")
     if img.ndim != 2:
         raise ValueError(f"PFM images must be 2D, got shape {img.shape}")
-    header = f"Pf\n{img.shape[1]} {img.shape[0]}\n-1.0\n".encode("ascii")
-    atomic_write_bytes(path, header + np.flipud(img).tobytes())
+    with atomic_writer(path) as handle:
+        handle.write(f"Pf\n{img.shape[1]} {img.shape[0]}\n-1.0\n".encode("ascii"))
+        handle.write(np.flipud(img).tobytes())
 
 
 def _pfm_tokens(data: bytes, count: int, path) -> tuple[list[bytes], int]:
@@ -196,35 +213,47 @@ def read_depth_pfm(path, camera: Camera):
         raise FileFormatError(f"depth image is {img.shape[1]}x{img.shape[0]}, "
                               f"camera is {camera.width}x{camera.height}", path,
                               location="header")
-    if not np.all(np.isfinite(img)):
-        raise FileFormatError("depth values must be finite", path, location="payload")
-    if np.any(img < 0.0):
-        raise FileFormatError("depth values must be non-negative (0 = empty)", path,
-                              location="payload")
-    return DepthMap(img, camera)
+    try:
+        return DepthMap(img, camera)
+    except ValueError as exc:  # non-finite or negative values
+        raise FileFormatError(str(exc), path, location="payload") from exc
 
 
 # ---------------------------------------------------------------------------
 # Point-cloud CSV
+
+# Rows of the point-cloud CSV built and written at a time: bounds the
+# text held in memory to one chunk's, whatever the cloud's size.
+_CSV_CHUNK_ROWS = 32_768
+
 
 def write_pointcloud_csv(path, points: np.ndarray) -> None:
     """Write (n, 3) points as ``x,y,z`` CSV, each coordinate as ``repr``
     of its float64 value.
 
     Coordinates of a depth-map cloud repeat a lot, so each column formats
-    only its distinct values and scatters the strings back.  Distinct means
-    distinct bits: equal bits give equal text, and -0.0 stays apart from
-    0.0.
+    only its distinct values, once over the whole cloud, and scatters the
+    strings back.  Distinct means distinct bits: equal bits give equal
+    text, and -0.0 stays apart from 0.0.  The rows are scattered, joined
+    and written in chunks of ``_CSV_CHUNK_ROWS``, so the text of only one
+    chunk is held at a time.
     """
     points = np.asarray(points, dtype=float)
-    cells = np.empty((len(points), 6), dtype=object)
-    cells[:, 1] = cells[:, 3] = ","
-    cells[:, 5] = "\n"
+    columns = []
     for axis in range(3):
         bits, inverse = np.unique(points[:, axis].view(np.uint64), return_inverse=True)
         text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-        cells[:, 2 * axis] = text[inverse]
-    atomic_write_text(path, "x,y,z\n" + "".join(cells.ravel().tolist()))
+        columns.append((text, inverse))
+    cells = np.empty((min(len(points), _CSV_CHUNK_ROWS), 6), dtype=object)
+    cells[:, 1] = cells[:, 3] = ","
+    cells[:, 5] = "\n"
+    with atomic_writer(path) as handle:
+        handle.write(b"x,y,z\n")
+        for start in range(0, len(points), _CSV_CHUNK_ROWS):
+            rows = cells[:len(points) - start]
+            for axis, (text, inverse) in enumerate(columns):
+                rows[:, 2 * axis] = text[inverse[start:start + len(rows)]]
+            handle.write("".join(rows.ravel().tolist()).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +267,9 @@ def write_voxels(path, grid: VoxelGrid) -> None:
     lo, hi = grid.extent
     header = _FVOX_HEADER.pack(FVOX_MAGIC, FVOX_VERSION, *grid.dims,
                                _FRAME_TAGS[grid.frame], *lo.tolist(), *hi.tolist())
-    payload = grid.occupancy.astype("<f4").ravel(order="F").tobytes()
-    atomic_write_bytes(path, header + payload)
+    with atomic_writer(path) as handle:
+        handle.write(header)
+        handle.write(grid.occupancy.astype("<f4").ravel(order="F").tobytes())
 
 
 def read_voxels(path) -> VoxelGrid:

@@ -127,15 +127,26 @@ def _window_rays(cam: Camera, dirs: np.ndarray, pose: Pose, corners: np.ndarray)
     return window, local_origin, local_dirs
 
 
+def _slab_axis(lo: float, hi: float, origin: float, d) -> tuple[np.ndarray, np.ndarray]:
+    """Entry and exit ray parameters of one axis's slab [lo, hi] for rays
+    from ``origin`` whose direction components on that axis are ``d``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - origin) / d
+        t2 = (hi - origin) / d
+    # A ray parallel to a slab and exactly on its boundary yields nan for
+    # both planes; treat it as inside that slab.
+    return np.fmax(np.fmin(t1, t2), -np.inf), np.fmin(np.fmax(t1, t2), np.inf)
+
+
 def _slab(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Entry and exit ray parameters of an axis-aligned box (Kay & Kajiya
     slab test) for rays from one ``origin`` along (..., 3) ``dirs``; the
     ray misses unless ``t_near <= t_far``.
 
     ``dirs`` is read one axis column at a time, and each axis's entry and
-    exit parameters are folded into the running ones with
-    ``np.maximum``/``np.minimum`` in x, y, z order.  Those return the second
-    operand of an equal pair (-0.0 against 0.0), as a ``max``/``min``
+    exit parameters (:func:`_slab_axis`) are folded into the running ones
+    with ``np.maximum``/``np.minimum`` in x, y, z order.  Those return the
+    second operand of an equal pair (-0.0 against 0.0), as a ``max``/``min``
     reduction over a last axis of length 3 does, so the result has that
     reduction's bits.  ``fmax``/``fmin`` cannot fold: their pick from an
     equal pair depends on the array length.
@@ -143,15 +154,10 @@ def _slab(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> tuple[np.ndarray, np.
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     t_near, t_far = -np.inf, np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for axis in range(3):
-            d = dirs[..., axis]
-            t1 = (lo[axis] - origin[axis]) / d
-            t2 = (hi[axis] - origin[axis]) / d
-            # A ray parallel to a slab and exactly on its boundary yields
-            # nan for both planes; treat it as inside that slab.
-            t_near = np.maximum(t_near, np.fmax(np.fmin(t1, t2), -np.inf))
-            t_far = np.minimum(t_far, np.fmin(np.fmax(t1, t2), np.inf))
+    for axis in range(3):
+        near, far = _slab_axis(lo[axis], hi[axis], origin[axis], dirs[..., axis])
+        t_near = np.maximum(t_near, near)
+        t_far = np.minimum(t_far, far)
     return t_near, t_far
 
 
@@ -168,28 +174,33 @@ def _slab_hit(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def _room_exits(cam: Camera, room: Cuboid) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exit parameters of a camera inside the room: per row (ty), per
-    column (tx) and along z (hi_z); pixel (r, c) exits at
-    min(ty[r], tx[c], hi_z).
+    """Slab exit parameters (:func:`_slab_axis`) of a camera inside the
+    room: per row (ty), per column (tx) and along z (tz).  Pixel (r, c)
+    exits at min(ty[r], tx[c], tz), and misses the room when that is not
+    positive (a wall so near that its parameter underflows to 0).
 
-    With lo < 0 < hi on every axis no quotient is 0/0, an entry parameter
-    is never positive, and the z exit of a unit-z ray is hi_z.
+    With lo < 0 < hi on every axis no quotient is 0/0, and every entry
+    parameter is at most 0 and every exit at least 0.  So ``_slab_hit``'s
+    miss rule, ``t_near <= t_far and t_far > 0``, reduces to its second
+    half, and a hit is at the exit.
     """
     lo, hi = room.bounds
     if np.any(lo >= 0.0) or np.any(hi <= 0.0):
         raise ValueError("camera (the origin) must lie inside the room box")
     u, v = _pixel_slopes(cam)
-    with np.errstate(divide="ignore"):
-        tx = np.fmax(lo[0] / u, hi[0] / u)
-        ty = np.fmax(lo[1] / v, hi[1] / v)
-    return ty, tx, hi[2]
+    tx = _slab_axis(lo[0], hi[0], 0.0, u)[1]
+    ty = _slab_axis(lo[1], hi[1], 0.0, v)[1]
+    tz = float(_slab_axis(lo[2], hi[2], 0.0, 1.0)[1])
+    return ty, tx, tz
 
 
 def _room_depth(cam: Camera, room: Cuboid) -> np.ndarray:
     """``_slab_hit(0, _pixel_rays(cam), *room.bounds)`` for a camera inside
-    the room, bit for bit: the exit parameter min(tx, ty, tz)."""
-    ty, tx, hi_z = _room_exits(cam, room)
-    return np.minimum(np.minimum(ty[:, None], tx[None, :]), hi_z)
+    the room, bit for bit: the exit parameter min(tx, ty, tz) where it is
+    positive, else inf."""
+    ty, tx, tz = _room_exits(cam, room)
+    t_far = np.minimum(np.minimum(tx[None, :], ty[:, None]), tz)
+    return np.where(t_far > 0.0, t_far, np.inf)
 
 
 def _raycast_analytic(scene: FactoredScene,
@@ -236,16 +247,16 @@ def render_depth_analytic(scene: FactoredScene, include_objects: bool = True) ->
 def _check_room_layout(scene: FactoredScene) -> None:
     """Raise what rendering the scene's layout would, without making it.
 
-    A pixel's depth min(ty, tx, hi_z) is positive when its row and column
+    A pixel's depth min(ty, tx, tz) is positive when its row and column
     exits are, so the least positive depth is the least of the positive
-    row exits, the positive column exits and hi_z.  Exits that underflow
+    row exits, the positive column exits and tz.  Exits that underflow
     to 0 are empty pixels; with no positive row or column there is none.
     """
     if scene.room is None:
         raise ValueError(_NO_ROOM)
-    ty, tx, hi_z = _room_exits(scene.camera, scene.room)
+    ty, tx, tz = _room_exits(scene.camera, scene.room)
     ty, tx = ty[ty > 0.0], tx[tx > 0.0]
-    if len(ty) and len(tx) and not math.isfinite(1.0 / float(min(ty.min(), tx.min(), hi_z))):
+    if len(ty) and len(tx) and not math.isfinite(1.0 / float(min(ty.min(), tx.min(), tz))):
         raise ValueError("disparity values must be finite")
 
 

@@ -1,5 +1,9 @@
 import base64
+import contextlib
+import csv
 import dataclasses
+import errno
+import io
 import json
 import math
 import pathlib
@@ -12,7 +16,7 @@ import pytest
 
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import DEFAULT_CAMERA, Pose
-from scenefactor import render
+from scenefactor import io_formats, render
 from scenefactor.cli import main
 from scenefactor.io_formats import (
     MAX_IMAGE_SIDE,
@@ -21,11 +25,13 @@ from scenefactor.io_formats import (
     FileFormatError,
     TruncatedFileError,
     UnknownVersionError,
+    atomic_write_text,
     read_camera,
     read_pfm,
     read_scene,
     read_voxels,
     write_pfm,
+    write_pointcloud_csv,
     write_scene,
     write_voxels,
 )
@@ -88,6 +94,125 @@ class TestPfm:
 
 # Magic, version, dims, frame tag and extent.
 FVOX_HEADER_BYTES = 4 + 4 + 12 + 4 + 48
+
+
+def csv_reference(points) -> bytes:
+    """What ``csv.writer`` makes of ``repr(float(v))`` per coordinate."""
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["x", "y", "z"])
+    writer.writerows([repr(float(v)) for v in p] for p in points)
+    return expected.getvalue().encode()
+
+
+def write_pointcloud_csv_oneshot(path, points):
+    """The one-shot point-cloud writer: the whole cloud's text built as one
+    string, then written.  The reference for the streamed writer's bytes
+    and memory."""
+    points = np.asarray(points, dtype=float)
+    cells = np.empty((len(points), 6), dtype=object)
+    cells[:, 1] = cells[:, 3] = ","
+    cells[:, 5] = "\n"
+    for axis in range(3):
+        bits, inverse = np.unique(points[:, axis].view(np.uint64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+        cells[:, 2 * axis] = text[inverse]
+    atomic_write_text(path, "x,y,z\n" + "".join(cells.ravel().tolist()))
+
+
+def repeating_cloud(n, seed=0):
+    """``n`` points drawn from a few values each, -0.0 and 0.0 among them."""
+    pool = np.array([0.0, -0.0, 1.5, -2.25, 5e-324, 1e308, 0.1, 3.0])
+    return np.random.default_rng(seed).choice(pool, size=(n, 3))
+
+
+def depth_cloud(camera, depths=(2.0371, 2.7183, 3.1416)):
+    """The cloud of ``camera``'s depth image of a few fronto-parallel
+    planes in bands of rows: x repeats per column and plane, y per row,
+    z per plane."""
+    u = (np.arange(camera.width) + 0.5 - camera.cx) / camera.fx
+    v = (np.arange(camera.height) + 0.5 - camera.cy) / camera.fy
+    z = np.repeat(depths, -(-camera.height // len(depths)))[:camera.height, None]
+    x, y, z = np.broadcast_arrays(u * z, v[:, None] * z, z)
+    return np.stack([x, y, z], axis=-1).reshape(-1, 3)
+
+
+class FailingHandle:
+    """A file handle that passes ``writes`` writes through, then flushes,
+    records the bytes of each temp file beside ``path`` and raises
+    ``OSError``."""
+
+    def __init__(self, handle, path, writes):
+        self.handle, self.path, self.writes = handle, pathlib.Path(path), writes
+        self.temp_files = None
+
+    def write(self, data):
+        if self.writes == 0:
+            self.handle.flush()
+            self.temp_files = {p.name: p.read_bytes()
+                               for p in self.path.parent.glob(f".{self.path.name}.*")}
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes -= 1
+        return self.handle.write(data)
+
+
+class TestPointCloudCsv:
+    CHUNK = 8
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_streamed_bytes_match_reference(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(io_formats, "_CSV_CHUNK_ROWS", self.CHUNK)
+        points = repeating_cloud(n, seed=n)
+        write_pointcloud_csv(tmp_path / "points.csv", points)
+        data = (tmp_path / "points.csv").read_bytes()
+        assert data == csv_reference(points)
+        write_pointcloud_csv_oneshot(tmp_path / "oneshot.csv", points)
+        assert data == (tmp_path / "oneshot.csv").read_bytes()
+
+    @pytest.mark.parametrize("existing", [None, b"x,y,z\n1.0,2.0,3.0\n"])
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch,
+                                                         existing):
+        monkeypatch.setattr(io_formats, "_CSV_CHUNK_ROWS", self.CHUNK)
+        real_writer = io_formats.atomic_writer
+        handles = []
+
+        @contextlib.contextmanager
+        def failing_writer(path):
+            with real_writer(path) as handle:
+                # The header, then the first chunk; the second chunk fails.
+                handles.append(FailingHandle(handle, path, writes=2))
+                yield handles[-1]
+
+        monkeypatch.setattr(io_formats, "atomic_writer", failing_writer)
+        target = tmp_path / "points.csv"
+        if existing is not None:
+            target.write_bytes(existing)
+        points = repeating_cloud(3 * self.CHUNK)
+        with pytest.raises(OSError, match="No space left"):
+            write_pointcloud_csv(target, points)
+        # The write failed in a temp file holding the header and first chunk.
+        (written,) = handles[0].temp_files.values()
+        lines = csv_reference(points).splitlines(keepends=True)
+        assert written == b"".join(lines[:self.CHUNK + 1])
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else [target.name])
+        if existing is not None:
+            assert target.read_bytes() == existing
+
+    def test_streamed_peak_memory_at_most_half_the_oneshot(self, tmp_path):
+        # 307,200 points of a 640x480 image, 9.4 chunks of 32,768 rows.
+        points = depth_cloud(DEFAULT_CAMERA)
+        assert len(points) >= 4 * io_formats._CSV_CHUNK_ROWS
+        peaks = {}
+        for name, writer in [("oneshot", write_pointcloud_csv_oneshot),
+                             ("streamed", write_pointcloud_csv)]:
+            tracemalloc.start()
+            try:
+                writer(tmp_path / f"{name}.csv", points)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "oneshot.csv").read_bytes()
+        assert peaks["streamed"] <= 0.5 * peaks["oneshot"], peaks
 
 
 class TestFvox:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import (
@@ -165,15 +167,68 @@ def test_slab_matches_reduction_reference(box, origin):
 
 # Column 20 and row 10 have their centers on the principal point: u = v = 0.
 AXIS_CAMERA = Camera(fx=40.0, fy=40.0, cx=20.5, cy=10.5, width=48, height=32)
+# Column 20 has its center on the principal point and every other column
+# a slope of at least 1000; with cx = 20 no column has a slope below 500.
+WIDE_CAMERA = Camera(fx=1e-3, fy=40.0, cx=20.5, cy=10.5, width=48, height=32)
+WIDER_CAMERA = Camera(fx=1e-3, fy=40.0, cx=20.0, cy=10.5, width=48, height=32)
+# The same with rows: row 10 on the axis, every other row's slope >= 1000.
+TALL_CAMERA = Camera(fx=40.0, fy=1e-3, cx=20.5, cy=10.5, width=48, height=32)
+
+
+def room_slab_hit(cam, room):
+    return _slab_hit(np.zeros(3), _pixel_rays(cam), *room.bounds)
 
 
 @pytest.mark.parametrize("cam", [DEFAULT_CAMERA, CAM, DEFAULT_CAMERA.scaled(333, 217),
                                  AXIS_CAMERA])
 def test_room_exit_matches_slab_test(scene_batch, cam):
     for scene in scene_batch:
-        lo, hi = scene.room.bounds
-        expected = _slab_hit(np.zeros(3), _pixel_rays(cam), lo, hi)
-        assert np.array_equal(_room_depth(cam, scene.room), expected)
+        assert same_bits(_room_depth(cam, scene.room), room_slab_hit(cam, scene.room))
+
+
+# Rooms whose wall parameters are subnormal or underflow to 0, where a
+# wall is so near that a ray's exit reads 0 and the ray misses.
+DEGENERATE_ROOMS = {
+    "subnormal_x": (CAM, Cuboid((0.0, 0.0, 0.0), (1e-310, 1.0, 1.0))),
+    "subnormal_y": (CAM, Cuboid((0.0, 0.0, 0.0), (1.0, 1e-310, 1.0))),
+    "subnormal_z": (CAM, Cuboid((0.0, 0.0, 0.0), (1.0, 1.0, 1e-310))),
+    "off_center_subnormal": (AXIS_CAMERA, Cuboid((5e-324, -5e-324, 0.5), (1e-323, 1e-323, 1.0))),
+    "tiny_fx": (WIDE_CAMERA, Cuboid((0.3, -0.2, 1.0), (2.0, 1.2, 3.0))),
+    "underflow_all_but_axis_column": (WIDE_CAMERA, Cuboid((0.0, 0.0, 0.0), (5e-324, 1.0, 1.0))),
+    "underflow_every_column": (WIDER_CAMERA, Cuboid((0.0, 0.0, 0.0), (5e-324, 1.0, 1.0))),
+    "underflow_some_columns": (WIDE_CAMERA, Cuboid((0.0, 0.0, 0.0), (1e-320, 1.0, 1.0))),
+    "underflow_all_but_axis_row": (TALL_CAMERA, Cuboid((0.0, 0.0, 0.0), (1.0, 5e-324, 1.0))),
+}
+
+
+@pytest.mark.parametrize("cam, room", DEGENERATE_ROOMS.values(), ids=DEGENERATE_ROOMS.keys())
+def test_degenerate_room_exit_matches_slab_test(cam, room):
+    assert same_bits(_room_depth(cam, room), room_slab_hit(cam, room))
+
+
+# Room half extents from the everyday to the subnormal, and focal lengths
+# that give pixel slopes from 0 (a center on the principal point) to ~1e4.
+WALLS = st.floats(5e-324, 10.0) | st.sampled_from([5e-324, 1e-323, 1e-320, 1e-310, 1.0])
+FOCALS = st.floats(1e-3, 1e3) | st.sampled_from([1e-3, 40.0, 519.0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_room_depth_matches_slab_test_property(data):
+    width, height = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    offset = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)
+    cx = data.draw(st.integers(0, width - 1)) + data.draw(offset)
+    cy = data.draw(st.integers(0, height - 1)) + data.draw(offset)
+    cam = Camera(fx=data.draw(FOCALS), fy=data.draw(FOCALS), cx=min(cx, width - 0.5),
+                 cy=min(cy, height - 0.5), width=width, height=height)
+    half = np.array([data.draw(WALLS) for _ in range(3)])
+    # The camera (the origin) inside: |center| < half on every axis.
+    shift = np.array([data.draw(st.sampled_from([0.0, 0.5, -0.9]) | st.floats(-0.99, 0.99))
+                      for _ in range(3)])
+    room = Cuboid(shift * half, half)
+    lo, hi = room.bounds
+    assume(np.all(lo < 0.0) and np.all(hi > 0.0))
+    assert same_bits(_room_depth(cam, room), room_slab_hit(cam, room))
 
 
 def full_size_room_check(scene):
@@ -189,12 +244,6 @@ def check_outcome(check, scene):
     except ValueError as err:
         return str(err)
     return None
-
-
-# Column 20 has its center on the principal point and every other column
-# a slope of at least 1000; with cx = 20 no column has a slope below 500.
-WIDE_CAMERA = Camera(fx=1e-3, fy=40.0, cx=20.5, cy=10.5, width=48, height=32)
-WIDER_CAMERA = Camera(fx=1e-3, fy=40.0, cx=20.0, cy=10.5, width=48, height=32)
 
 
 @pytest.mark.parametrize("cam, room, error", [
