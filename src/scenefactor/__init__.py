@@ -19,7 +19,6 @@ from .geometry import (
     backproject,
     project,
     quat_to_matrix,
-    rotation_geodesic,
 )
 from .voxels import (
     CANONICAL_SPEC,

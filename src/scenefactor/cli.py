@@ -29,6 +29,7 @@ from . import registration
 from .compare import REPRESENTATIONS, compare_representations, cumulative_curve
 from .detection import ThresholdTuple, ap_sweep
 from .generator import GeneratorConfig, generate_scene
+from .geometry import DEFAULT_CAMERA
 from .io_formats import (
     MAX_IMAGE_SIDE,
     atomic_write_text,
@@ -104,8 +105,6 @@ def _cmd_gen(args) -> int:
     if args.objects is not None:
         overrides["object_count_range"] = args.objects
     if args.width or args.height:
-        from .geometry import DEFAULT_CAMERA
-
         overrides["camera"] = DEFAULT_CAMERA.scaled(args.width or 64, args.height or 48)
     try:
         config = GeneratorConfig(seed=args.seed, **overrides)

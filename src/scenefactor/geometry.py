@@ -32,7 +32,6 @@ __all__ = [
     "quat_to_matrix",
     "random_unit_quaternion",
     "rotation_about_y",
-    "rotation_geodesic",
     "validate_rotation_matrix",
 ]
 
@@ -133,25 +132,6 @@ def validate_rotation_matrix(R: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     if abs(np.linalg.det(R) - 1.0) > tol:
         raise ValueError("matrix determinant is not +1 (improper rotation)")
     return R
-
-
-def rotation_geodesic(a: UnitQuaternion, b: UnitQuaternion) -> float:
-    """Geodesic distance between two rotations, in radians; always in
-    [0, pi] and invariant to the sign of either quaternion.
-
-    Equals ``2 * arccos(|<a, b>|)`` and the Frobenius norm of the relative
-    rotation's matrix logarithm divided by sqrt(2) (the matrix form is kept
-    as a test oracle only).  Evaluated through the sign-folded chordal
-    distance, which stays exact at 0 where the arccos form loses digits.
-    """
-    av = a.as_array()
-    bv = b.as_array()
-    return _chord_angle(min(float(np.linalg.norm(av - bv)), float(np.linalg.norm(av + bv))))
-
-
-def _chord_angle(chord: float) -> float:
-    """The rotation angle whose sign-folded quaternion chord is ``chord``."""
-    return 4.0 * math.asin(min(1.0, 0.5 * chord))
 
 
 @dataclass(frozen=True)

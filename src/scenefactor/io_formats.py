@@ -54,6 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Camera, Pose, UnitQuaternion
+from .render import DepthMap
 from .scene import CLASS_LABELS, ROOM_LAYOUT, FactoredScene, Layout, SceneObject
 from .voxels import CANONICAL_SPEC, FRAME_SPECS, Cuboid, VoxelGrid
 
@@ -62,7 +63,6 @@ __all__ = [
     "FileFormatError",
     "TruncatedFileError",
     "UnknownVersionError",
-    "atomic_write_bytes",
     "atomic_write_text",
     "atomic_writer",
     "load_json",
@@ -133,13 +133,9 @@ def atomic_writer(path):
         raise
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    with atomic_writer(path) as handle:
-        handle.write(data)
-
-
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with atomic_writer(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +201,7 @@ def read_pfm(path) -> np.ndarray:
     return np.flipud(img).astype(float)
 
 
-def read_depth_pfm(path, camera: Camera):
-    from .render import DepthMap
-
+def read_depth_pfm(path, camera: Camera) -> DepthMap:
     img = read_pfm(path)
     if img.shape != (camera.height, camera.width):
         raise FileFormatError(f"depth image is {img.shape[1]}x{img.shape[0]}, "

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import UnitQuaternion
+from .geometry import UnitQuaternion, random_unit_quaternion
 
 __all__ = [
     "CLAMP_EPS",
@@ -281,8 +281,6 @@ def gradient_report(seed: int = 0, n_points: int = 100) -> dict:
     entries.append(_report_entry("rot_class_nll", errs))
 
     errs = []
-    from .geometry import random_unit_quaternion
-
     count = 0
     while count < n_points:
         gt = random_unit_quaternion(rng)

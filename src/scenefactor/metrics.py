@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _chord_angle
 from .registration import NNIndex
 from .render import (
     ROOM_SURFACE,
@@ -89,6 +88,14 @@ def component_errors(pred: SceneObject, gt: SceneObject) -> ComponentErrors:
     IoU is present only when both objects carry a 2D box.
     """
     return component_error_matrix([pred], [gt])[0][0]
+
+
+def _chord_angle(chord: float) -> float:
+    """The rotation angle whose sign-folded quaternion chord is ``chord``:
+    ``min(|a - b|, |a + b|)`` gives the geodesic ``2 * arccos(|<a, b>|)``
+    in [0, pi] for either sign of either quaternion, and stays exact at 0
+    where the arccos form loses digits."""
+    return 4.0 * math.asin(min(1.0, 0.5 * chord))
 
 
 def component_error_matrix(preds: list[SceneObject],

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import logm
 
 from scenefactor.geometry import (
     DEFAULT_CAMERA,
@@ -15,7 +14,6 @@ from scenefactor.geometry import (
     quat_to_matrix,
     random_unit_quaternion,
     rotation_about_y,
-    rotation_geodesic,
     validate_rotation_matrix,
 )
 
@@ -30,12 +28,6 @@ def rodrigues(axis, angle):
         [-axis[1], axis[0], 0.0],
     ])
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-
-
-def log_geodesic(qa, qb):
-    """Matrix-logarithm rotation distance oracle."""
-    rel = quat_to_matrix(qa).T @ quat_to_matrix(qb)
-    return np.linalg.norm(logm(rel), "fro") / math.sqrt(2.0)
 
 
 class TestUnitQuaternion:
@@ -73,40 +65,6 @@ class TestUnitQuaternion:
     def test_validate_rotation_matrix_rejects_reflection(self):
         with pytest.raises(ValueError):
             validate_rotation_matrix(np.diag([1.0, 1.0, -1.0]))
-
-
-class TestRotationGeodesic:
-    def test_identical(self, rng):
-        q = random_unit_quaternion(rng)
-        assert rotation_geodesic(q, q) == 0.0
-
-    def test_30_degrees(self):
-        q = rotation_about_y(math.pi / 6)
-        assert abs(rotation_geodesic(UnitQuaternion.identity(), q) - math.pi / 6) < 1e-9
-
-    def test_antipodal_same_rotation(self, rng):
-        q = random_unit_quaternion(rng)
-        assert rotation_geodesic(q, UnitQuaternion(*-q.as_array())) == 0.0
-
-    def test_range_and_symmetry(self, rng):
-        for _ in range(200):
-            a, b = random_unit_quaternion(rng), random_unit_quaternion(rng)
-            d = rotation_geodesic(a, b)
-            assert 0.0 <= d <= math.pi + 1e-12
-            assert d == rotation_geodesic(b, a)
-
-    def test_triangle_inequality(self, rng):
-        for _ in range(200):
-            a, b, c = (random_unit_quaternion(rng) for _ in range(3))
-            assert rotation_geodesic(a, c) <= \
-                rotation_geodesic(a, b) + rotation_geodesic(b, c) + 1e-12
-
-    def test_matches_matrix_log_form(self, rng):
-        worst = 0.0
-        for _ in range(1000):
-            a, b = random_unit_quaternion(rng), random_unit_quaternion(rng)
-            worst = max(worst, abs(rotation_geodesic(a, b) - log_geodesic(a, b)))
-        assert worst < 1e-7
 
 
 class TestPose:

@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import logm
 from scipy.spatial.distance import cdist
 
 from scenefactor.generator import GeneratorConfig, generate_scene
-from scenefactor.geometry import DEFAULT_CAMERA, Pose, UnitQuaternion, random_unit_quaternion, rotation_about_y
+from scenefactor.geometry import (
+    DEFAULT_CAMERA,
+    Pose,
+    UnitQuaternion,
+    quat_to_matrix,
+    random_unit_quaternion,
+    rotation_about_y,
+)
 from scenefactor.metrics import (
     ComponentErrors,
     box_iou_2d,
@@ -89,6 +97,56 @@ class TestComponentErrors:
             make_object(Pose(a * factor, UnitQuaternion.identity(), np.zeros(3))),
             make_object(Pose(b * factor, UnitQuaternion.identity(), np.zeros(3))))
         assert scaled.scale_err == pytest.approx(base.scale_err, abs=1e-12)
+
+
+UNIT_BOX = cuboid_voxelize([Cuboid((0, 0, 0), (0.4, 0.4, 0.4))])
+
+
+def rot_err(a, b):
+    """``component_errors(...).rot_err`` of two objects that differ only in
+    rotation."""
+    pred, gt = (SceneObject(shape=UNIT_BOX, pose=Pose(np.ones(3), q, np.zeros(3)))
+                for q in (a, b))
+    return component_errors(pred, gt).rot_err
+
+
+def log_geodesic(qa, qb):
+    """Matrix-logarithm rotation distance oracle."""
+    rel = quat_to_matrix(qa).T @ quat_to_matrix(qb)
+    return np.linalg.norm(logm(rel), "fro") / math.sqrt(2.0)
+
+
+class TestRotationError:
+    def test_identical(self, rng):
+        q = random_unit_quaternion(rng)
+        assert rot_err(q, q) == 0.0
+
+    def test_30_degrees(self):
+        q = rotation_about_y(math.pi / 6)
+        assert abs(rot_err(UnitQuaternion.identity(), q) - math.pi / 6) < 1e-9
+
+    def test_antipodal_same_rotation(self, rng):
+        q = random_unit_quaternion(rng)
+        assert rot_err(q, UnitQuaternion(*-q.as_array())) == 0.0
+
+    def test_range_and_symmetry(self, rng):
+        for _ in range(200):
+            a, b = random_unit_quaternion(rng), random_unit_quaternion(rng)
+            d = rot_err(a, b)
+            assert 0.0 <= d <= math.pi + 1e-12
+            assert d == rot_err(b, a)
+
+    def test_triangle_inequality(self, rng):
+        for _ in range(200):
+            a, b, c = (random_unit_quaternion(rng) for _ in range(3))
+            assert rot_err(a, c) <= rot_err(a, b) + rot_err(b, c) + 1e-12
+
+    def test_matches_matrix_log_form(self, rng):
+        worst = 0.0
+        for _ in range(1000):
+            a, b = random_unit_quaternion(rng), random_unit_quaternion(rng)
+            worst = max(worst, abs(rot_err(a, b) - log_geodesic(a, b)))
+        assert worst < 1e-7
 
 
 def scalar_errors(pred, gt):
