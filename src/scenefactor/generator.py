@@ -157,8 +157,9 @@ def generate_scene(cfg: GeneratorConfig) -> FactoredScene:
     scenes bit for bit.
 
     Placement is rejection sampling on world-space bounding boxes.  If an
-    object cannot be placed within ``MAX_ATTEMPTS`` tries it is skipped and
-    the scene carries a warning.
+    object cannot be placed within ``MAX_ATTEMPTS`` tries, or the
+    television cap leaves no class with weight, placing stops and the
+    scene carries a warning.
     """
     rng = np.random.default_rng(cfg.seed)
     room = _sample_room(rng)
@@ -175,17 +176,22 @@ def generate_scene(cfg: GeneratorConfig) -> FactoredScene:
     margin = PLACEMENT_MARGIN
 
     for slot in range(count):
+        anchor = slot == 0 and cfg.anchor_classes
+        if not anchor:
+            pool = weights.copy()
+            n_tv = sum(1 for o in objects if o.class_label == "television")
+            if n_tv >= MAX_TELEVISIONS and "television" in labels:
+                pool[labels.index("television")] = 0.0
+            if pool.sum() <= 0:
+                warnings.append(
+                    f"television cap of {MAX_TELEVISIONS} leaves no class to place; "
+                    f"placed {len(objects)} of {count} objects")
+                break
         placed = False
         for _ in range(MAX_ATTEMPTS):
-            if slot == 0 and cfg.anchor_classes:
+            if anchor:
                 kind = str(rng.choice(cfg.anchor_classes))
             else:
-                pool = weights.copy()
-                n_tv = sum(1 for o in objects if o.class_label == "television")
-                if n_tv >= MAX_TELEVISIONS and "television" in labels:
-                    pool[labels.index("television")] = 0.0
-                if pool.sum() <= 0:
-                    pool = weights.copy()
                 kind = str(rng.choice(labels, p=pool / pool.sum()))
 
             size_ranges = CLASS_SIZE_RANGES[kind]

@@ -33,10 +33,11 @@ Formats
 All writes are atomic and go through one writer, :func:`atomic_writer`:
 each file is written to a ``.<name>.*`` temp file beside it, then renamed
 onto it; a failed write leaves the target as it was and no temp file.
-PFM and FVOX write their header and then their payload through it, and
-the point-cloud CSV is streamed through it in chunks of rows, each
-distinct value still formatted once.  Parse errors carry the file path
-and the offending location.
+A written file gets the mode that ``open()`` would give it, 0o666 less
+the umask.  PFM and FVOX write their header and then their payload
+through it, and the point-cloud CSV is streamed through it in chunks of
+rows, each distinct value still formatted once.  Parse errors carry the
+file path and the offending location.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ import contextlib
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,9 +121,16 @@ class TruncatedFileError(FileFormatError):
 def atomic_writer(path):
     """A binary handle on a ``.<name>.*`` temp file in ``path``'s
     directory.  The temp file is renamed onto ``path`` when the block ends,
-    and removed if the block raises."""
+    and removed if the block raises.  It is created with mode 0o666 less
+    the umask, as ``open()`` creates a file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    while True:
+        tmp = str(path.parent / f".{path.name}.{secrets.token_hex(8)}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle

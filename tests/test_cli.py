@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import scenefactor.cli as cli
+import scenefactor.losses as losses
 from scenefactor.cli import main
 from scenefactor.compare import ComparisonRow
 from scenefactor.detection import ThresholdTuple
@@ -520,3 +521,12 @@ class TestGradCheck:
         assert run(["grad-check", "--out", a, "--points", 10, "--seed", 3]) == 0
         assert run(["grad-check", "--out", b, "--points", 10, "--seed", 3]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_verification_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(losses, "GRAD_TOLERANCE", 0.0)
+        out = tmp_path / "grad.json"
+        assert run(["grad-check", "--out", out, "--points", 2]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "gradient verification failed"
+        report = json.loads(out.read_text())
+        assert not report["all_passed"]
+        assert not any(entry["passed"] for entry in report["kernels"])

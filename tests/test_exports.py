@@ -1,9 +1,12 @@
-"""Every name a scenefactor module exports must exist, and every JSON
-schema the package ships must be a well-formed schema."""
+"""Every name a scenefactor module exports must exist, every JSON schema
+the package ships must be a well-formed schema, and modules import each
+other at module level unless that would make a cycle."""
 
+import ast
 import importlib
 import importlib.resources as resources
 import json
+import pathlib
 import pkgutil
 
 import jsonschema
@@ -35,3 +38,17 @@ def test_shipped_schemas_are_well_formed():
         "gradcheck_report.schema.json", "scene.schema.json"]
     for f in files:
         jsonschema.Draft202012Validator.check_schema(json.loads(f.read_text()))
+
+
+def test_only_a_cycle_defers_an_import():
+    """``render`` imports ``scene``, so ``scene`` imports ``render`` inside
+    the two functions that use it.  No other import is deferred."""
+    deferred = set()
+    for path in pathlib.Path(scenefactor.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred.update(
+                    (path.name, node.lineno, "." * node.level + (node.module or ""))
+                    for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert sorted((name, module) for name, _, module in deferred) == [
+        ("scene.py", ".render"), ("scene.py", ".render")], sorted(deferred)

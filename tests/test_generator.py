@@ -171,3 +171,12 @@ class TestPlacementFailure:
             assert scene.objects[0].class_label in ("bed", "sofa")
             tvs = sum(o.class_label == "television" for o in scene.objects)
             assert tvs <= 1
+
+    @pytest.mark.parametrize("anchors", [(), ("television",)])
+    def test_tv_cap_holds_for_a_television_only_mix(self, anchors):
+        scene = generate_scene(GeneratorConfig(
+            seed=0, object_count_range=(3, 3), class_mix={"television": 1.0},
+            anchor_classes=anchors))
+        assert [o.class_label for o in scene.objects] == ["television"]
+        assert scene.warnings == (
+            "television cap of 1 leaves no class to place; placed 1 of 3 objects",)

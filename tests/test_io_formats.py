@@ -6,7 +6,9 @@ import errno
 import io
 import json
 import math
+import os
 import pathlib
+import stat
 import struct
 import tracemalloc
 import zlib
@@ -91,6 +93,11 @@ class TestPfm:
             read_pfm(p)
         assert "byte" in str(err.value)
 
+    def test_writer_rejects_a_3d_array(self, tmp_path):
+        with pytest.raises(ValueError, match="must be 2D"):
+            write_pfm(tmp_path / "cube.pfm", np.ones((2, 2, 2)))
+        assert not any(tmp_path.iterdir())
+
 
 # Magic, version, dims, frame tag and extent.
 FVOX_HEADER_BYTES = 4 + 4 + 12 + 4 + 48
@@ -154,6 +161,29 @@ class FailingHandle:
             raise OSError(errno.ENOSPC, "No space left on device")
         self.writes -= 1
         return self.handle.write(data)
+
+
+WRITERS = {
+    "write_scene": lambda path: write_scene(FactoredScene(camera=DEFAULT_CAMERA), path),
+    "write_pfm": lambda path: write_pfm(path, np.ones((2, 3))),
+    "write_voxels": lambda path: write_voxels(
+        path, VoxelGrid.canonical(np.zeros(CANONICAL_SPEC.dims))),
+    "write_pointcloud_csv": lambda path: write_pointcloud_csv(path, np.ones((2, 3))),
+    "atomic_write_text": lambda path: atomic_write_text(path, "text\n"),
+}
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_written_file_mode_follows_the_umask(tmp_path, writer, umask, mode):
+    """Each writer leaves the mode ``open()`` would give a new file."""
+    old = os.umask(umask)
+    try:
+        WRITERS[writer](tmp_path / "out")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestPointCloudCsv:
@@ -872,6 +902,67 @@ class TestReferences:
         assert main(["render", "--scene", str(scenes / "s.json"),
                      "--out", str(tmp_path / "d.pfm")]) == 1
         assert capsys.readouterr().err.count("\n") == 1
+
+
+def damaged_pfm(header: bytes):
+    def read(tmp_path):
+        (tmp_path / "d.pfm").write_bytes(header + b"\x00" * 4)
+        return read_pfm(tmp_path / "d.pfm")
+    return read
+
+
+def damaged_fvox_cell(value: float):
+    def read(tmp_path):
+        path = tmp_path / "d.fvox"
+        write_voxels(path, VoxelGrid.canonical(np.zeros(CANONICAL_SPEC.dims)))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<f", data, FVOX_HEADER_BYTES, value)
+        path.write_bytes(bytes(data))
+        return read_voxels(path)
+    return read
+
+
+def damaged_scene(value, *where):
+    """A generated scene file with ``value`` put at the key path ``where``."""
+    def read(tmp_path):
+        write_scene(generate_scene(GeneratorConfig(seed=2)), tmp_path / "d.json")
+        doc = json.loads((tmp_path / "d.json").read_text())
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        (tmp_path / "d.json").write_text(json.dumps(doc))
+        return read_scene(tmp_path / "d.json")
+    return read
+
+
+@pytest.mark.parametrize("read, location, fragment", [
+    (damaged_pfm(b"Pf\n0 1\n-1.0\n"), "header", "bad dimensions 0x1"),
+    (damaged_pfm(b"Pf\n1 1\n0.0\n"), "header", "scale must be nonzero"),
+    (damaged_fvox_cell(2.0), "payload", "occupancy values must lie in [0, 1]"),
+    (damaged_scene(5, "objects", 0, "pose"), "$.objects[0].pose", "'pose' has type int"),
+    (damaged_scene(64.0, "camera", "width"), "$.camera.width", "must be an integer"),
+    (damaged_scene([0.0, 1.0, 1.0], "room", "half_extents"), "$.room",
+     "half_extents must be strictly positive"),
+    (damaged_scene(5, "objects", 0), "$.objects[0]", "object entry must be a JSON object"),
+    (damaged_scene("lamp", "objects", 0, "class_label"), "$.objects[0].class_label",
+     "unknown class label 'lamp'"),
+    (damaged_scene([2, 0, 0, 0], "objects", 0, "pose", "rotation"), "$.objects[0].pose",
+     "not unit length"),
+    (damaged_scene([0, 1, 1], "objects", 0, "pose", "scale"), "$.objects[0].pose",
+     "scale components must be strictly positive"),
+    (damaged_scene(1.5, "objects", 0, "score"), "$.objects[0]", "score must lie in [0, 1]"),
+    (damaged_scene([5, 5, 5, 9], "objects", 0, "box2d"), "$.objects[0]",
+     "box2d must be non-degenerate"),
+    (damaged_scene(None, "room"), "$.layout", "from_room but the scene has no room"),
+], ids=["pfm-width", "pfm-scale", "fvox-cell", "pose-type", "camera-width", "room-half",
+        "object-entry", "class-label", "rotation", "scale", "score", "box2d", "from-room"])
+def test_damaged_input_names_class_location_and_cause(tmp_path, read, location, fragment):
+    with pytest.raises(FileFormatError) as err:
+        read(tmp_path)
+    assert type(err.value) is FileFormatError
+    assert err.value.location == location
+    assert fragment in str(err.value)
 
 
 def one_object_scene(shape: VoxelGrid) -> FactoredScene:
