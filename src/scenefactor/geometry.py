@@ -134,7 +134,7 @@ def validate_rotation_matrix(R: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return R
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
     """Similarity pose: anisotropic scale, then rotation, then translation.
 

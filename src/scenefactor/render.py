@@ -58,7 +58,7 @@ _NO_ROOM = "analytic rendering needs a scene with room geometry"
 _EMPTY, _OCCUPIED, _OUTSIDE = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthMap:
     """Per-pixel z-depth in meters; 0 marks pixels with no surface."""
 

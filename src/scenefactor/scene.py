@@ -34,7 +34,7 @@ CLASS_LABELS = ("bed", "chair", "desk", "sofa", "table", "television")
 ROOM_LAYOUT = "from_room"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layout:
     """Amodal layout as a per-pixel disparity (inverse depth) image.
 
@@ -64,7 +64,7 @@ class Layout:
         return self.disparity.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneObject:
     """One object: canonical voxel shape, pose, score, and optional extras.
 
@@ -117,7 +117,7 @@ class _LayoutField:
         vars(scene).update(_layout=value, layout_from_room=value is ROOM_LAYOUT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactoredScene:
     """Camera + amodal layout + objects (+ room box for synthetic GT).  A
     ``ROOM_LAYOUT`` sets ``layout_from_room`` and is checked as its render."""

@@ -221,7 +221,7 @@ def voxel_centers(grid: VoxelGrid) -> np.ndarray:
     return np.array(grid.origin) + (idx + 0.5) * grid.cell_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cuboid:
     """Axis-aligned solid box given by its center and half extents."""
 

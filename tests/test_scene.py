@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scenefactor.geometry import DEFAULT_CAMERA, Pose, UnitQuaternion
+from scenefactor.render import DepthMap
 from scenefactor.scene import (
     CLASS_LABELS,
     FactoredScene,
@@ -87,6 +88,28 @@ class TestSceneTypes:
         bad = SceneObject(shape=obj.shape, pose=obj.pose, box2d=(0.0, 0.0, 100.0, 10.0))
         with pytest.raises(ValueError):
             FactoredScene(camera=cam, objects=(bad,))
+
+
+# Two equal-valued instances of each type that holds arrays.
+ARRAY_HOLDERS = {
+    "Pose": lambda: Pose(np.ones(3), UnitQuaternion.identity(), np.zeros(3)),
+    "Cuboid": lambda: Cuboid((0, 0, 0), (0.5, 0.5, 0.5)),
+    "Layout": lambda: Layout(np.full((48, 64), 0.5)),
+    "DepthMap": lambda: DepthMap(np.full((48, 64), 2.0), DEFAULT_CAMERA.scaled(64, 48)),
+    "SceneObject": lambda: make_object((0, 0, 0), (0.5, 0.5, 0.5), np.array([0.0, 0.0, 2.0])),
+    "FactoredScene": lambda: FactoredScene(
+        camera=DEFAULT_CAMERA.scaled(64, 48), layout=Layout(np.full((48, 64), 0.5)),
+        objects=(make_object((0, 0, 0), (0.5, 0.5, 0.5), np.array([0.0, 0.0, 2.0])),)),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_by_identity(make):
+    # A field-wise == would ask an array for its truth value, and a hash
+    # would hash an array; these types compare by identity instead.
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and isinstance(hash(b), int)
 
 
 class TestComposeSceneVoxels:
