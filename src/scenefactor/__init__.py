@@ -26,6 +26,7 @@ from .voxels import (
     Cuboid,
     GridSpec,
     VoxelGrid,
+    boundary_centers,
     cuboid_voxelize,
     resample_to_scene,
     voxel_centers,

@@ -13,7 +13,10 @@ fitness after ICP, and modal/amodal layout depth error (m).  The layout
 tasks only apply to representations that can say anything about layout
 (factored and depth).  Point clouds come from each representation the way
 its consumers would build them: depth images backproject, voxel grids
-contribute occupied-cell centers.
+contribute occupied-cell centers.  Each object's ICP source is the posed
+centers of its shape's boundary cells only (``voxels.boundary_centers``:
+the occupied cells with an empty 6-neighbour), not of every occupied cell
+(Rusinkiewicz & Levoy 2001 on choosing ICP source points).
 
 The protocol is fixed: every grid is binarized at
 ``voxels.OCCUPANCY_THRESHOLD``, scene voxels live on the default scene grid,
@@ -43,7 +46,14 @@ from .render import (
     render_surface_ids,
 )
 from .scene import FactoredScene, compose_scene_voxels
-from .voxels import DEFAULT_SCENE_SPEC, VoxelGrid, voxel_centers, voxel_iou, voxelize_posed_cuboids
+from .voxels import (
+    DEFAULT_SCENE_SPEC,
+    VoxelGrid,
+    boundary_centers,
+    voxel_centers,
+    voxel_iou,
+    voxelize_posed_cuboids,
+)
 
 __all__ = ["ComparisonRow", "compare_representations", "cumulative_curve", "gt_scene_voxels"]
 
@@ -77,10 +87,12 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene") -> li
     five tasks; returns one row per (task, representation[, object]).
     Scene voxels live on the default scene grid.
 
-    Objects with an empty shape and representations with an empty cloud get
-    no ``object_fitness`` row.  The per-object ICP registrations run
-    concurrently on all visible CPUs; rows and values are independent of
-    scheduling.
+    Each ``object_fitness`` row registers the centers of the object's
+    boundary cells (``boundary_centers(obj.shape)``), posed, to the
+    representation's cloud.  Objects with an empty shape and
+    representations with an empty cloud get no ``object_fitness`` row.  The
+    per-object ICP registrations run concurrently on all visible CPUs; rows
+    and values are independent of scheduling.
     """
     if scene.layout is None or scene.room is None:
         raise ValueError("representation comparison needs synthetic ground truth "
@@ -116,7 +128,7 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene") -> li
     # visible CPUs, and pool.map returns them in submission order.
     keys, jobs = [], []
     for index, obj in enumerate(scene.objects):
-        local = voxel_centers(obj.shape)
+        local = boundary_centers(obj.shape)
         if len(local) == 0:
             continue
         src = apply_pose(obj.pose, local)

@@ -36,6 +36,8 @@ __all__ = [
     "Cuboid",
     "GridSpec",
     "VoxelGrid",
+    "boundary_centers",
+    "boundary_mask",
     "cuboid_voxelize",
     "resample_to_scene",
     "voxel_centers",
@@ -215,7 +217,31 @@ def voxel_iou_matrix(a: list[VoxelGrid], b: list[VoxelGrid]) -> np.ndarray:
 
 def voxel_centers(grid: VoxelGrid) -> np.ndarray:
     """Centers of occupied cells, shape (M, 3), ordered by (ix, iy, iz)."""
-    idx = np.argwhere(grid.occupied)
+    return _cell_centers(grid, grid.occupied)
+
+
+def boundary_mask(grid: VoxelGrid) -> np.ndarray:
+    """Occupied cells with at least one empty 6-neighbour; a neighbour
+    outside the grid counts as empty, so occupied cells on the grid's
+    faces are always boundary cells."""
+    occ = grid.occupied
+    interior = np.zeros_like(occ)
+    interior[1:-1, 1:-1, 1:-1] = (
+        occ[1:-1, 1:-1, 1:-1]
+        & occ[:-2, 1:-1, 1:-1] & occ[2:, 1:-1, 1:-1]
+        & occ[1:-1, :-2, 1:-1] & occ[1:-1, 2:, 1:-1]
+        & occ[1:-1, 1:-1, :-2] & occ[1:-1, 1:-1, 2:])
+    return occ & ~interior
+
+
+def boundary_centers(grid: VoxelGrid) -> np.ndarray:
+    """Centers of the :func:`boundary_mask` cells: the rows of
+    :func:`voxel_centers` that lie on the surface, in the same order."""
+    return _cell_centers(grid, boundary_mask(grid))
+
+
+def _cell_centers(grid: VoxelGrid, mask: np.ndarray) -> np.ndarray:
+    idx = np.argwhere(mask)
     if idx.size == 0:
         return np.zeros((0, 3))
     return np.array(grid.origin) + (idx + 0.5) * grid.cell_size

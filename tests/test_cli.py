@@ -344,11 +344,11 @@ class TestCompareReps:
     def test_scene_dir_input(self, scene_dir, tmp_path, capsys):
         out_dir = tmp_path / "cmp2"
         assert run(["compare-reps", "--scenes", scene_dir, "--out-dir", out_dir]) == 0
-        # Ten of the 36 registrations on these scenes (beds and sofas) stop
-        # at the cap.
+        # Six of the 36 boundary-cell registrations on these scenes (beds
+        # and sofas) stop at the cap.
         log = capsys.readouterr().err
         assert "skipped 0 of 36 object registration(s)" in log
-        assert ("10 stopped at ICP_MAX_ITER = 50 without converging and 0 on degenerate "
+        assert ("6 stopped at ICP_MAX_ITER = 50 without converging and 0 on degenerate "
                 "correspondences") in log
         values = (out_dir / "values.csv").read_text().splitlines()
         curves = (out_dir / "curves.csv").read_text().splitlines()

@@ -16,7 +16,7 @@ from scenefactor.render import (
     render_depth_analytic,
     render_depth_voxel,
 )
-from scenefactor.voxels import voxel_centers
+from scenefactor.voxels import boundary_centers, voxel_centers
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def test_pooled_fitness_rows_equal_serial_icp(two_object_scene, monkeypatch):
     clouds = representation_clouds(two_object_scene)
     expected = []
     for index, obj in enumerate(two_object_scene.objects):
-        src = apply_pose(obj.pose, voxel_centers(obj.shape))
+        src = apply_pose(obj.pose, boundary_centers(obj.shape))
         size = bbox_diagonal(src)
         for rep in REPRESENTATIONS:
             result = icp(src, clouds[rep], size_norm=size)
@@ -54,6 +54,28 @@ def test_pooled_fitness_rows_equal_serial_icp(two_object_scene, monkeypatch):
     got = [(r.object_index, r.representation, r.value)
            for r in rows if r.task == "object_fitness"]
     assert got == expected
+
+
+def test_icp_source_is_the_posed_boundary_cells(two_object_scene, monkeypatch):
+    # Every registration of an object starts from its posed boundary cells,
+    # sized by their bounding box, which is that of all its occupied cells.
+    received = []
+
+    def recording_icp(src, dst, size_norm):
+        received.append((src, size_norm))
+        return IcpResult(RigidTransform(np.eye(3), np.zeros(3)), 0.0, 1, "converged", (0.0,))
+
+    monkeypatch.setattr(compare, "icp", recording_icp)
+    compare_representations(two_object_scene, "s3")
+    expected = []
+    for obj in two_object_scene.objects:
+        src = apply_pose(obj.pose, boundary_centers(obj.shape))
+        assert len(src) < obj.shape.count()
+        size = bbox_diagonal(apply_pose(obj.pose, voxel_centers(obj.shape)))
+        expected += [(src.shape, src.tobytes(), size)] * len(REPRESENTATIONS)
+    # The pool's two threads may call in either order.
+    got = [(src.shape, src.tobytes(), size) for src, size in received]
+    assert sorted(got) == sorted(expected)
 
 
 def test_registration_error_propagates_and_pool_drains(two_object_scene, monkeypatch):

@@ -3,14 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from scenefactor.geometry import Pose, UnitQuaternion, rotation_about_y
+from scenefactor.registration import bbox_diagonal
 from scenefactor.voxels import (
     CANONICAL_SPEC,
     DEFAULT_SCENE_SPEC,
     FRAME_SPECS,
     Cuboid,
     VoxelGrid,
+    boundary_centers,
+    boundary_mask,
     cuboid_voxelize,
     resample_to_scene,
     voxel_centers,
@@ -141,6 +147,82 @@ class TestVoxelCenters:
         centers = voxel_centers(VoxelGrid.scene(occ))
         lo = np.array(DEFAULT_SCENE_SPEC.origin)
         assert np.allclose(centers, [lo + 0.04], atol=1e-15)
+
+
+DIMS = CANONICAL_SPEC.dims
+EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+CELLS = st.tuples(*(st.integers(0, n - 1) for n in DIMS))
+
+
+@st.composite
+def canonical_grids(draw):
+    """Random speckle at a drawn fill, or a union of up to three boxes."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        occ = rng.random(DIMS) < draw(st.floats(0.0, 1.0))
+    else:
+        occ = np.zeros(DIMS, dtype=bool)
+        for lo, size in draw(st.lists(st.tuples(CELLS, CELLS), min_size=1, max_size=3)):
+            occ[tuple(slice(a, a + b + 1) for a, b in zip(lo, size))] = True
+    return VoxelGrid.canonical(occ)
+
+
+class TestBoundary:
+    @EXAMPLES
+    @given(canonical_grids())
+    def test_mask_is_occupied_cells_with_an_empty_neighbour(self, grid):
+        occ, mask = grid.occupied, boundary_mask(grid)
+        assert not (mask & ~occ).any()
+        # Oracle: erosion by the 6-neighbourhood, with empty cells outside.
+        cross = ndimage.generate_binary_structure(3, 1)
+        assert np.array_equal(mask, occ & ~ndimage.binary_erosion(occ, cross, border_value=0))
+
+    @EXAMPLES
+    @given(canonical_grids())
+    def test_face_cells_are_boundary(self, grid):
+        occ, mask = grid.occupied, boundary_mask(grid)
+        for axis in range(3):
+            for end in (0, -1):
+                assert np.array_equal(np.take(mask, end, axis), np.take(occ, end, axis))
+
+    @EXAMPLES
+    @given(canonical_grids())
+    def test_points_are_the_boundary_rows_of_voxel_centers(self, grid):
+        points = boundary_centers(grid)
+        expected = voxel_centers(grid)[boundary_mask(grid)[grid.occupied]]
+        assert points.shape == expected.shape
+        assert points.tobytes() == expected.tobytes()
+
+    @EXAMPLES
+    @given(canonical_grids())
+    def test_bbox_diagonal_is_that_of_all_centers(self, grid):
+        assume(grid.count() > 0)
+        assert bbox_diagonal(boundary_centers(grid)) == bbox_diagonal(voxel_centers(grid))
+
+    def test_empty_grid(self):
+        grid = VoxelGrid.canonical(np.zeros(DIMS))
+        assert not boundary_mask(grid).any()
+        assert boundary_centers(grid).shape == (0, 3)
+
+    @EXAMPLES
+    @given(CELLS)
+    def test_single_cell_is_its_own_boundary(self, cell):
+        occ = np.zeros(DIMS, dtype=bool)
+        occ[cell] = True
+        grid = VoxelGrid.canonical(occ)
+        assert np.array_equal(boundary_mask(grid), occ)
+        assert boundary_centers(grid).tobytes() == voxel_centers(grid).tobytes()
+
+    @EXAMPLES
+    @given(st.integers(2, 32), st.data())
+    def test_solid_cube_keeps_its_shell(self, k, data):
+        corner = data.draw(st.tuples(*(st.integers(0, n - k) for n in DIMS)))
+        occ = np.zeros(DIMS, dtype=bool)
+        occ[tuple(slice(c, c + k) for c in corner)] = True
+        assert boundary_mask(VoxelGrid.canonical(occ)).sum() == k**3 - (k - 2) ** 3
+
+    def test_full_grid(self):
+        assert boundary_mask(VoxelGrid.canonical(np.ones(DIMS))).sum() == 32**3 - 30**3
 
 
 class TestCuboidVoxelize:
