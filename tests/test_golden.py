@@ -19,8 +19,8 @@ from scenefactor.scene import FactoredScene, Layout, SceneObject
 from scenefactor.voxels import VoxelGrid
 
 COMPARE_REPS_SHA256 = {
-    "values.csv": "ea5e4d078347fadca8597b0deac180548c62e204e3184ed3f6af284ccb9924af",
-    "curves.csv": "4b04eaf97b9cb85a2722a257d9ef5f8a624fb3d9e99153339f2797314c92855c",
+    "values.csv": "3b7cc131812b60929c2c648f6f857954466aea704d39e79d8d9afd9c79db4a30",
+    "curves.csv": "c1d86f42e72f4981a012fa920283bb29e851d6b9ec27792f9f3323432bdcac49",
 }
 
 FURNITURE = {"anchor_classes": [], "class_mix": {"chair": 1.0, "desk": 1.0, "table": 1.0}}
@@ -202,8 +202,8 @@ SOFT_SHA256 = {
     "voxel.pfm": "6c85752515380e157fe0f3912a0ce18e1d311e091609f44f25abe2cf37059409",
     "scene.fvox": "d283bc82e83caa95a029f6435e270d9d9285c900ee93795f92fa8b17e644f8ce",
     "eval.json": "5c92d4e2caca2a92bd3d18d42cb30f8df8416987a35829fec023cc7696240655",
-    "values.csv": "d0c745439015bba5bfd51e7396fd50fbea11e1a10994e5eccf2a54998e993642",
-    "curves.csv": "cc1dcdac79429a266aebe8ecae79e6e96ff627f905bed0859166f3dcd159f727",
+    "values.csv": "6e3c5a2f56989ed61703450fdc9980d6a3d28ba70ead70675ac0d1ea92ccbecc",
+    "curves.csv": "cb794f5ef8dd555dfef72ec37f773979c08f32956067164c3e1a2af6e4d4b738",
 }
 
 
