@@ -73,7 +73,7 @@ def test_icp_source_is_the_posed_boundary_cells(two_object_scene, monkeypatch):
         assert len(src) < obj.shape.count()
         size = bbox_diagonal(apply_pose(obj.pose, voxel_centers(obj.shape)))
         expected += [(src.shape, src.tobytes(), size)] * len(REPRESENTATIONS)
-    # The pool's two threads may call in either order.
+    # The pool's threads may call in any order.
     got = [(src.shape, src.tobytes(), size) for src, size in received]
     assert sorted(got) == sorted(expected)
 
