@@ -22,12 +22,12 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import registration
 from .compare import REPRESENTATIONS, compare_representations, cumulative_curve
-from .detection import ThresholdTuple, ap_sweep
+from .detection import DEFAULT_THRESHOLDS, ap_sweep
 from .generator import GeneratorConfig, generate_scene
 from .geometry import DEFAULT_CAMERA
 from .io_formats import (
@@ -45,7 +45,7 @@ from .io_formats import (
 from .losses import gradient_report
 # component_errors is unused here, but bench/tracer.py patches it under
 # this module's name.
-from .metrics import DEFAULT_DELTAS, component_error_matrix, component_errors, summarize
+from .metrics import component_error_matrix, component_errors, summarize
 from .render import (
     depth_to_disparity,
     depth_to_pointcloud,
@@ -218,14 +218,15 @@ def _cmd_eval(args) -> int:
         return {"median": s.median, "fraction_within": s.fraction_within,
                 "threshold": s.threshold, "direction": s.direction, "units": units}
 
+    t = DEFAULT_THRESHOLDS
     summary = {
-        "shape": stats("shape_iou", DEFAULT_DELTAS["shape"], "above", "iou"),
-        "rotation": stats("rot_err_rad", DEFAULT_DELTAS["rotation"], "below", "radians"),
-        "translation": stats("trans_err_m", DEFAULT_DELTAS["translation"], "below", "meters"),
-        "scale": stats("scale_err_log2", DEFAULT_DELTAS["scale"], "below", "log2"),
+        "shape": stats("shape_iou", t.shape, "above", "iou"),
+        "rotation": stats("rot_err_rad", t.rotation, "below", "radians"),
+        "translation": stats("trans_err_m", t.translation, "below", "meters"),
+        "scale": stats("scale_err_log2", t.scale, "below", "log2"),
     }
     boxed = all(r["box_iou"] is not None for r in per_instance)
-    summary["box2d"] = stats("box_iou", DEFAULT_DELTAS["box2d"], "above", "iou") if boxed else None
+    summary["box2d"] = stats("box_iou", t.box2d, "above", "iou") if boxed else None
 
     report = {"format_version": 1, "tau": OCCUPANCY_THRESHOLD, "count": len(per_instance),
               "per_instance": per_instance, "summary": summary}
@@ -245,27 +246,14 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # ap
 
-def _threshold_arg(value: str) -> float | None:
-    if value.lower() in ("none", "wildcard", "."):
-        return None
-    return float(value)
-
-
 def _cmd_ap(args) -> int:
     det_pairs = _paired_scenes(args.dets, args.gt)
     pairs = [(list(d.objects), list(g.objects)) for d, g, _ in det_pairs]
-    base = ThresholdTuple(box2d=args.delta_box2d, shape=args.delta_shape,
-                          rotation=args.delta_rot, translation=args.delta_trans,
-                          scale=args.delta_scale)
     rows = []
-    for row in ap_sweep(pairs, base):
+    for row in ap_sweep(pairs):
         rows.append({
             "name": row.name,
-            "thresholds": {
-                "box2d": row.thresholds.box2d, "shape": row.thresholds.shape,
-                "rotation": row.thresholds.rotation,
-                "translation": row.thresholds.translation, "scale": row.thresholds.scale,
-            },
+            "thresholds": asdict(row.thresholds),
             "ap": row.ap,
             "precision": row.outcome.precision.tolist(),
             "recall": row.outcome.recall.tolist(),
@@ -417,11 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv")
-    p.add_argument("--delta-box2d", type=_threshold_arg, default=DEFAULT_DELTAS["box2d"])
-    p.add_argument("--delta-shape", type=_threshold_arg, default=DEFAULT_DELTAS["shape"])
-    p.add_argument("--delta-rot", type=_threshold_arg, default=DEFAULT_DELTAS["rotation"])
-    p.add_argument("--delta-trans", type=_threshold_arg, default=DEFAULT_DELTAS["translation"])
-    p.add_argument("--delta-scale", type=_threshold_arg, default=DEFAULT_DELTAS["scale"])
     p.set_defaults(func=_cmd_ap)
 
     p = sub.add_parser("compare-reps", help="five-task representation comparison")

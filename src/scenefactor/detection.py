@@ -2,9 +2,12 @@
 
 A detection is a true positive only if it satisfies the thresholds on all
 five component metrics (2D box IoU, shape IoU, rotation, translation,
-scale) against some still-unmatched ground-truth object.  Any threshold
-can be a wildcard (None), which removes that predicate; relaxing
-predicates one at a time diagnoses which factor limits performance.
+scale) against some still-unmatched ground-truth object.  The thresholds
+are fixed at the paper's values, ``DEFAULT_THRESHOLDS``, and are strict
+in the favorable direction: a true positive needs error < delta, or
+IoU > delta.  Any threshold can be a wildcard (None), which removes that
+predicate; relaxing predicates one at a time diagnoses which factor
+limits performance.
 
 Detections are processed in descending score, ties in insertion order.
 Among the ground truths that satisfy every active predicate, a detection
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import DEFAULT_DELTAS, component_error_matrix
+from .metrics import component_error_matrix
 from .scene import SceneObject
 
 __all__ = [
@@ -36,13 +39,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThresholdTuple:
-    """The five detection predicates; None means wildcard (relaxed)."""
+    """The five detection predicates; None means wildcard (relaxed).  The
+    defaults are the paper's: box IoU, shape IoU, rotation (rad),
+    translation (m), scale (log2 units)."""
 
-    box2d: float | None = DEFAULT_DELTAS["box2d"]
-    shape: float | None = DEFAULT_DELTAS["shape"]
-    rotation: float | None = DEFAULT_DELTAS["rotation"]
-    translation: float | None = DEFAULT_DELTAS["translation"]
-    scale: float | None = DEFAULT_DELTAS["scale"]
+    box2d: float | None = 0.5
+    shape: float | None = 0.25
+    rotation: float | None = math.pi / 6.0
+    translation: float | None = 1.0
+    scale: float | None = 0.5
 
     def __post_init__(self):
         for name in ("box2d", "shape", "rotation", "translation", "scale"):
@@ -63,10 +68,6 @@ class ThresholdTuple:
         if name not in ("box2d", "shape", "rotation", "translation", "scale"):
             raise ValueError(f"unknown predicate {name!r}")
         return replace(self, **{name: None})
-
-    @classmethod
-    def box_only(cls, box2d: float = DEFAULT_DELTAS["box2d"]) -> "ThresholdTuple":
-        return cls(box2d=box2d, shape=None, rotation=None, translation=None, scale=None)
 
 
 DEFAULT_THRESHOLDS = ThresholdTuple()
@@ -199,8 +200,8 @@ class ApRow:
         return self.outcome.ap
 
 
-def ap_sweep(scene_pairs, base: ThresholdTuple = DEFAULT_THRESHOLDS) -> list[ApRow]:
-    """AP table over the standard relaxation families.
+def ap_sweep(scene_pairs) -> list[ApRow]:
+    """AP table over the relaxation families of ``DEFAULT_THRESHOLDS``.
 
     Emits the full tuple, each single-predicate relaxation, the box-only
     tuple, and box-only plus each single predicate restored.  Component
@@ -208,11 +209,12 @@ def ap_sweep(scene_pairs, base: ThresholdTuple = DEFAULT_THRESHOLDS) -> list[ApR
     by every row.
     """
     scenes = _scene_errors(scene_pairs)
-    box_only = ThresholdTuple.box_only(base.box2d)
+    base = DEFAULT_THRESHOLDS
+    box = ThresholdTuple(shape=None, rotation=None, translation=None, scale=None)
     named = [("all", base)]
     named += [(f"all-{name}", base.relax(name))
               for name in ("shape", "rotation", "translation", "scale", "box2d")]
-    named.append(("box2d", box_only))
-    named += [(f"box2d+{name}", replace(box_only, **{name: getattr(base, name)}))
+    named.append(("box2d", box))
+    named += [(f"box2d+{name}", replace(box, **{name: getattr(base, name)}))
               for name in ("shape", "rotation", "translation", "scale")]
     return [ApRow(name, t, _evaluate(scenes, t)) for name, t in named]

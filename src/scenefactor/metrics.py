@@ -2,9 +2,8 @@
 
 Component errors compare a predicted object against its ground truth along
 five axes: voxel-shape IoU, rotation geodesic (radians), translation
-distance (meters), mean per-axis log2 scale ratio, and 2D box IoU.  Their
-detection thresholds are strict in the favorable direction, so a true
-positive needs error < delta, or IoU > delta.
+distance (meters), mean per-axis log2 scale ratio, and 2D box IoU.  The
+detection thresholds on them live in :mod:`scenefactor.detection`.
 
 Angles are radians everywhere; degrees appear only in human-readable
 summaries and are flagged as such.
@@ -29,7 +28,6 @@ from .scene import FactoredScene, SceneObject
 from .voxels import voxel_iou_matrix
 
 __all__ = [
-    "DEFAULT_DELTAS",
     "ComponentErrors",
     "SummaryStats",
     "box_iou_2d",
@@ -39,16 +37,6 @@ __all__ = [
     "summarize",
     "visible_surface_error",
 ]
-
-# Detection thresholds: box IoU, shape IoU, rotation (rad), translation (m),
-# scale (log2 units).
-DEFAULT_DELTAS = {
-    "box2d": 0.5,
-    "shape": 0.25,
-    "rotation": math.pi / 6.0,
-    "translation": 1.0,
-    "scale": 0.5,
-}
 
 
 def box_iou_2d(a, b) -> float:

@@ -13,7 +13,6 @@ import scenefactor.cli as cli
 import scenefactor.losses as losses
 from scenefactor.cli import main
 from scenefactor.compare import ComparisonRow
-from scenefactor.detection import ThresholdTuple
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import Camera
 from scenefactor.io_formats import (
@@ -316,29 +315,6 @@ class TestAp:
         assert all(r["ap"] == 1.0 for r in report["rows"])
         assert {r["name"] for r in report["rows"]} >= {"all", "box2d", "all-rotation"}
 
-    def test_threshold_flags(self, scene_dir, tmp_path):
-        out = tmp_path / "ap2.json"
-        assert run(["ap", "--dets", scene_dir, "--gt", scene_dir, "--out", out,
-                    "--delta-rot", "none", "--delta-trans", "0.5"]) == 0
-        report = json.loads(out.read_text())
-        row = next(r for r in report["rows"] if r["name"] == "all")
-        assert row["thresholds"]["rotation"] is None
-        assert row["thresholds"]["translation"] == 0.5
-
-    @pytest.mark.parametrize("name, flag", [
-        ("box2d", "--delta-box2d"), ("shape", "--delta-shape"), ("rotation", "--delta-rot"),
-        ("translation", "--delta-trans"), ("scale", "--delta-scale"),
-    ])
-    def test_nan_threshold_rejected(self, scene_dir, tmp_path, capsys, name, flag):
-        for value in ("nan", "inf"):
-            with pytest.raises(ValueError, match=name):
-                ThresholdTuple(**{name: float(value)})
-            out = tmp_path / "ap.json"
-            assert run(["ap", "--dets", scene_dir, "--gt", scene_dir, "--out", out,
-                        flag, value]) == 1
-            assert capsys.readouterr().err.count("\n") == 1
-            assert not out.exists()
-
 
 class TestCompareReps:
     def test_scene_dir_input(self, scene_dir, tmp_path, capsys):
@@ -423,6 +399,9 @@ def assert_usage_error(argv, tmp_path, monkeypatch):
     ["eval", "--pred", "p", "--gt", "g", "--out", "e.json", "--tau", "0.5"],
     ["ap", "--dets", "d", "--gt", "g", "--out", "a.json", "--tau", "0.5"],
     ["compare-reps", "--scenes", "s", "--out-dir", "d", "--tau", "0.5"],
+    *(["ap", "--dets", "d", "--gt", "g", "--out", "a.json", flag, "0.3"]
+      for flag in ("--delta-box2d", "--delta-shape", "--delta-rot", "--delta-trans",
+                   "--delta-scale")),
 ])
 def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch):
     assert_usage_error(argv, tmp_path, monkeypatch)

@@ -108,7 +108,7 @@ class TestEvaluateDetections:
         dets = [make_object(g.pose.translation, score=0.8,
                             box2d=(g.box2d[0] + 100.0, g.box2d[1], g.box2d[2] + 100.0, g.box2d[3]))
                 for g in gts]
-        thresholds = ThresholdTuple.box_only()
+        thresholds = ThresholdTuple(shape=None, rotation=None, translation=None, scale=None)
         assert evaluate_dataset([(dets, gts)], thresholds).ap == 0.0
 
     def test_unscored_rejected(self):
@@ -192,6 +192,12 @@ class TestThresholdTuple:
         with pytest.raises(ValueError):
             ThresholdTuple(shape=0.0)
 
+    @pytest.mark.parametrize("name", ["box2d", "shape", "rotation", "translation", "scale"])
+    def test_nan_threshold_rejected(self, name):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                ThresholdTuple(**{name: value})
+
     def test_relax(self):
         t = DEFAULT_THRESHOLDS.relax("rotation")
         assert t.rotation is None and t.box2d == 0.5
@@ -254,7 +260,20 @@ class TestApSweep:
             assert np.array_equal(row.outcome.recall, alone.recall)
 
     def test_box_only_row(self):
-        base = ThresholdTuple(box2d=0.3)
-        rows = {r.name: r.thresholds for r in ap_sweep([([], spread_gts(1))], base)}
-        assert rows["box2d"] == ThresholdTuple.box_only(0.3)
-        assert rows["box2d+rotation"].rotation == base.rotation
+        # The eleven rows: the paper's thresholds, each one relaxed, box
+        # IoU alone, and box IoU with each other predicate restored.
+        rot = math.pi / 6
+        rows = [(r.name, r.thresholds) for r in ap_sweep([([], spread_gts(1))])]
+        assert rows == [
+            ("all", ThresholdTuple(0.5, 0.25, rot, 1.0, 0.5)),
+            ("all-shape", ThresholdTuple(0.5, None, rot, 1.0, 0.5)),
+            ("all-rotation", ThresholdTuple(0.5, 0.25, None, 1.0, 0.5)),
+            ("all-translation", ThresholdTuple(0.5, 0.25, rot, None, 0.5)),
+            ("all-scale", ThresholdTuple(0.5, 0.25, rot, 1.0, None)),
+            ("all-box2d", ThresholdTuple(None, 0.25, rot, 1.0, 0.5)),
+            ("box2d", ThresholdTuple(0.5, None, None, None, None)),
+            ("box2d+shape", ThresholdTuple(0.5, 0.25, None, None, None)),
+            ("box2d+rotation", ThresholdTuple(0.5, None, rot, None, None)),
+            ("box2d+translation", ThresholdTuple(0.5, None, None, 1.0, None)),
+            ("box2d+scale", ThresholdTuple(0.5, None, None, None, 0.5)),
+        ]
