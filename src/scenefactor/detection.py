@@ -84,7 +84,7 @@ class MatchRecord:
     gt_index: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalOutcome:
     """Pooled detection results: per-detection records, PR arrays, and AP."""
 
@@ -189,7 +189,7 @@ def _envelope_ap(precision: np.ndarray, recall: np.ndarray) -> float:
     return float(ap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApRow:
     name: str
     thresholds: ThresholdTuple

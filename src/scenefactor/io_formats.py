@@ -343,8 +343,9 @@ def _floats(value, n, loc, path) -> list[float]:
 
 def load_json(path):
     """Parse a JSON file; every malformed input raises a located FileFormatError."""
+    data = Path(path).read_bytes()
     try:
-        return json.loads(Path(path).read_bytes())
+        return json.loads(data)
     except RecursionError as exc:
         raise FileFormatError("JSON nested too deeply", path, location="$") from exc
     except UnicodeDecodeError as exc:
@@ -353,6 +354,8 @@ def load_json(path):
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}",
                               path, location=f"byte {exc.pos}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise FileFormatError(str(exc), path, location="$") from exc
 
 
 def _encode(cells: np.ndarray) -> str:
@@ -502,6 +505,18 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
         raise FileFormatError(str(exc), path, location=loc) from exc
 
 
+def _is_room_render(scene: FactoredScene) -> bool:
+    """Whether the scene's layout equals its room's analytic render bit for
+    bit; a scene whose room cannot render a layout has no such render."""
+    if scene.room is None:
+        return False
+    try:
+        room_layout = replace(scene, layout=ROOM_LAYOUT).layout
+    except ValueError:
+        return False
+    return np.array_equal(scene.layout.disparity, room_layout.disparity)
+
+
 def write_scene(scene: FactoredScene, path) -> None:
     """Serialize a scene as one JSON file.  A binary grid is stored as
     packed bits, any other grid as float32 cells; the layout is stored as
@@ -512,8 +527,7 @@ def write_scene(scene: FactoredScene, path) -> None:
     if scene.layout_from_room:
         layout_doc = {"from_room": True}
     elif scene.layout is not None:
-        if scene.room is not None and np.array_equal(
-                scene.layout.disparity, replace(scene, layout=ROOM_LAYOUT).layout.disparity):
+        if _is_room_render(scene):
             layout_doc = {"from_room": True}
         else:
             with np.errstate(over="ignore"):

@@ -50,7 +50,7 @@ GRAD_TOLERANCE = 1e-5
 DEFAULT_BIN_COUNT = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossValueGrad:
     """A loss value and its gradient with respect to the prediction."""
 

@@ -105,7 +105,7 @@ def bbox_diagonal(points: np.ndarray) -> float:
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidTransform:
     """Rotation followed by translation: p -> R @ p + t."""
 
@@ -158,7 +158,7 @@ def kabsch_align(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     return RigidTransform(*_kabsch(src - src_mean, src_mean, dst))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IcpResult:
     """Alignment outcome; fitness is mean squared residual / size_norm^2.
 

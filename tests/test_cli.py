@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -478,6 +479,47 @@ def test_rejected_input_is_one_line_and_writes_nothing(error_inputs, tmp_path, m
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err and "Traceback" not in err
     assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--config", "big.json", "--out-dir", "out/gen"],
+    ["render", "--scene", "big.json", "--out", "out/d.pfm"],
+    ["convert", "--depth", "d.pfm", "--camera-scene", "big.json", "--to", "voxels",
+     "--out", "out/v.fvox"],
+], ids=["gen-config", "render-scene", "convert-camera-scene"])
+def test_integer_past_the_digit_limit_is_one_line_naming_the_file(scene_dir, tmp_path,
+                                                                  monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    text = (scene_dir / "scene_00040.json").read_text()
+    assert '"width": 64' in text
+    (tmp_path / "big.json").write_text(text.replace('"width": 64', '"width": ' + "9" * 5000))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: big.json: $: ")
+    assert "digits" in err and "Traceback" not in err
+    assert not any((tmp_path / "out").iterdir())
+
+
+# Every option of each command.  A new flag fails this test until it is
+# recorded here.
+OPTIONS = {
+    "gen": ["--config", "--count", "--height", "--objects", "--out-dir", "--seed", "--width"],
+    "render": ["--method", "--out", "--scene", "--unit", "--what"],
+    "convert": ["--camera-scene", "--depth", "--out", "--scene", "--to"],
+    "eval": ["--csv", "--gt", "--out", "--pred"],
+    "ap": ["--csv", "--dets", "--gt", "--out"],
+    "compare-reps": ["--out-dir", "--scenes"],
+    "grad-check": ["--out", "--points", "--seed"],
+}
+
+
+def test_option_surface_is_pinned():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: sorted(s for a in sub._actions if a.dest != "help" for s in a.option_strings)
+               for name, sub in commands.choices.items()}
+    assert surface == OPTIONS
 
 
 def test_largest_image_side_accepted(tmp_path):

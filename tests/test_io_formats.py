@@ -416,6 +416,43 @@ class TestSceneJson:
                         tmp_path / "layout.json")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("room", [
+        {"center": [0.0, 0.0, 10.0], "half_extents": [1.0, 1.0, 1.0]},
+        {"center": [0.0, 0.0, 0.0], "half_extents": [1e-310, 1.0, 1.0]},
+    ], ids=["camera-outside", "wall-at-1e-310"])
+    def test_custom_layout_beside_a_room_that_cannot_render(self, tmp_path, room):
+        """An f4 layout is not checked against the room, so the reader takes
+        a room that could not render one; writing that scene keeps the
+        layout as f4."""
+        disparity = np.linspace(0.1, 0.4, DEFAULT_CAMERA.height * DEFAULT_CAMERA.width)
+        disparity = disparity.reshape(DEFAULT_CAMERA.height, DEFAULT_CAMERA.width)
+        write_scene(FactoredScene(camera=DEFAULT_CAMERA, layout=Layout(disparity)),
+                    tmp_path / "a.json")
+        doc = json.loads((tmp_path / "a.json").read_text())
+        doc["room"] = room
+        (tmp_path / "a.json").write_text(json.dumps(doc))
+        scene = read_scene(tmp_path / "a.json")
+        write_scene(scene, tmp_path / "b.json")
+        assert set(json.loads((tmp_path / "b.json").read_text())["layout"]) == {"f4"}
+        back = read_scene(tmp_path / "b.json")
+        assert not back.layout_from_room
+        assert np.array_equal(back.layout.disparity, disparity.astype(np.float32))
+        assert back.layout.disparity.tobytes() == scene.layout.disparity.tobytes()
+
+    @pytest.mark.parametrize("read", [read_scene, read_camera])
+    def test_integer_past_the_digit_limit_names_location(self, tmp_path, read):
+        path = tmp_path / "big.json"
+        write_scene(FactoredScene(camera=DEFAULT_CAMERA), path)
+        text = path.read_text()
+        width = f'"width": {DEFAULT_CAMERA.width}'
+        assert width in text
+        path.write_text(text.replace(width, '"width": ' + "9" * 5000))
+        with pytest.raises(FileFormatError) as err:
+            read(path)
+        assert type(err.value) is FileFormatError
+        assert (err.value.path, err.value.location) == (str(path), "$")
+        assert "digits" in str(err.value)
+
     def test_read_camera_skips_objects_and_layout(self, tmp_path):
         scene = generate_scene(GeneratorConfig(seed=9))
         write_scene(scene, tmp_path / "s.json")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from scenefactor.detection import DEFAULT_THRESHOLDS, ApRow, EvalOutcome
 from scenefactor.geometry import DEFAULT_CAMERA, Pose, UnitQuaternion
+from scenefactor.losses import LossValueGrad
+from scenefactor.registration import IcpResult, RigidTransform
 from scenefactor.render import DepthMap
 from scenefactor.scene import (
     CLASS_LABELS,
@@ -100,6 +103,13 @@ ARRAY_HOLDERS = {
     "FactoredScene": lambda: FactoredScene(
         camera=DEFAULT_CAMERA.scaled(64, 48), layout=Layout(np.full((48, 64), 0.5)),
         objects=(make_object((0, 0, 0), (0.5, 0.5, 0.5), np.array([0.0, 0.0, 2.0])),)),
+    "RigidTransform": lambda: RigidTransform(np.eye(3), np.zeros(3)),
+    "IcpResult": lambda: IcpResult(RigidTransform(np.eye(3), np.zeros(3)), 0.0, 1, "converged",
+                                   (0.0,)),
+    "LossValueGrad": lambda: LossValueGrad(0.5, np.zeros(3)),
+    "EvalOutcome": lambda: EvalOutcome((), np.ones(2), np.ones(2), 1.0, 2),
+    "ApRow": lambda: ApRow("all", DEFAULT_THRESHOLDS,
+                           EvalOutcome((), np.ones(2), np.ones(2), 1.0, 2)),
 }
 
 
