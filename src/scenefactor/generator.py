@@ -63,8 +63,9 @@ class GeneratorConfig:
 
     seed: int = 0
     object_count_range: tuple[int, int] = (3, 5)
+    # A dict cannot be hashed; equality still compares it.
     class_mix: Mapping[str, float] = field(
-        default_factory=lambda: {label: 1.0 for label in CLASS_LABELS})
+        default_factory=lambda: {label: 1.0 for label in CLASS_LABELS}, hash=False)
     anchor_classes: tuple[str, ...] = ("bed", "sofa")
     camera: Camera = field(default_factory=lambda: DEFAULT_CAMERA.scaled(64, 48))
 

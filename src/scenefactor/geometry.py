@@ -35,7 +35,8 @@ __all__ = [
     "validate_rotation_matrix",
 ]
 
-# Maximum allowed deviation of a quaternion norm from 1.
+# Maximum allowed deviation of a quaternion norm from 1; it also bounds
+# each entry of R^T R - I and det(R) - 1 in validate_rotation_matrix.
 UNIT_NORM_TOL = 1e-6
 
 
@@ -122,14 +123,14 @@ def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
     ])
 
 
-def validate_rotation_matrix(R: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def validate_rotation_matrix(R: np.ndarray) -> np.ndarray:
     """Check orthonormality and det=+1; returns the matrix as float64."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got {R.shape}")
-    if not np.allclose(R.T @ R, np.eye(3), atol=tol):
+    if not np.allclose(R.T @ R, np.eye(3), atol=UNIT_NORM_TOL):
         raise ValueError("matrix is not orthonormal")
-    if abs(np.linalg.det(R) - 1.0) > tol:
+    if abs(np.linalg.det(R) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("matrix determinant is not +1 (improper rotation)")
     return R
 

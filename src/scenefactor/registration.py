@@ -83,15 +83,13 @@ class NNIndex:
         second = idx[:, 1] if len(self.points) > 1 else first
         nearest = np.where((dist[:, 1] <= best_d) & (second < first), second, first)
         for row in np.flatnonzero(third <= best_d):
-            ball = self._tree.query_ball_point(q[row], r=best_d[row], p=2.0)
-            if not ball:
-                # The ball test squares the rounded radius and can miss
-                # every tied point; rank a slightly wider ball by the
-                # tree's own distances instead.
-                near = self._tree.query_ball_point(q[row], r=best_d[row] * (1 + 1e-9))
-                near_d, near_i = self._tree.query(q[row], k=len(near))
-                ball = near_i[near_d == best_d[row]]
-            nearest[row] = min(ball)
+            # The ball test compares squared distances with the squared
+            # rounded radius, so at exactly best_d it can drop tied points,
+            # the lowest-index one among them.  Rank a slightly wider ball
+            # by the tree's own distances instead.
+            near = self._tree.query_ball_point(q[row], r=best_d[row] * (1 + 1e-9))
+            near_d, near_i = self._tree.query(q[row], k=len(near))
+            nearest[row] = near_i[near_d == best_d[row]].min()
         runner_up = np.where(first == nearest, second, first)
         return best_d, np.stack([nearest, runner_up], axis=1), third
 
@@ -113,7 +111,7 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        R = validate_rotation_matrix(self.rotation, tol=1e-6)
+        R = validate_rotation_matrix(self.rotation)
         t = np.array(self.translation, dtype=float)
         if t.shape != (3,) or not np.all(np.isfinite(t)):
             raise ValueError("translation must be a finite 3-vector")

@@ -52,7 +52,6 @@ __all__ = [
 # Surface id codes used by the analytic renderer.
 ROOM_SURFACE = -1
 NO_SURFACE = -2
-_NO_ROOM = "analytic rendering needs a scene with room geometry"
 
 # Cell codes of the voxel marcher's padded grid.
 _EMPTY, _OCCUPIED, _OUTSIDE = 0, 1, 2
@@ -173,17 +172,20 @@ def _slab_hit(origin: np.ndarray, dirs: np.ndarray, lo, hi) -> np.ndarray:
     return np.where(hit, t, np.inf)
 
 
-def _room_exits(cam: Camera, room: Cuboid) -> tuple[np.ndarray, np.ndarray, float]:
+def _room_exits(cam: Camera, room: Cuboid | None) -> tuple[np.ndarray, np.ndarray, float]:
     """Slab exit parameters (:func:`_slab_axis`) of a camera inside the
     room: per row (ty), per column (tx) and along z (tz).  Pixel (r, c)
     exits at min(ty[r], tx[c], tz), and misses the room when that is not
-    positive (a wall so near that its parameter underflows to 0).
+    positive (a wall so near that its parameter underflows to 0).  Every
+    analytic render starts here, so a scene with no room fails here.
 
     With lo < 0 < hi on every axis no quotient is 0/0, and every entry
     parameter is at most 0 and every exit at least 0.  So ``_slab_hit``'s
     miss rule, ``t_near <= t_far and t_far > 0``, reduces to its second
     half, and a hit is at the exit.
     """
+    if room is None:
+        raise ValueError("analytic rendering needs a scene with room geometry")
     lo, hi = room.bounds
     if np.any(lo >= 0.0) or np.any(hi <= 0.0):
         raise ValueError("camera (the origin) must lie inside the room box")
@@ -194,7 +196,7 @@ def _room_exits(cam: Camera, room: Cuboid) -> tuple[np.ndarray, np.ndarray, floa
     return ty, tx, tz
 
 
-def _room_depth(cam: Camera, room: Cuboid) -> np.ndarray:
+def _room_depth(cam: Camera, room: Cuboid | None) -> np.ndarray:
     """``_slab_hit(0, _pixel_rays(cam), *room.bounds)`` for a camera inside
     the room, bit for bit: the exit parameter min(tx, ty, tz) where it is
     positive, else inf."""
@@ -205,8 +207,6 @@ def _room_depth(cam: Camera, room: Cuboid) -> np.ndarray:
 
 def _raycast_analytic(scene: FactoredScene,
                       include_objects: bool) -> tuple[np.ndarray, np.ndarray]:
-    if scene.room is None:
-        raise ValueError(_NO_ROOM)
     cam = scene.camera
     depth = _room_depth(cam, scene.room)
     ids = np.full(depth.shape, ROOM_SURFACE, dtype=np.int32)
@@ -252,8 +252,6 @@ def _check_room_layout(scene: FactoredScene) -> None:
     row exits, the positive column exits and tz.  Exits that underflow
     to 0 are empty pixels; with no positive row or column there is none.
     """
-    if scene.room is None:
-        raise ValueError(_NO_ROOM)
     ty, tx, tz = _room_exits(scene.camera, scene.room)
     ty, tx = ty[ty > 0.0], tx[tx > 0.0]
     if len(ty) and len(tx) and not math.isfinite(1.0 / float(min(ty.min(), tx.min(), tz))):

@@ -167,18 +167,18 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
+def _legs(lw: float, half_y: float, center_y: float) -> list[Cuboid]:
+    """Four square legs of width ``lw`` in the corners of the unit box."""
+    return [Cuboid((sx * (0.5 - lw / 2.0), center_y, sz * (0.5 - lw / 2.0)),
+                   (lw / 2.0, half_y, lw / 2.0))
+            for sx in (-1.0, 1.0) for sz in (-1.0, 1.0)]
+
+
 def _table_like(top_thickness: float, leg_width: float) -> list[Cuboid]:
     tt = _check_range("top_thickness", top_thickness, 0.05, 0.3)
     lw = _check_range("leg_width", leg_width, 0.05, 0.3)
     top = Cuboid((0.0, -0.5 + tt / 2.0, 0.0), (0.5, tt / 2.0, 0.5))
-    legs = []
-    leg_half_y = (1.0 - tt) / 2.0
-    leg_center_y = tt / 2.0
-    for sx in (-1.0, 1.0):
-        for sz in (-1.0, 1.0):
-            legs.append(Cuboid((sx * (0.5 - lw / 2.0), leg_center_y, sz * (0.5 - lw / 2.0)),
-                               (lw / 2.0, leg_half_y, lw / 2.0)))
-    return [top] + legs
+    return [top] + _legs(lw, (1.0 - tt) / 2.0, tt / 2.0)
 
 
 def _chair(seat_top: float, seat_thickness: float, back_thickness: float,
@@ -193,14 +193,7 @@ def _chair(seat_top: float, seat_thickness: float, back_thickness: float,
     seat = Cuboid((0.0, st + th / 2.0, 0.0), (0.5, th / 2.0, 0.5))
     back = Cuboid((0.0, (seat_bottom - 0.5) / 2.0, 0.5 - bt / 2.0),
                   (0.5, (seat_bottom + 0.5) / 2.0, bt / 2.0))
-    legs = []
-    leg_half_y = (0.5 - seat_bottom) / 2.0
-    leg_center_y = (0.5 + seat_bottom) / 2.0
-    for sx in (-1.0, 1.0):
-        for sz in (-1.0, 1.0):
-            legs.append(Cuboid((sx * (0.5 - lw / 2.0), leg_center_y, sz * (0.5 - lw / 2.0)),
-                               (lw / 2.0, leg_half_y, lw / 2.0)))
-    return [seat, back] + legs
+    return [seat, back] + _legs(lw, (0.5 - seat_bottom) / 2.0, (0.5 + seat_bottom) / 2.0)
 
 
 def _bed(mattress_depth: float, headboard_thickness: float) -> list[Cuboid]:

@@ -162,6 +162,10 @@ class TestPlacementFailure:
                 GeneratorConfig(object_count_range=counts)
         with pytest.raises(ValueError, match="numbers"):
             GeneratorConfig(class_mix={"chair": True})
+        # class_mix is left out of the hash but not out of equality.
+        same = GeneratorConfig(object_count_range=(1, 2), class_mix={"chair": 1.0})
+        assert config == same and hash(config) == hash(same)
+        assert config != GeneratorConfig(object_count_range=(1, 2), class_mix={"chair": 2.0})
 
     def test_anchor_and_tv_cap(self):
         for seed in range(12):

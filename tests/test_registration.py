@@ -83,6 +83,27 @@ class TestNNIndex:
         assert c[0, 0] == 2 and c[0, 1] in (3, 4, 5) and third[0] == d[0]
         assert d[0] == registration._norms(tied[0])
 
+    def test_three_way_tie_is_lowest_index_at_the_trees_distance(self, rng):
+        # The cyclic rotations of a vector, and of the same vector with one
+        # coordinate moved by one ulp, lie at nearly one distance from the
+        # origin; the x, y, z sum rounds many of them to one tied value.
+        # The answer is the lowest index the tree itself puts at the
+        # nearest distance.
+        three_way = 0
+        for _ in range(300):
+            v = rng.uniform(0.1, 1.0, 3)
+            w = v.copy()
+            axis = rng.integers(3)
+            w[axis] = np.nextafter(w[axis], rng.choice([-np.inf, np.inf]))
+            pts = np.array([np.roll(u, s) for u in (v, w) for s in range(3)])
+            pts = pts[rng.permutation(len(pts))]
+            d, c, third = NNIndex(pts).query(np.zeros((1, 3)))
+            three_way += third[0] <= d[0]
+            norms = registration._norms(pts)
+            assert d[0] == norms.min()
+            assert c[0, 0] == np.flatnonzero(norms == d[0]).min()
+        assert three_way > 100
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             NNIndex(np.zeros((0, 3)))
