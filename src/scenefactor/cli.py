@@ -174,7 +174,8 @@ def _cmd_convert(args) -> int:
 # eval
 
 def _paired_scenes(pred_spec: str, gt_spec: str):
-    """(prediction, ground truth, name) per ground-truth file, in file order.
+    """Yield (prediction, ground truth, name) per ground-truth file, in
+    file order, reading each pair when it is asked for.
 
     Two single files form one pair; otherwise files pair by stem, and a
     stem found on one side only is an error.
@@ -189,13 +190,13 @@ def _paired_scenes(pred_spec: str, gt_spec: str):
             raise ValueError(f"unmatched scene {stem!r}: no {stem}.json in "
                              f"{gt_spec if stem in preds else pred_spec}")
         pred_files = [preds[g.stem] for g in gt_files]
-    return [(read_scene(p), read_scene(g), g.stem) for p, g in zip(pred_files, gt_files)]
+    for p, g in zip(pred_files, gt_files):
+        yield read_scene(p), read_scene(g), g.stem
 
 
 def _cmd_eval(args) -> int:
-    pairs = _paired_scenes(args.pred, args.gt)
     per_instance = []
-    for pred_scene, gt_scene, name in pairs:
+    for pred_scene, gt_scene, name in _paired_scenes(args.pred, args.gt):
         if len(pred_scene.objects) != len(gt_scene.objects):
             raise ValueError(
                 f"{name}: object counts differ "
@@ -247,8 +248,7 @@ def _cmd_eval(args) -> int:
 # ap
 
 def _cmd_ap(args) -> int:
-    det_pairs = _paired_scenes(args.dets, args.gt)
-    pairs = [(list(d.objects), list(g.objects)) for d, g, _ in det_pairs]
+    pairs = [(list(d.objects), list(g.objects)) for d, g, _ in _paired_scenes(args.dets, args.gt)]
     rows = []
     for row in ap_sweep(pairs):
         rows.append({

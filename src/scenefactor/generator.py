@@ -20,7 +20,8 @@ from typing import Mapping
 import numpy as np
 
 from .geometry import Camera, DEFAULT_CAMERA, Pose, image_extent, rotation_about_y
-from .scene import CLASS_LABELS, ROOM_LAYOUT, FactoredScene, SceneObject, parametric_shape
+from .render import room_layout
+from .scene import CLASS_LABELS, FactoredScene, SceneObject, parametric_shape
 from .voxels import CANONICAL_SPEC, Cuboid, cuboid_voxelize
 
 __all__ = ["GeneratorConfig", "generate_scene"]
@@ -253,5 +254,6 @@ def generate_scene(cfg: GeneratorConfig) -> FactoredScene:
                 f"placed {len(objects)} of {count} objects")
             break
 
-    return FactoredScene(camera=cfg.camera, objects=tuple(objects), layout=ROOM_LAYOUT,
-                         room=room, warnings=tuple(warnings))
+    return FactoredScene(camera=cfg.camera, objects=tuple(objects),
+                         layout=room_layout(cfg.camera, room), room=room,
+                         warnings=tuple(warnings))

@@ -15,8 +15,8 @@ Formats
   x-fastest>)}``, 131,072 bytes, and read back into a grid that keeps its
   float32 cells.  A layout
   that matches the analytic room render is stored as ``{"from_room":
-  true}`` and rendered on first read, which keeps the round trip exact at
-  float64; any other layout as ``{"f4": base64(<f4 disparity, rows
+  true}`` and rendered again when read, which keeps the round trip exact
+  at float64; any other layout as ``{"f4": base64(<f4 disparity, rows
   top-down>)}``, 4 * width * height bytes of the scene's camera.  The
   reader checks each payload's base64 length before it decodes anything.
 * FVOX: magic ``FVOX``, u32 version, u32 dims[3], u32 frame tag
@@ -49,14 +49,13 @@ import math
 import os
 import secrets
 import struct
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import Camera, Pose, UnitQuaternion
-from .render import DepthMap
-from .scene import CLASS_LABELS, ROOM_LAYOUT, FactoredScene, Layout, SceneObject
+from .render import DepthMap, room_layout
+from .scene import CLASS_LABELS, FactoredScene, Layout, SceneObject
 from .voxels import CANONICAL_SPEC, FRAME_SPECS, Cuboid, VoxelGrid
 
 __all__ = [
@@ -508,25 +507,21 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
 def _is_room_render(scene: FactoredScene) -> bool:
     """Whether the scene's layout equals its room's analytic render bit for
     bit; a scene whose room cannot render a layout has no such render."""
-    if scene.room is None:
-        return False
     try:
-        room_layout = replace(scene, layout=ROOM_LAYOUT).layout
+        rendered = room_layout(scene.camera, scene.room)
     except ValueError:
         return False
-    return np.array_equal(scene.layout.disparity, room_layout.disparity)
+    return np.array_equal(scene.layout.disparity, rendered.disparity)
 
 
 def write_scene(scene: FactoredScene, path) -> None:
     """Serialize a scene as one JSON file.  A binary grid is stored as
     packed bits, any other grid as float32 cells; the layout is stored as
-    ``from_room`` when it is ``ROOM_LAYOUT`` (unrendered) or exactly the
-    analytic room render, else as float32 disparities.  A custom layout
-    that float32 cannot hold raises ``ValueError`` before anything is written."""
+    ``from_room`` when it is exactly the analytic room render, else as
+    float32 disparities.  A custom layout that float32 cannot hold raises
+    ``ValueError`` before anything is written."""
     layout_doc = None
-    if scene.layout_from_room:
-        layout_doc = {"from_room": True}
-    elif scene.layout is not None:
+    if scene.layout is not None:
         if _is_room_render(scene):
             layout_doc = {"from_room": True}
         else:
@@ -578,15 +573,16 @@ def read_scene(path) -> FactoredScene:
     objects_doc = _expect(doc, "objects", "$", path, kind=list)
     objects = tuple(_object_from_dict(o, f"$.objects[{i}]", path)
                     for i, o in enumerate(objects_doc))
+    layout_doc = _expect(doc, "layout", "$", path, allow_none=True)
+    layout = None if layout_doc is None else _layout_from_doc(layout_doc, camera, room, path)
     try:
-        scene = FactoredScene(camera=camera, objects=objects, room=room,
-                              warnings=tuple(warnings_doc))
+        return FactoredScene(camera=camera, objects=objects, layout=layout, room=room,
+                             warnings=tuple(warnings_doc))
     except ValueError as exc:
         raise FileFormatError(str(exc), path, location="$.objects") from exc
 
-    layout_doc = _expect(doc, "layout", "$", path, allow_none=True)
-    if layout_doc is None:
-        return scene
+
+def _layout_from_doc(layout_doc, camera: Camera, room: Cuboid | None, path) -> Layout:
     # JSON 1 and 1.0 compare equal to true, so the value is also checked by identity.
     from_room = layout_doc == {"from_room": True} and layout_doc["from_room"] is True
     if not (from_room or isinstance(layout_doc, dict) and set(layout_doc) == {"f4"}):
@@ -597,12 +593,11 @@ def read_scene(path) -> FactoredScene:
             raise FileFormatError("layout says from_room but the scene has no room", path,
                                   location="$.layout")
         try:
-            return replace(scene, layout=ROOM_LAYOUT)
+            return room_layout(camera, room)
         except ValueError as exc:
             raise FileFormatError(str(exc), path, location="$.room") from exc
     data = _payload(layout_doc["f4"], 4 * camera.width * camera.height, "$.layout.f4", path)
     try:
-        layout = Layout(np.frombuffer(data, dtype="<f4").reshape(camera.height, camera.width))
+        return Layout(np.frombuffer(data, dtype="<f4").reshape(camera.height, camera.width))
     except ValueError as exc:
         raise FileFormatError(str(exc), path, location="$.layout.f4") from exc
-    return replace(scene, layout=layout)

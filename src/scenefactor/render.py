@@ -47,6 +47,7 @@ __all__ = [
     "render_depth_analytic",
     "render_depth_voxel",
     "render_surface_ids",
+    "room_layout",
 ]
 
 # Surface id codes used by the analytic renderer.
@@ -196,37 +197,35 @@ def _room_exits(cam: Camera, room: Cuboid | None) -> tuple[np.ndarray, np.ndarra
     return ty, tx, tz
 
 
-def _room_depth(cam: Camera, room: Cuboid | None) -> np.ndarray:
+def _room_depth(cam: Camera, room: Cuboid | None, miss: float = np.inf) -> np.ndarray:
     """``_slab_hit(0, _pixel_rays(cam), *room.bounds)`` for a camera inside
     the room, bit for bit: the exit parameter min(tx, ty, tz) where it is
-    positive, else inf."""
+    positive, else ``miss``."""
     ty, tx, tz = _room_exits(cam, room)
     t_far = np.minimum(np.minimum(tx[None, :], ty[:, None]), tz)
-    return np.where(t_far > 0.0, t_far, np.inf)
+    return np.where(t_far > 0.0, t_far, miss)
 
 
-def _raycast_analytic(scene: FactoredScene,
-                      include_objects: bool) -> tuple[np.ndarray, np.ndarray]:
+def _raycast_analytic(scene: FactoredScene) -> tuple[np.ndarray, np.ndarray]:
     cam = scene.camera
     depth = _room_depth(cam, scene.room)
     ids = np.full(depth.shape, ROOM_SURFACE, dtype=np.int32)
-    if include_objects:
-        dirs = _pixel_rays(cam)
-        for index, obj in enumerate(scene.objects):
-            if obj.solid is None:
-                raise ValueError("analytic rendering needs objects with cuboid solids")
-            window, local_origin, local_dirs = _window_rays(
-                cam, dirs, obj.pose, np.concatenate([c.corners() for c in obj.solid]))
-            t_obj = np.full(len(local_dirs), np.inf)
-            for c in obj.solid:
-                clo, chi = c.bounds
-                t_obj = np.minimum(t_obj, _slab_hit(local_origin, local_dirs, clo, chi))
-            # Views: writing them writes the window of depth and ids.
-            near, near_ids = depth[window], ids[window]
-            t_obj = t_obj.reshape(near.shape)
-            closer = t_obj < near
-            near[closer] = t_obj[closer]
-            near_ids[closer] = index
+    dirs = _pixel_rays(cam)
+    for index, obj in enumerate(scene.objects):
+        if obj.solid is None:
+            raise ValueError("analytic rendering needs objects with cuboid solids")
+        window, local_origin, local_dirs = _window_rays(
+            cam, dirs, obj.pose, np.concatenate([c.corners() for c in obj.solid]))
+        t_obj = np.full(len(local_dirs), np.inf)
+        for c in obj.solid:
+            clo, chi = c.bounds
+            t_obj = np.minimum(t_obj, _slab_hit(local_origin, local_dirs, clo, chi))
+        # Views: writing them writes the window of depth and ids.
+        near, near_ids = depth[window], ids[window]
+        t_obj = t_obj.reshape(near.shape)
+        closer = t_obj < near
+        near[closer] = t_obj[closer]
+        near_ids[closer] = index
     miss = ~np.isfinite(depth)
     ids = np.where(miss, np.int32(NO_SURFACE), ids)
     depth = np.where(miss, 0.0, depth)
@@ -240,22 +239,22 @@ def render_depth_analytic(scene: FactoredScene, include_objects: bool = True) ->
     With ``include_objects=False`` this is the amodal layout depth: the
     scene as if there were no objects.
     """
-    depth, _ = _raycast_analytic(scene, include_objects)
+    if include_objects:
+        depth, _ = _raycast_analytic(scene)
+    else:
+        depth = _room_depth(scene.camera, scene.room, miss=0.0)
     return DepthMap(depth, scene.camera)
 
 
-def _check_room_layout(scene: FactoredScene) -> None:
-    """Raise what rendering the scene's layout would, without making it.
-
-    A pixel's depth min(ty, tx, tz) is positive when its row and column
-    exits are, so the least positive depth is the least of the positive
-    row exits, the positive column exits and tz.  Exits that underflow
-    to 0 are empty pixels; with no positive row or column there is none.
-    """
-    ty, tx, tz = _room_exits(scene.camera, scene.room)
-    ty, tx = ty[ty > 0.0], tx[tx > 0.0]
-    if len(ty) and len(tx) and not math.isfinite(1.0 / float(min(ty.min(), tx.min(), tz))):
-        raise ValueError("disparity values must be finite")
+def room_layout(camera: Camera, room: Cuboid | None) -> Layout:
+    """The amodal layout of a camera inside ``room``, bit for bit
+    ``depth_to_disparity(render_depth_analytic(scene, include_objects=False))``:
+    1 / min(ty, tx, tz) of each pixel's room exit, 0 where that exit is
+    not positive.  A wall so near that its disparity overflows makes
+    ``Layout`` raise."""
+    with np.errstate(over="ignore"):
+        disparity = _reciprocal(_room_depth(camera, room, miss=0.0))
+    return Layout(disparity)
 
 
 def render_surface_ids(scene: FactoredScene) -> tuple[DepthMap, np.ndarray]:
@@ -265,7 +264,7 @@ def render_surface_ids(scene: FactoredScene) -> tuple[DepthMap, np.ndarray]:
     Ids: object index for object surfaces, -1 for room surfaces, -2 for
     rays that miss everything (impossible inside a closed room).
     """
-    depth, ids = _raycast_analytic(scene, True)
+    depth, ids = _raycast_analytic(scene)
     return DepthMap(depth, scene.camera), ids
 
 

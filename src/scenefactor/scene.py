@@ -2,10 +2,10 @@
 
 A scene is a camera, an optional amodal layout (the enclosing surfaces as
 a disparity image, as if no objects were present), an optional room box
-(synthetic ground truth only), and a list of objects.  A ``ROOM_LAYOUT``
-is rendered from the room the first time it is read.  Each object carries
-a canonical-frame voxel shape, a pose, a foreground score, and optionally
-a 2D box and the analytic cuboid solid it was built from.
+(synthetic ground truth only), and a list of objects.  A synthetic
+scene's layout is its room's render, ``render.room_layout``.  Each object
+carries a canonical-frame voxel shape, a pose, a foreground score, and
+optionally a 2D box and the analytic cuboid solid it was built from.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .voxels import DEFAULT_SCENE_SPEC, Cuboid, VoxelGrid, resample_to_scene
 
 __all__ = [
     "CLASS_LABELS",
-    "ROOM_LAYOUT",
     "FactoredScene",
     "Layout",
     "SceneObject",
@@ -29,9 +28,6 @@ __all__ = [
 ]
 
 CLASS_LABELS = ("bed", "chair", "desk", "sofa", "table", "television")
-
-# ``FactoredScene(layout=ROOM_LAYOUT)``: the layout is the room's render.
-ROOM_LAYOUT = "from_room"
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,43 +95,20 @@ class SceneObject:
             object.__setattr__(self, "solid", tuple(self.solid))
 
 
-class _LayoutField:
-    """``FactoredScene.layout``: as stored, or for ``ROOM_LAYOUT`` the
-    room's analytic render, made on first read and then kept."""
-
-    def __get__(self, scene, owner=None):
-        if scene is None:
-            return None  # the field's default
-        if vars(scene)["_layout"] is ROOM_LAYOUT:
-            from .render import depth_to_disparity, render_depth_analytic
-
-            layout = depth_to_disparity(render_depth_analytic(scene, include_objects=False))
-            vars(scene)["_layout"] = layout
-        return vars(scene)["_layout"]
-
-    def __set__(self, scene, value):
-        vars(scene).update(_layout=value, layout_from_room=value is ROOM_LAYOUT)
-
-
 @dataclass(frozen=True, eq=False)
 class FactoredScene:
-    """Camera + amodal layout + objects (+ room box for synthetic GT).  A
-    ``ROOM_LAYOUT`` sets ``layout_from_room`` and is checked as its render."""
+    """Camera + amodal layout + objects (+ room box for synthetic GT)."""
 
     camera: Camera
     objects: tuple[SceneObject, ...] = ()
-    layout: Layout | None = _LayoutField()
+    layout: Layout | None = None
     room: Cuboid | None = None
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "warnings", tuple(str(w) for w in self.warnings))
-        if self.layout_from_room:
-            from .render import _check_room_layout
-
-            _check_room_layout(self)
-        elif self.layout is not None:
+        if self.layout is not None:
             if (self.layout.height, self.layout.width) != (self.camera.height, self.camera.width):
                 raise ValueError("layout dimensions must match the camera")
         for obj in self.objects:

@@ -435,7 +435,6 @@ class TestSceneJson:
         write_scene(scene, tmp_path / "b.json")
         assert set(json.loads((tmp_path / "b.json").read_text())["layout"]) == {"f4"}
         back = read_scene(tmp_path / "b.json")
-        assert not back.layout_from_room
         assert np.array_equal(back.layout.disparity, disparity.astype(np.float32))
         assert back.layout.disparity.tobytes() == scene.layout.disparity.tobytes()
 
@@ -603,8 +602,7 @@ class TestSceneJson:
 
     def test_room_whose_layout_overflows_names_location(self, tmp_path):
         """The camera is inside this room, but a wall 1e-310 m away has a
-        disparity beyond float64.  The reader fails, as it did when it
-        rendered every layout, and not the first read of ``layout``."""
+        disparity beyond float64.  The reader fails at the room."""
         def thin_room(doc):
             doc["room"] = {"center": [0.0, 0.0, 0.0], "half_extents": [1e-310, 1.0, 1.0]}
 
@@ -613,27 +611,32 @@ class TestSceneJson:
         assert err.value.location == "$.room"
         assert "disparity values must be finite" in str(err.value)
 
-    def test_room_layout_rendered_only_when_read(self, tmp_path, monkeypatch):
-        """Generating, reading and writing a ``from_room`` scene renders
-        nothing; the first read of ``layout`` renders it once."""
-        calls = []
-        analytic = render.render_depth_analytic
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return analytic(*args, **kwargs)
-
-        monkeypatch.setattr(render, "render_depth_analytic", counted)
+    def test_room_layout_round_trips_as_from_room(self, tmp_path):
+        """A generated scene's layout is stored as ``from_room``, read back
+        as the full-size room render, and written again to the same bytes."""
         write_scene(generate_scene(GeneratorConfig(seed=2)), tmp_path / "a.json")
+        assert json.loads((tmp_path / "a.json").read_text())["layout"] == {"from_room": True}
         scene = read_scene(tmp_path / "a.json")
         write_scene(scene, tmp_path / "b.json")
-        assert calls == []
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-        assert scene.layout_from_room
-        assert scene.layout is scene.layout
-        assert len(calls) == 1
-        eager = render.depth_to_disparity(analytic(scene, include_objects=False))
-        assert np.array_equal(scene.layout.disparity, eager.disparity)
+        full = render.render_depth_analytic(scene, include_objects=False)
+        assert scene.layout.disparity.tobytes() == \
+            render.depth_to_disparity(full).disparity.tobytes()
+
+    def test_each_scene_built_once(self, tmp_path, monkeypatch):
+        scene = generate_scene(GeneratorConfig(seed=2))
+        write_scene(scene, tmp_path / "a.json")
+        write_scene(dataclasses.replace(scene, layout=None), tmp_path / "b.json")
+        built = []
+        post_init = FactoredScene.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(FactoredScene, "__post_init__", counted)
+        scenes = [read_scene(tmp_path / name) for name in ("a.json", "b.json")]
+        assert built == scenes
 
     def test_box2d_out_of_bounds_names_location(self, tmp_path):
         def widen_box(doc):

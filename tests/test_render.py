@@ -17,7 +17,6 @@ from scenefactor.geometry import (
 )
 from scenefactor.render import (
     DepthMap,
-    _check_room_layout,
     _march_grid,
     _pixel_rays,
     _room_depth,
@@ -30,6 +29,7 @@ from scenefactor.render import (
     render_depth_analytic,
     render_depth_voxel,
     render_surface_ids,
+    room_layout,
 )
 from scenefactor.scene import FactoredScene, Layout, SceneObject
 from scenefactor.voxels import DEFAULT_SCENE_SPEC, Cuboid, VoxelGrid, cuboid_voxelize
@@ -231,19 +231,18 @@ def test_room_depth_matches_slab_test_property(data):
     assert same_bits(_room_depth(cam, room), room_slab_hit(cam, room))
 
 
-def full_size_room_check(scene):
-    """The layout checks made from the full-size layout render."""
-    depth = render_depth_analytic(scene, include_objects=False).depth
-    if not math.isfinite(1.0 / float(depth[depth > 0.0].min(initial=math.inf))):
-        raise ValueError("disparity values must be finite")
+def full_size_room_layout(scene):
+    """The layout as the disparity of the full-size room render."""
+    with np.errstate(over="ignore"):
+        return depth_to_disparity(render_depth_analytic(scene, include_objects=False))
 
 
-def check_outcome(check, scene):
+def layout_outcome(make, scene):
+    """The layout's disparity bits, or the message of the error raised."""
     try:
-        check(scene)
+        return make(scene).disparity.tobytes()
     except ValueError as err:
         return str(err)
-    return None
 
 
 @pytest.mark.parametrize("cam, room, error", [
@@ -265,9 +264,9 @@ def check_outcome(check, scene):
 ])
 def test_room_layout_check_matches_full_size_render(cam, room, error):
     scene = FactoredScene(camera=cam, room=room)
-    outcome = check_outcome(_check_room_layout, scene)
-    assert outcome == check_outcome(full_size_room_check, scene)
-    assert (outcome is None) == (error is None)
+    outcome = layout_outcome(lambda s: room_layout(s.camera, s.room), scene)
+    assert outcome == layout_outcome(full_size_room_layout, scene)
+    assert isinstance(outcome, bytes) == (error is None)
     assert error is None or error in outcome
 
 
