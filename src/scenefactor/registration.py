@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import validate_rotation_matrix
 
@@ -51,9 +50,14 @@ _SLACK = 1e-9
 
 
 class NNIndex:
-    """Exact Euclidean nearest-neighbor lookup over a fixed point set."""
+    """Exact Euclidean nearest-neighbor lookup over a fixed point set.
+
+    SciPy is imported where the kd-tree is built, so only a command that
+    builds an index pays for loading it."""
 
     def __init__(self, points: np.ndarray):
+        from scipy.spatial import cKDTree
+
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
             raise ValueError("index needs a non-empty (N, 3) point array")

@@ -4,12 +4,17 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import importlib.resources as resources
 import jsonschema
 import numpy as np
 import pytest
 
+import scenefactor
 import scenefactor.cli as cli
 import scenefactor.losses as losses
 from scenefactor.cli import main
@@ -441,6 +446,11 @@ def error_inputs(scene_dir, tmp_path_factory):
     text = scene_file.read_text()
     assert '"width": 64' in text
     (root / "big.json").write_text(text.replace('"width": 64', '"width": ' + "9" * 5000))
+    # Integers that JSON allows but a float cannot hold.
+    for name, field, key in (("huge_score", "objects", "score"), ("huge_fx", "camera", "fx")):
+        doc = json.loads(text)
+        (doc[field][0] if field == "objects" else doc[field])[key] = 10**400
+        (root / f"{name}.json").write_text(json.dumps(doc))
     return root
 
 
@@ -476,11 +486,16 @@ def error_inputs(scene_dir, tmp_path_factory):
      "error: in/big.json: $: Exceeds the limit (4300 digits)"),
     (["convert", "--depth", "in/d.pfm", "--camera-scene", "in/big.json", "--to", "voxels",
       "--out", "out/v.fvox"], 1, "error: in/big.json: $: Exceeds the limit (4300 digits)"),
+    (["eval", "--pred", "in/huge_score.json", "--gt", "in/s.json", "--out", "out/e.json"], 1,
+     "error: in/huge_score.json: $.objects[0].score: integer too large for a float"),
+    (["render", "--scene", "in/huge_fx.json", "--out", "out/d.pfm"], 1,
+     "error: in/huge_fx.json: $.camera.fx: integer too large for a float"),
 ], ids=["scene_and_depth", "no_input", "depth_without_camera", "scene_to_voxels",
         "depth_to_scene_voxels", "missing_scene_to_pointcloud", "missing_depth_to_scene_voxels",
         "object_counts_differ", "no_objects", "eval_empty_dir",
         "compare_empty_dir", "missing_pred", "layout_by_voxel", "gen_config_digit_limit",
-        "render_scene_digit_limit", "convert_camera_scene_digit_limit"])
+        "render_scene_digit_limit", "convert_camera_scene_digit_limit", "eval_score_overflow",
+        "render_camera_overflow"])
 def test_rejected_input_is_one_line_and_writes_nothing(error_inputs, tmp_path, monkeypatch,
                                                        capsys, argv, code, message):
     monkeypatch.chdir(tmp_path)
@@ -542,3 +557,42 @@ class TestGradCheck:
         report = json.loads(out.read_text())
         assert not report["all_passed"]
         assert not any(entry["passed"] for entry in report["kernels"])
+
+
+# Run in a fresh interpreter: after each step, whether SciPy is loaded.
+SCIPY_STEPS = """
+import json, sys
+loaded = {}
+import scenefactor
+loaded["import scenefactor"] = "scipy" in sys.modules
+from scenefactor.cli import main
+loaded["import scenefactor.cli"] = "scipy" in sys.modules
+d = sys.argv[1]
+scene = d + "/scenes/scene_00000.json"
+for argv in (
+        ["gen", "--out-dir", d + "/scenes"],
+        ["render", "--scene", scene, "--out", d + "/depth.pfm"],
+        ["convert", "--scene", scene, "--to", "scene-voxels", "--out", d + "/scene.fvox"],
+        ["convert", "--depth", d + "/depth.pfm", "--camera-scene", scene, "--to", "pointcloud",
+         "--out", d + "/cloud.csv"],
+        ["eval", "--pred", d + "/scenes", "--gt", d + "/scenes", "--out", d + "/eval.json"],
+        ["ap", "--dets", d + "/scenes", "--gt", d + "/scenes", "--out", d + "/ap.json"],
+        ["grad-check", "--points", "10", "--out", d + "/grad.json"],
+        ["compare-reps", "--scenes", d + "/scenes", "--out-dir", d + "/compare"]):
+    assert main(argv) == 0, argv
+    loaded[" ".join(argv[:2] if argv[0] == "convert" else argv[:1])] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_compare_reps_loads_scipy(tmp_path):
+    """SciPy is loaded only where a kd-tree is built, which no command but
+    ``compare-reps`` does."""
+    src = pathlib.Path(scenefactor.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-c", SCIPY_STEPS, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {
+        "import scenefactor": False, "import scenefactor.cli": False, "gen": False,
+        "render": False, "convert --scene": False, "convert --depth": False, "eval": False,
+        "ap": False, "grad-check": False, "compare-reps": True}

@@ -1,7 +1,7 @@
 """Every name a scenefactor module exports must exist, the package
 namespace is the union of those names, every JSON schema the package ships
 must be a well-formed schema, modules import each other at module level
-unless that would make a cycle, and every frozen value type hashes."""
+(SciPy's kd-tree aside), and every frozen value type hashes."""
 
 import ast
 import dataclasses
@@ -93,7 +93,9 @@ def test_shipped_schemas_are_well_formed():
 
 
 def test_only_a_cycle_defers_an_import():
-    """Modules import each other at module level; no import is deferred."""
+    """Modules import each other at module level.  The one deferred import
+    is SciPy's kd-tree, inside ``NNIndex.__init__``, the one place a tree is
+    built, so that only a command that builds one loads SciPy."""
     deferred = set()
     for path in pathlib.Path(scenefactor.__file__).parent.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -101,4 +103,5 @@ def test_only_a_cycle_defers_an_import():
                 deferred.update(
                     (path.name, node.lineno, "." * node.level + (node.module or ""))
                     for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
-    assert sorted((name, module) for name, _, module in deferred) == [], sorted(deferred)
+    assert sorted((name, module) for name, _, module in deferred) == [
+        ("registration.py", "scipy.spatial")], sorted(deferred)
