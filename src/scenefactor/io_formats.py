@@ -326,18 +326,23 @@ def _expect(doc, key, loc, path, kind=None, allow_none=False):
     return value
 
 
-def _is_number(value) -> bool:
-    """A JSON number; ``bool`` is excluded although Python counts it as an int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _numbers(values: list, loc, path) -> list[float]:
+    """JSON numbers as floats; anything else raises a FileFormatError at
+    ``loc``.  ``json.loads`` makes exact types, so a ``bool`` fails the type
+    test, and an integer of more than ~308 digits fails the conversion."""
+    if not {int, float}.issuperset(map(type, values)):
+        raise FileFormatError("expected a number", path, location=loc)
+    try:
+        return list(map(float, values))
+    except OverflowError:
+        raise FileFormatError("integer too large for a float", path, location=loc) from None
 
 
 def _floats(value, n, loc, path) -> list[float]:
-    """A JSON list of ``n`` numbers; ``json.loads`` makes exact types, so
-    ``bool`` fails the type test."""
-    if not isinstance(value, list) or len(value) != n or \
-            not {int, float}.issuperset(map(type, value)):
+    """A JSON list of ``n`` numbers (:func:`_numbers`)."""
+    if not isinstance(value, list) or len(value) != n:
         raise FileFormatError(f"expected a list of {n} numbers", path, location=loc)
-    return list(map(float, value))
+    return _numbers(value, loc, path)
 
 
 def load_json(path):
@@ -392,10 +397,8 @@ def _camera_to_dict(cam: Camera) -> dict:
 def _camera_from_dict(doc, loc, path) -> Camera:
     vals = {}
     for key in ("fx", "fy", "cx", "cy", "width", "height"):
-        v = _expect(doc, key, loc, path)
-        if not _is_number(v):
-            raise FileFormatError(f"field {key!r} must be a number", path, location=f"{loc}.{key}")
-        vals[key] = v
+        vals[key] = _expect(doc, key, loc, path)
+        _numbers([vals[key]], f"{loc}.{key}", path)
     for key in ("width", "height"):
         if vals[key] > MAX_IMAGE_SIDE:
             raise FileFormatError(f"camera {key} {vals[key]!r} exceeds the limit of "
@@ -450,9 +453,7 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
     if label is not None and label not in CLASS_LABELS:
         raise FileFormatError(f"unknown class label {label!r}", path,
                               location=f"{loc}.class_label")
-    score = _expect(doc, "score", loc, path)
-    if not _is_number(score):
-        raise FileFormatError("score must be a number", path, location=f"{loc}.score")
+    (score,) = _numbers([_expect(doc, "score", loc, path)], f"{loc}.score", path)
 
     pose_doc = _expect(doc, "pose", loc, path, kind=dict)
     scale = _floats(_expect(pose_doc, "scale", f"{loc}.pose", path), 3, f"{loc}.pose.scale", path)
@@ -498,7 +499,7 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
         solid = tuple(_cuboid_from_dict(c, f"{loc}.solid[{i}]", path)
                       for i, c in enumerate(solid_doc))
     try:
-        return SceneObject(shape=shape, pose=pose, score=float(score), class_label=label,
+        return SceneObject(shape=shape, pose=pose, score=score, class_label=label,
                            box2d=box2d, solid=solid)
     except ValueError as exc:
         raise FileFormatError(str(exc), path, location=loc) from exc

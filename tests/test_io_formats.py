@@ -997,9 +997,19 @@ def scene_with_long_integer(read_file):
     (damaged_scene(None, "room"), "$.layout", "from_room but the scene has no room"),
     (scene_with_long_integer(read_scene), "$", "d.json: $: Exceeds the limit (4300 digits)"),
     (scene_with_long_integer(read_camera), "$", "d.json: $: Exceeds the limit (4300 digits)"),
+    # Legal JSON integers that a float cannot hold.
+    *[(damaged_scene(10**400, *where), location, "integer too large for a float")
+      for where, location in [
+          (("objects", 0, "score"), "$.objects[0].score"),
+          (("objects", 0, "pose", "scale", 0), "$.objects[0].pose.scale"),
+          (("objects", 0, "box2d", 0), "$.objects[0].box2d"),
+          (("room", "center", 0), "$.room.center"),
+          (("camera", "fx"), "$.camera.fx"),
+          (("camera", "cx"), "$.camera.cx")]],
 ], ids=["pfm-width", "pfm-scale", "fvox-cell", "pose-type", "camera-width", "room-half",
         "object-entry", "class-label", "rotation", "scale", "score", "box2d", "from-room",
-        "scene-long-integer", "camera-long-integer"])
+        "scene-long-integer", "camera-long-integer", "score-overflow", "scale-overflow",
+        "box2d-overflow", "room-overflow", "fx-overflow", "cx-overflow"])
 def test_damaged_input_names_class_location_and_cause(tmp_path, read, location, fragment):
     with pytest.raises(FileFormatError) as err:
         read(tmp_path)
