@@ -280,8 +280,9 @@ def _cmd_compare_reps(args) -> int:
     rows = []
     for name, scene in scenes:
         rows.extend(compare_representations(scene, name))
-    # compare_representations leaves out registrations of empty shapes or
-    # clouds, and curves.csv leaves out non-finite values; both are counted,
+    # compare_representations leaves out registrations of empty or one-cell
+    # shapes and of empty clouds, and curves.csv leaves out non-finite
+    # values; both are counted,
     # as are the registrations that stopped without converging.
     registrations = len(REPRESENTATIONS) * sum(len(scene.objects) for _, scene in scenes)
     stops = Counter(r.icp_stop for r in rows if r.task == "object_fitness")
@@ -303,8 +304,9 @@ def _cmd_compare_reps(args) -> int:
     _write_csv(out_dir / "curves.csv", ["task", "representation", "value", "fraction"],
                curve_rows)
     _log(f"compared {len(scenes)} scene(s); skipped {skipped} of {registrations} object "
-         f"registration(s) (empty shape or cloud); {stops['max_iter']} stopped at "
-         f"ICP_MAX_ITER = {registration.ICP_MAX_ITER} without converging and "
+         f"registration(s) (empty or one-cell shape, or empty cloud); "
+         f"{stops['max_iter']} stopped at ICP_MAX_ITER = {registration.ICP_MAX_ITER} "
+         f"without converging and "
          f"{stops['degenerate']} on degenerate correspondences; left {nonfinite} "
          f"non-finite value(s) out of curves.csv; wrote values.csv and curves.csv to {out_dir}")
     return 0

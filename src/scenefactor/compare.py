@@ -89,8 +89,9 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene") -> li
 
     Each ``object_fitness`` row registers the centers of the object's
     boundary cells (``boundary_centers(obj.shape)``), posed, to the
-    representation's cloud.  Objects with an empty shape and
-    representations with an empty cloud get no ``object_fitness`` row.  The
+    representation's cloud.  Objects whose shape is empty or one cell,
+    which has no size to normalize the fitness by, and representations
+    with an empty cloud get no ``object_fitness`` row.  The
     per-object ICP registrations run concurrently on all visible CPUs; rows
     and values are independent of scheduling.
     """
@@ -128,11 +129,10 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene") -> li
     # visible CPUs, and pool.map returns them in submission order.
     keys, jobs = [], []
     for index, obj in enumerate(scene.objects):
-        local = boundary_centers(obj.shape)
-        if len(local) == 0:
+        src = apply_pose(obj.pose, boundary_centers(obj.shape))
+        size = bbox_diagonal(src) if len(src) else 0.0
+        if not size > 0.0:
             continue
-        src = apply_pose(obj.pose, local)
-        size = bbox_diagonal(src)
         for rep in REPRESENTATIONS:
             if len(clouds[rep]):
                 keys.append((index, rep))

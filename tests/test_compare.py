@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 import scenefactor.compare as compare
 import scenefactor.metrics as metrics
 import scenefactor.registration as registration
+from scenefactor.cli import main
 from scenefactor.compare import REPRESENTATIONS, compare_representations, gt_scene_voxels
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import apply_pose
+from scenefactor.io_formats import write_scene
 from scenefactor.registration import IcpResult, RigidTransform, bbox_diagonal, icp
 from scenefactor.render import (
     depth_to_pointcloud,
@@ -16,7 +19,7 @@ from scenefactor.render import (
     render_depth_analytic,
     render_depth_voxel,
 )
-from scenefactor.voxels import boundary_centers, voxel_centers
+from scenefactor.voxels import CANONICAL_SPEC, VoxelGrid, boundary_centers, voxel_centers
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +126,21 @@ def test_layout_rows_render_each_ground_truth_image_once(two_object_scene, monke
         got = {r.representation: r.value for r in rows if r.task == f"{mode}_layout"}
         assert got == {rep: metrics.layout_depth_error(pred, two_object_scene, mode)
                        for rep, pred in preds.items()}
+
+
+def test_one_cell_shape_is_skipped_and_counted(two_object_scene, tmp_path, monkeypatch, capsys):
+    # One occupied cell poses to one point, whose size (bounding-box
+    # diagonal) is 0, so its fitness has no normalization.
+    monkeypatch.setattr(registration, "ICP_MAX_ITER", 1)
+    occ = np.zeros(CANONICAL_SPEC.dims)
+    occ[16, 16, 16] = 1.0
+    first, second = two_object_scene.objects
+    scene = dataclasses.replace(two_object_scene, objects=(
+        dataclasses.replace(first, shape=VoxelGrid.canonical(occ)), second))
+    rows = compare_representations(scene, "s3")
+    assert {r.object_index for r in rows if r.task == "object_fitness"} == {1}
+    write_scene(scene, tmp_path / "s3.json")
+    assert main(["compare-reps", "--scenes", str(tmp_path), "--out-dir",
+                 str(tmp_path / "out")]) == 0
+    assert ("skipped 3 of 6 object registration(s) (empty or one-cell shape, or empty cloud)"
+            in capsys.readouterr().err)
