@@ -206,6 +206,8 @@ def voxel_iou(a: VoxelGrid, b: VoxelGrid) -> float:
 
 def voxel_iou_matrix(a: list[VoxelGrid], b: list[VoxelGrid]) -> np.ndarray:
     """``voxel_iou(a[i], b[j])`` for every pair, from one AND of the masks."""
+    if not a or not b:
+        return np.zeros((len(a), len(b)))
     other = next((g.frame for g in b + a if g.frame != a[0].frame), None)
     if other is not None:
         raise ValueError(f"grid frames differ: {a[0].frame} vs {other}")

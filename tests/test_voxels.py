@@ -21,6 +21,7 @@ from scenefactor.voxels import (
     resample_to_scene,
     voxel_centers,
     voxel_iou,
+    voxel_iou_matrix,
     voxelize_posed_cuboids,
 )
 
@@ -122,6 +123,11 @@ class TestVoxelIou:
         b = VoxelGrid.scene(np.zeros(DEFAULT_SCENE_SPEC.dims))
         with pytest.raises(ValueError, match="frames differ"):
             voxel_iou(a, b)
+
+    def test_matrix_with_no_grids_on_one_side(self, rng):
+        grids = [random_grid(rng, "canonical", 0.5) for _ in range(3)]
+        assert voxel_iou_matrix([], grids).shape == (0, 3)
+        assert voxel_iou_matrix(grids, []).shape == (3, 0)
 
     def test_occupied_at_threshold(self):
         g = scene_grid(np.array([0.0, 0.4999, 0.5, 1.0]).reshape(1, 2, 2))
