@@ -282,8 +282,8 @@ def _cmd_compare_reps(args) -> int:
         rows.extend(compare_representations(scene, name))
     # compare_representations leaves out registrations of empty or one-cell
     # shapes and of empty clouds, and curves.csv leaves out non-finite
-    # values; both are counted,
-    # as are the registrations that stopped without converging.
+    # values; both are counted, as are the registrations that stopped
+    # without converging.
     registrations = len(REPRESENTATIONS) * sum(len(scene.objects) for _, scene in scenes)
     stops = Counter(r.icp_stop for r in rows if r.task == "object_fitness")
     skipped = registrations - stops.total()

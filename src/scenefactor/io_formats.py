@@ -15,8 +15,8 @@ Formats
   x-fastest>)}``, 131,072 bytes, and read back into a grid that keeps its
   float32 cells.  A layout
   that matches the analytic room render is stored as ``{"from_room":
-  true}`` and rendered again when read, which keeps the round trip exact
-  at float64; any other layout as ``{"f4": base64(<f4 disparity, rows
+  true}`` and made again from the room when read, which keeps the round
+  trip exact at float64; any other layout as ``{"f4": base64(<f4 disparity, rows
   top-down>)}``, 4 * width * height bytes of the scene's camera.  The
   reader checks each payload's base64 length before it decodes anything.
 * FVOX: magic ``FVOX``, u32 version, u32 dims[3], u32 frame tag

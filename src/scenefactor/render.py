@@ -251,9 +251,17 @@ def room_layout(camera: Camera, room: Cuboid | None) -> Layout:
     ``depth_to_disparity(render_depth_analytic(scene, include_objects=False))``:
     1 / min(ty, tx, tz) of each pixel's room exit, 0 where that exit is
     not positive.  A wall so near that its disparity overflows makes
-    ``Layout`` raise."""
-    with np.errstate(over="ignore"):
-        disparity = _reciprocal(_room_depth(camera, room, miss=0.0))
+    ``Layout`` raise.
+
+    Rounded division is monotone, so 1 / min(ty, tx, tz) is exactly
+    max(1 / ty, 1 / tx, 1 / tz): the reciprocals are taken once per row
+    and per column.  tz is positive, because the camera is inside.
+    """
+    ty, tx, tz = _room_exits(camera, room)
+    with np.errstate(divide="ignore", over="ignore"):
+        disparity = np.maximum(np.maximum(1.0 / tx[None, :], 1.0 / ty[:, None]), 1.0 / tz)
+    disparity[ty <= 0.0] = 0.0
+    disparity[:, tx <= 0.0] = 0.0
     return Layout(disparity)
 
 

@@ -229,6 +229,13 @@ def test_room_depth_matches_slab_test_property(data):
     lo, hi = room.bounds
     assume(np.all(lo < 0.0) and np.all(hi > 0.0))
     assert same_bits(_room_depth(cam, room), room_slab_hit(cam, room))
+    # room_layout takes its reciprocals per row and column.
+    scene = FactoredScene(camera=cam, room=room)
+    assert layout_outcome(scene_room_layout, scene) == layout_outcome(full_size_room_layout, scene)
+
+
+def scene_room_layout(scene):
+    return room_layout(scene.camera, scene.room)
 
 
 def full_size_room_layout(scene):
@@ -264,7 +271,7 @@ def layout_outcome(make, scene):
 ])
 def test_room_layout_check_matches_full_size_render(cam, room, error):
     scene = FactoredScene(camera=cam, room=room)
-    outcome = layout_outcome(lambda s: room_layout(s.camera, s.room), scene)
+    outcome = layout_outcome(scene_room_layout, scene)
     assert outcome == layout_outcome(full_size_room_layout, scene)
     assert isinstance(outcome, bytes) == (error is None)
     assert error is None or error in outcome
