@@ -624,6 +624,8 @@ class TestSceneJson:
             render.depth_to_disparity(full).disparity.tobytes()
 
     def test_each_scene_built_once(self, tmp_path, monkeypatch):
+        """``read_scene`` makes the layout first, then builds the scene
+        once, with or without a layout."""
         scene = generate_scene(GeneratorConfig(seed=2))
         write_scene(scene, tmp_path / "a.json")
         write_scene(dataclasses.replace(scene, layout=None), tmp_path / "b.json")
