@@ -275,11 +275,12 @@ def _cmd_ap(args) -> int:
 
 def _cmd_compare_reps(args) -> int:
     scenes = [(f.stem, read_scene(f)) for f in _scene_files(args.scenes)]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, scene in scenes:
-        rows.extend(compare_representations(scene, name))
+        try:
+            rows.extend(compare_representations(scene, name))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
     # compare_representations leaves out registrations of empty or one-cell
     # shapes and of empty clouds, and curves.csv leaves out non-finite
     # values; both are counted, as are the registrations that stopped
@@ -288,6 +289,8 @@ def _cmd_compare_reps(args) -> int:
     stops = Counter(r.icp_stop for r in rows if r.task == "object_fitness")
     skipped = registrations - stops.total()
     nonfinite = sum(not math.isfinite(r.value) for r in rows)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "values.csv",
                ["scene", "task", "representation", "object_index", "value"],
                [[r.scene_id, r.task, r.representation,

@@ -18,6 +18,12 @@ centers of its shape's boundary cells only (``voxels.boundary_centers``:
 the occupied cells with an empty 6-neighbour), not of every occupied cell
 (Rusinkiewicz & Levoy 2001 on choosing ICP source points).
 
+The registrations are most of the work.  They run on a thread pool as wide
+as the visible CPUs, started as soon as the clouds exist; the calling
+thread scores every scene-level task (visible depth, scene-voxel IoU and
+layout) while they run, then collects them.  The kd-tree searches and
+most NumPy kernels release the interpreter lock, so the two sides overlap.
+
 The protocol is fixed: every grid is binarized at
 ``voxels.OCCUPANCY_THRESHOLD``, scene voxels live on the default scene grid,
 and ICP runs at most ``registration.ICP_MAX_ITER`` iterations.
@@ -84,49 +90,36 @@ def gt_scene_voxels(scene: FactoredScene) -> VoxelGrid:
 
 def compare_representations(scene: FactoredScene, scene_id: str = "scene") -> list[ComparisonRow]:
     """Score the three representations of one ground-truth scene on the
-    five tasks; returns one row per (task, representation[, object]).
-    Scene voxels live on the default scene grid.
+    five tasks; returns one row per (task, representation[, object]), in
+    task order: visible depth, scene-voxel IoU, object fitness, then
+    modal and amodal layout.  Scene voxels live on the default scene grid.
 
     Each ``object_fitness`` row registers the centers of the object's
     boundary cells (``boundary_centers(obj.shape)``), posed, to the
     representation's cloud.  Objects whose shape is empty or one cell,
     which has no size to normalize the fitness by, and representations
-    with an empty cloud get no ``object_fitness`` row.  The
-    per-object ICP registrations run concurrently on all visible CPUs; rows
-    and values are independent of scheduling.
+    with an empty cloud get no ``object_fitness`` row.
+
+    The calling thread builds the three clouds and the posed sources, then
+    hands every registration to a pool as wide as the visible CPUs (no
+    wider than the registrations).  While the pool runs, the calling
+    thread scores the visible-depth, scene-voxel IoU and layout rows, and
+    then collects the registrations in submission order.  Rows and values
+    are independent of scheduling.  An error on either side propagates
+    unchanged; registrations not yet started are cancelled, and the call
+    returns only after the pool's threads have finished.
     """
     if scene.layout is None or scene.room is None:
         raise ValueError("representation comparison needs synthetic ground truth "
                          "(layout and room)")
-    rows: list[ComparisonRow] = []
-
     # One render of each ground-truth image per scene: the full analytic
-    # render with its surface ids, and the room alone.
+    # render with its surface ids here, the room alone for the amodal rows.
     gt_depth, surface_ids = render_surface_ids(scene)
-    room_depth = render_depth_analytic(scene, include_objects=False)
     gt_cloud = depth_to_pointcloud(gt_depth)
     gt_grid = gt_scene_voxels(scene)
+    clouds = {"factored": depth_to_pointcloud(render_depth_voxel(scene)),
+              "depth": gt_cloud, "voxels": voxel_centers(gt_grid)}
 
-    factored_depth = render_depth_voxel(scene)
-    factored_cloud = depth_to_pointcloud(factored_depth)
-    voxel_cloud = voxel_centers(gt_grid)
-
-    clouds = {"factored": factored_cloud, "depth": gt_cloud, "voxels": voxel_cloud}
-    for rep in REPRESENTATIONS:
-        rows.append(ComparisonRow(scene_id, "visible_depth", rep,
-                                  visible_surface_error(clouds[rep], gt_cloud)))
-
-    grids = {
-        "factored": compose_scene_voxels(scene),
-        "depth": pointcloud_to_voxels(gt_cloud),
-        "voxels": gt_grid,
-    }
-    for rep in REPRESENTATIONS:
-        rows.append(ComparisonRow(scene_id, "scene_voxel_iou", rep,
-                                  voxel_iou(grids[rep], gt_grid)))
-
-    # Registrations are independent: they run on a pool as wide as the
-    # visible CPUs, and pool.map returns them in submission order.
     keys, jobs = [], []
     for index, obj in enumerate(scene.objects):
         src = apply_pose(obj.pose, boundary_centers(obj.shape))
@@ -137,24 +130,37 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene") -> li
             if len(clouds[rep]):
                 keys.append((index, rep))
                 jobs.append((src, clouds[rep], size))
-    if jobs:
-        workers = min(len(jobs), len(os.sched_getaffinity(0)))
-        with ThreadPoolExecutor(workers, thread_name_prefix="scenefactor-icp") as pool:
-            results = list(pool.map(icp, *zip(*jobs)))
-        rows.extend(ComparisonRow(scene_id, "object_fitness", rep, result.fitness,
-                                  object_index=index, icp_stop=result.stop)
-                    for (index, rep), result in zip(keys, results))
 
-    layout_preds = {
-        "factored": disparity_to_depth(scene.layout, scene.camera),
-        "depth": gt_depth,
-    }
-    layout_truth = {"modal": (gt_depth, surface_ids), "amodal": (room_depth, None)}
-    for mode, task in (("modal", "modal_layout"), ("amodal", "amodal_layout")):
-        for rep, pred in layout_preds.items():
-            rows.append(ComparisonRow(scene_id, task, rep,
-                                      _layout_error(pred, *layout_truth[mode])))
-    return rows
+    # A pool starts its threads only as jobs arrive, so a scene without
+    # registrations starts none.
+    workers = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="scenefactor-icp")
+    try:
+        futures = [pool.submit(icp, *job) for job in jobs]
+
+        visible = [ComparisonRow(scene_id, "visible_depth", rep,
+                                 visible_surface_error(clouds[rep], gt_cloud))
+                   for rep in REPRESENTATIONS]
+        grids = {"factored": compose_scene_voxels(scene),
+                 "depth": pointcloud_to_voxels(gt_cloud), "voxels": gt_grid}
+        iou = [ComparisonRow(scene_id, "scene_voxel_iou", rep, voxel_iou(grids[rep], gt_grid))
+               for rep in REPRESENTATIONS]
+        layout_preds = {"factored": disparity_to_depth(scene.layout, scene.camera),
+                        "depth": gt_depth}
+        layout_truth = {"modal": (gt_depth, surface_ids),
+                        "amodal": (render_depth_analytic(scene, include_objects=False), None)}
+        layout = [ComparisonRow(scene_id, f"{mode}_layout", rep,
+                                _layout_error(pred, *layout_truth[mode]))
+                  for mode in ("modal", "amodal") for rep, pred in layout_preds.items()]
+
+        fitness = []
+        for (index, rep), future in zip(keys, futures):
+            result = future.result()
+            fitness.append(ComparisonRow(scene_id, "object_fitness", rep, result.fitness,
+                                         object_index=index, icp_stop=result.stop))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return visible + iou + fitness + layout
 
 
 def cumulative_curve(values) -> tuple[np.ndarray, np.ndarray]:

@@ -152,8 +152,7 @@ def visible_surface_error(pred_points: np.ndarray, gt_points: np.ndarray) -> flo
     pred = np.asarray(pred_points, dtype=float).reshape(-1, 3)
     if len(pred) == 0:
         return math.inf
-    dist = NNIndex(gt).query(pred)[0]
-    return float(np.mean(dist))
+    return float(np.mean(NNIndex(gt).distances(pred)))
 
 
 def layout_depth_error(pred: DepthMap, gt_scene: FactoredScene, mode: str = "amodal") -> float:
@@ -162,7 +161,8 @@ def layout_depth_error(pred: DepthMap, gt_scene: FactoredScene, mode: str = "amo
     Amodal mode compares against the full-extent layout render (no
     objects) over all pixels.  Modal mode restricts both clouds to pixels
     where a layout surface is actually visible, as decided by the analytic
-    renderer's per-pixel surface ids.
+    renderer's per-pixel surface ids; it is NaN when objects cover every
+    pixel, since no layout surface is visible to score.
     """
     if mode not in ("modal", "amodal"):
         raise ValueError(f"mode must be 'modal' or 'amodal', got {mode!r}")
@@ -178,11 +178,13 @@ def _layout_error(pred: DepthMap, gt_depth: DepthMap,
     """:func:`layout_depth_error` against ground-truth renders of one
     scene: the room render over every pixel (amodal), or, given the full
     render and its surface ids, the pixels where the room is visible
-    (modal)."""
+    (modal); NaN when the room is visible nowhere."""
     if surface_ids is None:
         mask = np.ones(gt_depth.depth.shape, dtype=bool)
     else:
         mask = surface_ids == ROOM_SURFACE
+        if not mask.any():
+            return math.nan
     gt_pts = depth_to_pointcloud(DepthMap(np.where(mask, gt_depth.depth, 0.0), gt_depth.camera))
     pred_pts = depth_to_pointcloud(DepthMap(np.where(mask, pred.depth, 0.0), pred.camera))
     return visible_surface_error(pred_pts, gt_pts)

@@ -76,8 +76,8 @@ class NNIndex:
         fewer than 3 points.  Only three-way ties (``third <= distances``)
         pay for the exhaustive ball lookup.  The kd-tree search runs on the
         calling thread (``workers=1``): a query starts no threads, and
-        callers that want parallelism run whole queries concurrently, as
-        :func:`~scenefactor.compare.compare_representations` does.
+        callers that want parallelism run whole registrations concurrently,
+        as :func:`~scenefactor.compare.compare_representations` does.
         """
         q = np.asarray(queries, dtype=float)
         dist, idx = self._tree.query(q, k=3, workers=1)
@@ -96,6 +96,12 @@ class NNIndex:
             nearest[row] = near_i[near_d == best_d[row]].min()
         runner_up = np.where(first == nearest, second, first)
         return best_d, np.stack([nearest, runner_up], axis=1), third
+
+    def distances(self, queries: np.ndarray) -> np.ndarray:
+        """Nearest distance per row of an (N, 3) query array, bit for bit
+        ``query(queries)[0]``: a one-neighbour kd-tree search on the calling
+        thread, for callers that need no candidates."""
+        return self._tree.query(np.asarray(queries, dtype=float), k=1, workers=1)[0]
 
 
 def bbox_diagonal(points: np.ndarray) -> float:

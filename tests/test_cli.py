@@ -432,8 +432,8 @@ def test_bad_sizes_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
 
 @pytest.fixture(scope="module")
 def error_inputs(scene_dir, tmp_path_factory):
-    """A scene, its depth map, an empty directory, and one-scene directories
-    that share a stem but not an object count."""
+    """A scene, its depth map, an empty directory, one-scene directories
+    that share a stem but not an object count, and a scene without a room."""
     root = tmp_path_factory.mktemp("error_inputs")
     scene_file = scene_dir / "scene_00040.json"
     (root / "s.json").write_bytes(scene_file.read_bytes())
@@ -451,6 +451,9 @@ def error_inputs(scene_dir, tmp_path_factory):
         doc = json.loads(text)
         (doc[field][0] if field == "objects" else doc[field])[key] = 10**400
         (root / f"{name}.json").write_text(json.dumps(doc))
+    doc = json.loads(text)
+    doc["room"] = doc["layout"] = None
+    (root / "no_room.json").write_text(json.dumps(doc))
     return root
 
 
@@ -490,12 +493,14 @@ def error_inputs(scene_dir, tmp_path_factory):
      "error: in/huge_score.json: $.objects[0].score: integer too large for a float"),
     (["render", "--scene", "in/huge_fx.json", "--out", "out/d.pfm"], 1,
      "error: in/huge_fx.json: $.camera.fx: integer too large for a float"),
+    (["compare-reps", "--scenes", "in/no_room.json", "--out-dir", "out/cmp"], 1,
+     "error: no_room: representation comparison needs synthetic ground truth"),
 ], ids=["scene_and_depth", "no_input", "depth_without_camera", "scene_to_voxels",
         "depth_to_scene_voxels", "missing_scene_to_pointcloud", "missing_depth_to_scene_voxels",
         "object_counts_differ", "no_objects", "eval_empty_dir",
         "compare_empty_dir", "missing_pred", "layout_by_voxel", "gen_config_digit_limit",
         "render_scene_digit_limit", "convert_camera_scene_digit_limit", "eval_score_overflow",
-        "render_camera_overflow"])
+        "render_camera_overflow", "compare_no_room"])
 def test_rejected_input_is_one_line_and_writes_nothing(error_inputs, tmp_path, monkeypatch,
                                                        capsys, argv, code, message):
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import os
 import threading
 
 import numpy as np
@@ -10,7 +12,7 @@ import scenefactor.registration as registration
 from scenefactor.cli import main
 from scenefactor.compare import REPRESENTATIONS, compare_representations, gt_scene_voxels
 from scenefactor.generator import GeneratorConfig, generate_scene
-from scenefactor.geometry import apply_pose
+from scenefactor.geometry import DEFAULT_CAMERA, apply_pose
 from scenefactor.io_formats import write_scene
 from scenefactor.registration import IcpResult, RigidTransform, bbox_diagonal, icp
 from scenefactor.render import (
@@ -87,7 +89,7 @@ def test_registration_error_propagates_and_pool_drains(two_object_scene, monkeyp
     def flaky_icp(src, dst, size_norm):
         if np.array_equal(dst, depth_cloud):
             raise RuntimeError("registration failed")
-        return IcpResult(RigidTransform(np.eye(3), np.zeros(3)), 0.0, 1, "converged", (0.0,))
+        return identity_result()
 
     monkeypatch.setattr(compare, "icp", flaky_icp)
     with pytest.raises(RuntimeError, match="registration failed"):
@@ -96,6 +98,72 @@ def test_registration_error_propagates_and_pool_drains(two_object_scene, monkeyp
         thread.join(timeout=10.0)
     assert not any(thread.is_alive() for thread in icp_threads())
 
+
+def identity_result():
+    return IcpResult(RigidTransform(np.eye(3), np.zeros(3)), 0.0, 1, "converged", (0.0,))
+
+
+def test_scene_metrics_run_while_registrations_are_in_flight(two_object_scene, monkeypatch):
+    # Every registration waits for the layout rows, which the calling
+    # thread scores only after it has handed the registrations to the pool.
+    layout_scored = threading.Event()
+    waited = []
+
+    def waiting_icp(src, dst, size_norm):
+        waited.append(layout_scored.wait(timeout=10.0))
+        return identity_result()
+
+    def signalling_layout_error(*args):
+        value = metrics._layout_error(*args)
+        layout_scored.set()
+        return value
+
+    monkeypatch.setattr(compare, "icp", waiting_icp)
+    monkeypatch.setattr(compare, "_layout_error", signalling_layout_error)
+    rows = compare_representations(two_object_scene, "s3")
+    assert waited == [True] * 2 * len(REPRESENTATIONS)
+    assert [r.task for r in rows] == (["visible_depth"] * 3 + ["scene_voxel_iou"] * 3
+                                      + ["object_fitness"] * 6 + ["modal_layout"] * 2
+                                      + ["amodal_layout"] * 2)
+
+
+def test_calling_thread_error_propagates_and_cancels_registrations(two_object_scene,
+                                                                   monkeypatch):
+    # The registrations that started block until the pool is shut down, so
+    # the other registrations are still queued when the calling thread fails.
+    workers = min(2 * len(REPRESENTATIONS), len(os.sched_getaffinity(0)))
+    started, all_started, release, shutdowns = [], threading.Event(), threading.Event(), []
+    error = ValueError("layout failed")
+
+    class CancelFirstPool(compare.ThreadPoolExecutor):
+        # Cancels the queued jobs before it releases the running ones.
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()
+            super().shutdown(wait=wait)
+
+    def blocking_icp(src, dst, size_norm):
+        started.append(threading.current_thread().name)
+        if len(started) == workers:
+            all_started.set()
+        release.wait(timeout=10.0)
+        return identity_result()
+
+    def failing_layout_error(*args):
+        assert all_started.wait(timeout=10.0)
+        raise error
+
+    monkeypatch.setattr(compare, "ThreadPoolExecutor", CancelFirstPool)
+    monkeypatch.setattr(compare, "icp", blocking_icp)
+    monkeypatch.setattr(compare, "_layout_error", failing_layout_error)
+    with pytest.raises(ValueError) as raised:
+        compare_representations(two_object_scene, "s3")
+    assert raised.value is error
+    assert shutdowns == [True]
+    assert len(started) == workers < 2 * len(REPRESENTATIONS)
+    assert all(name.startswith("scenefactor-icp") for name in started)
+    assert icp_threads() == []
 
 
 def test_layout_rows_render_each_ground_truth_image_once(two_object_scene, monkeypatch):
@@ -144,3 +212,21 @@ def test_one_cell_shape_is_skipped_and_counted(two_object_scene, tmp_path, monke
                  str(tmp_path / "out")]) == 0
     assert ("skipped 3 of 6 object registration(s) (empty or one-cell shape, or empty cloud)"
             in capsys.readouterr().err)
+
+
+def test_scene_without_a_visible_room_pixel_has_nan_modal_layout(tmp_path, monkeypatch, capsys):
+    # At 1x1 the one pixel sees an object, so no room surface is visible
+    # to score; the amodal rows still score the whole room.
+    monkeypatch.setattr(registration, "ICP_MAX_ITER", 1)
+    scene = generate_scene(GeneratorConfig(seed=20, camera=DEFAULT_CAMERA.scaled(1, 1)))
+    rows = compare_representations(scene, "s20")
+    layout = {(r.task, r.representation): r.value for r in rows if r.task.endswith("_layout")}
+    assert math.isnan(layout["modal_layout", "factored"])
+    assert math.isnan(layout["modal_layout", "depth"])
+    assert math.isfinite(layout["amodal_layout", "factored"])
+    assert math.isfinite(layout["amodal_layout", "depth"])
+    assert sum(not math.isfinite(r.value) for r in rows) == 2
+    write_scene(scene, tmp_path / "s20.json")
+    assert main(["compare-reps", "--scenes", str(tmp_path), "--out-dir",
+                 str(tmp_path / "out")]) == 0
+    assert "left 2 non-finite value(s) out of curves.csv" in capsys.readouterr().err

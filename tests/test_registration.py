@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scenefactor.geometry import quat_to_matrix, random_unit_quaternion
 from scenefactor import registration
@@ -32,6 +34,13 @@ def cuboid_surface_cloud(half, rng, n=400):
         p[axis] = sign * half[axis]
         points.append(p)
     return np.array(points)
+
+
+# Half-integer coordinates make duplicate points and exactly equidistant
+# candidates common; the floats cover everything between.
+COORD = st.one_of(st.integers(-4, 4).map(lambda v: v / 2.0),
+                  st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+POINTS = st.lists(st.tuples(COORD, COORD, COORD), min_size=1, max_size=12)
 
 
 class TestNNIndex:
@@ -160,6 +169,20 @@ class TestNNIndex:
         d, c, third = NNIndex(pts).query(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 6.0]]))
         assert d.tolist() == [3.0, 1.0] and c.tolist() == [[1, 0], [0, 1]]
         assert third.tolist() == [math.inf, math.inf]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(points=POINTS, queries=POINTS)
+    @example(points=[(1.0, 2.0, 2.0)], queries=[(0.0, 0.0, 0.0), (1.0, 2.0, 2.0)])
+    @example(points=[(0.5, 0.0, 0.0)] * 3 + [(-0.5, 0.0, 0.0)] * 2, queries=[(0.0, 0.0, 0.0)])
+    @example(points=[(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 0.0)],
+             queries=[(0.0, 0.0, 0.0), (0.5, 0.5, 0.5)])
+    def test_distances_equal_query_distances(self, points, queries):
+        # Nearest distances from the one-neighbour search equal the
+        # three-neighbour query's bit for bit, with duplicate points,
+        # equidistant ties and a one-point index among the cases.
+        index = NNIndex(np.array(points))
+        q = np.array(queries)
+        assert index.distances(q).tobytes() == index.query(q)[0].tobytes()
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_distances_are_norms_summed_in_xyz_order(self, rng, scale):
