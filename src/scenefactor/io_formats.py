@@ -35,9 +35,9 @@ each file is written to a ``.<name>.*`` temp file beside it, then renamed
 onto it; a failed write leaves the target as it was and no temp file.
 A written file gets the mode that ``open()`` would give it, 0o666 less
 the umask.  PFM and FVOX write their header and then their payload
-through it, and the point-cloud CSV is streamed through it in chunks of
-rows, each distinct value still formatted once.  Parse errors carry the
-file path and the offending location.
+through it, and the point-cloud CSV is formatted and streamed through it
+one chunk of rows at a time.  Parse errors carry the file path and the
+offending location.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Camera, Pose, UnitQuaternion
+from .geometry import Camera, Pose, UnitQuaternion, as_points
 from .render import DepthMap, room_layout
 from .scene import CLASS_LABELS, FactoredScene, Layout, SceneObject
 from .voxels import CANONICAL_SPEC, FRAME_SPECS, Cuboid, VoxelGrid
@@ -223,38 +223,32 @@ def read_depth_pfm(path, camera: Camera) -> DepthMap:
 # ---------------------------------------------------------------------------
 # Point-cloud CSV
 
-# Rows of the point-cloud CSV built and written at a time: bounds the
-# text held in memory to one chunk's, whatever the cloud's size.
-_CSV_CHUNK_ROWS = 32_768
+# Rows per point-cloud CSV chunk: the writer's memory is one chunk's.
+_CSV_CHUNK_ROWS = 8_192
 
 
 def write_pointcloud_csv(path, points: np.ndarray) -> None:
     """Write (n, 3) points as ``x,y,z`` CSV, each coordinate as ``repr``
-    of its float64 value.
+    of its float64 value; any other shape is a ValueError, written nowhere.
 
-    Coordinates of a depth-map cloud repeat a lot, so each column formats
-    only its distinct values, once over the whole cloud, and scatters the
-    strings back.  Distinct means distinct bits: equal bits give equal
-    text, and -0.0 stays apart from 0.0.  The rows are scattered, joined
-    and written in chunks of ``_CSV_CHUNK_ROWS``, so the text of only one
-    chunk is held at a time.
+    The cloud is formatted and written one chunk of ``_CSV_CHUNK_ROWS`` rows
+    at a time, keeping nothing between chunks, so memory is bounded by the
+    chunk, not the cloud.  Each column of a chunk formats only its distinct
+    values (distinct bits: -0.0 stays apart from 0.0), which repeat a lot in
+    a depth-map cloud, and scatters the text back.
     """
-    points = np.asarray(points, dtype=float)
-    columns = []
-    for axis in range(3):
-        bits, inverse = np.unique(points[:, axis].view(np.uint64), return_inverse=True)
-        text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-        columns.append((text, inverse))
-    cells = np.empty((min(len(points), _CSV_CHUNK_ROWS), 6), dtype=object)
-    cells[:, 1] = cells[:, 3] = ","
-    cells[:, 5] = "\n"
+    points = as_points(points)
     with atomic_writer(path) as handle:
         handle.write(b"x,y,z\n")
         for start in range(0, len(points), _CSV_CHUNK_ROWS):
-            rows = cells[:len(points) - start]
-            for axis, (text, inverse) in enumerate(columns):
-                rows[:, 2 * axis] = text[inverse[start:start + len(rows)]]
-            handle.write("".join(rows.ravel().tolist()).encode("utf-8"))
+            chunk = points[start:start + _CSV_CHUNK_ROWS]
+            cells = np.full((len(chunk), 6), ",", dtype=object)
+            cells[:, 5] = "\n"
+            for axis in range(3):
+                bits, inverse = np.unique(chunk[:, axis].view(np.uint64), return_inverse=True)
+                text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+                cells[:, 2 * axis] = text[inverse]
+            handle.write("".join(cells.ravel().tolist()).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

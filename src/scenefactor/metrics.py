@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import as_points
 from .registration import NNIndex
 from .render import (
     ROOM_SURFACE,
@@ -141,18 +142,21 @@ def summarize(errors, threshold: float, direction: str = "below") -> SummaryStat
 
 def visible_surface_error(pred_points: np.ndarray, gt_points: np.ndarray) -> float:
     """Mean distance from each predicted point to its nearest ground-truth
-    point (one-directional, prediction to ground truth).
+    point (one-directional, prediction to ground truth), both (n, 3) clouds.
 
     Returns +inf for an empty prediction; a symmetric Chamfer variant is
     deliberately not the default.
     """
-    gt = np.asarray(gt_points, dtype=float).reshape(-1, 3)
+    return _surface_errors([pred_points], gt_points)[0]
+
+
+def _surface_errors(preds, gt_points) -> list[float]:
+    """:func:`visible_surface_error` of each prediction, one kd-tree for all."""
+    gt, preds = as_points(gt_points), [as_points(p) for p in preds]
     if len(gt) == 0:
         raise ValueError("ground-truth point cloud must be non-empty")
-    pred = np.asarray(pred_points, dtype=float).reshape(-1, 3)
-    if len(pred) == 0:
-        return math.inf
-    return float(np.mean(NNIndex(gt).distances(pred)))
+    index = NNIndex(gt)
+    return [float(np.mean(index.distances(p))) if len(p) else math.inf for p in preds]
 
 
 def layout_depth_error(pred: DepthMap, gt_scene: FactoredScene, mode: str = "amodal") -> float:
@@ -169,22 +173,22 @@ def layout_depth_error(pred: DepthMap, gt_scene: FactoredScene, mode: str = "amo
     if pred.camera != gt_scene.camera:
         raise ValueError("prediction and ground truth must share the camera")
     if mode == "amodal":
-        return _layout_error(pred, render_depth_analytic(gt_scene, include_objects=False))
-    return _layout_error(pred, *render_surface_ids(gt_scene))
+        return _layout_errors([pred], render_depth_analytic(gt_scene, include_objects=False))[0]
+    return _layout_errors([pred], *render_surface_ids(gt_scene))[0]
 
 
-def _layout_error(pred: DepthMap, gt_depth: DepthMap,
-                  surface_ids: np.ndarray | None = None) -> float:
-    """:func:`layout_depth_error` against ground-truth renders of one
-    scene: the room render over every pixel (amodal), or, given the full
-    render and its surface ids, the pixels where the room is visible
-    (modal); NaN when the room is visible nowhere."""
+def _layout_errors(preds: list[DepthMap], gt_depth: DepthMap,
+                   surface_ids: np.ndarray | None = None) -> list[float]:
+    """:func:`layout_depth_error` of each prediction against ground-truth
+    renders of one scene: the room render over every pixel (amodal), or,
+    given the full render and its surface ids, the pixels where the room
+    is visible (modal); NaN when the room is visible nowhere."""
     if surface_ids is None:
         mask = np.ones(gt_depth.depth.shape, dtype=bool)
     else:
         mask = surface_ids == ROOM_SURFACE
         if not mask.any():
-            return math.nan
-    gt_pts = depth_to_pointcloud(DepthMap(np.where(mask, gt_depth.depth, 0.0), gt_depth.camera))
-    pred_pts = depth_to_pointcloud(DepthMap(np.where(mask, pred.depth, 0.0), pred.camera))
-    return visible_surface_error(pred_pts, gt_pts)
+            return [math.nan] * len(preds)
+    gt_pts, *pred_pts = (depth_to_pointcloud(DepthMap(np.where(mask, d.depth, 0.0), d.camera))
+                         for d in (gt_depth, *preds))
+    return _surface_errors(pred_pts, gt_pts)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import validate_rotation_matrix
+from .geometry import as_points, validate_rotation_matrix
 
 __all__ = [
     "IcpResult",
@@ -58,8 +58,8 @@ class NNIndex:
     def __init__(self, points: np.ndarray):
         from scipy.spatial import cKDTree
 
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
+        pts = as_points(points)
+        if len(pts) == 0:
             raise ValueError("index needs a non-empty (N, 3) point array")
         self.points = pts
         self._tree = cKDTree(pts)
@@ -158,9 +158,8 @@ def kabsch_align(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     non-collinear correspondences.  Reflections are excluded through the
     usual determinant correction.
     """
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
+    src, dst = as_points(src), as_points(dst)
+    if src.shape != dst.shape:
         raise ValueError("src and dst must be matching (N, 3) arrays")
     src_mean = src.mean(axis=0)
     return RigidTransform(*_kabsch(src - src_mean, src_mean, dst))
@@ -223,12 +222,9 @@ def icp(src: np.ndarray, dst: np.ndarray, size_norm: float) -> IcpResult:
     ``sqrt(dx*dx + dy*dy + dz*dz)`` summed in x, y, z order.  Every
     nearest-neighbor query runs on the calling thread.
     """
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    if src.ndim != 2 or src.shape[1] != 3 or len(src) == 0:
-        raise ValueError("src must be a non-empty (N, 3) array")
-    if dst.ndim != 2 or dst.shape[1] != 3 or len(dst) == 0:
-        raise ValueError("dst must be a non-empty (N, 3) array")
+    src, dst = as_points(src), as_points(dst)
+    if len(src) == 0 or len(dst) == 0:
+        raise ValueError("src and dst must be non-empty (N, 3) arrays")
     if not size_norm > 0:
         raise ValueError("size_norm must be positive")
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera, Pose, apply_pose, backproject, image_extent
+from .geometry import Camera, Pose, apply_pose, as_points, backproject, image_extent
 from .scene import FactoredScene, Layout
 from .voxels import DEFAULT_SCENE_SPEC, Cuboid, VoxelGrid, _box_corners
 
@@ -402,18 +402,15 @@ def disparity_to_depth(layout: Layout, camera: Camera) -> DepthMap:
 def depth_to_pointcloud(d: DepthMap) -> np.ndarray:
     """Backproject every non-empty pixel center; returns (N, 3) points in
     row-major pixel order."""
-    mask = d.valid
-    if not mask.any():
-        return np.zeros((0, 3))
-    rows, cols = np.nonzero(mask)
+    rows, cols = np.nonzero(d.valid)
     return backproject(d.camera, cols + 0.5, rows + 0.5, d.depth[rows, cols])
 
 
 def pointcloud_to_voxels(points: np.ndarray) -> VoxelGrid:
-    """Default scene grid with a cell occupied iff at least one point lies
-    inside it; points outside the grid extent are dropped."""
+    """Default scene grid with a cell occupied iff any of the (n, 3) points
+    lies inside it; points outside the grid extent are dropped."""
     spec = DEFAULT_SCENE_SPEC
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = as_points(points)
     idx = np.floor((pts - np.asarray(spec.origin)) / spec.cell_size).astype(int)
     idx = idx[np.all((idx >= 0) & (idx < np.array(spec.dims)), axis=1)]
     occ = np.zeros(spec.dims, dtype=np.float32)

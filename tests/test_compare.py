@@ -113,13 +113,13 @@ def test_scene_metrics_run_while_registrations_are_in_flight(two_object_scene, m
         waited.append(layout_scored.wait(timeout=10.0))
         return identity_result()
 
-    def signalling_layout_error(*args):
-        value = metrics._layout_error(*args)
+    def signalling_layout_errors(*args):
+        value = metrics._layout_errors(*args)
         layout_scored.set()
         return value
 
     monkeypatch.setattr(compare, "icp", waiting_icp)
-    monkeypatch.setattr(compare, "_layout_error", signalling_layout_error)
+    monkeypatch.setattr(compare, "_layout_errors", signalling_layout_errors)
     rows = compare_representations(two_object_scene, "s3")
     assert waited == [True] * 2 * len(REPRESENTATIONS)
     assert [r.task for r in rows] == (["visible_depth"] * 3 + ["scene_voxel_iou"] * 3
@@ -150,13 +150,13 @@ def test_calling_thread_error_propagates_and_cancels_registrations(two_object_sc
         release.wait(timeout=10.0)
         return identity_result()
 
-    def failing_layout_error(*args):
+    def failing_layout_errors(*args):
         assert all_started.wait(timeout=10.0)
         raise error
 
     monkeypatch.setattr(compare, "ThreadPoolExecutor", CancelFirstPool)
     monkeypatch.setattr(compare, "icp", blocking_icp)
-    monkeypatch.setattr(compare, "_layout_error", failing_layout_error)
+    monkeypatch.setattr(compare, "_layout_errors", failing_layout_errors)
     with pytest.raises(ValueError) as raised:
         compare_representations(two_object_scene, "s3")
     assert raised.value is error
@@ -194,6 +194,27 @@ def test_layout_rows_render_each_ground_truth_image_once(two_object_scene, monke
         got = {r.representation: r.value for r in rows if r.task == f"{mode}_layout"}
         assert got == {rep: metrics.layout_depth_error(pred, two_object_scene, mode)
                        for rep, pred in preds.items()}
+
+
+def test_one_kd_tree_per_ground_truth_cloud(two_object_scene, monkeypatch):
+    # Three ground-truth clouds (the visible scene and the modal and amodal
+    # room pixels) score ten rows; the visible rows equal the public metric.
+    built = []
+
+    class CountedIndex(metrics.NNIndex):
+        def __init__(self, points):
+            super().__init__(points)
+            built.append(self.points)
+
+    monkeypatch.setattr(compare, "icp", lambda src, dst, size_norm: identity_result())
+    monkeypatch.setattr(metrics, "NNIndex", CountedIndex)
+    rows = compare_representations(two_object_scene, "s3")
+    assert len(built) == 3
+    assert len({points.tobytes() for points in built}) == 3
+    monkeypatch.undo()
+    clouds = representation_clouds(two_object_scene)
+    assert {r.representation: r.value for r in rows if r.task == "visible_depth"} == {
+        rep: metrics.visible_surface_error(cloud, clouds["depth"]) for rep, cloud in clouds.items()}
 
 
 def test_one_cell_shape_is_skipped_and_counted(two_object_scene, tmp_path, monkeypatch, capsys):

@@ -228,21 +228,40 @@ class TestPointCloudCsv:
         if existing is not None:
             assert target.read_bytes() == existing
 
+    @staticmethod
+    def traced_peak(writer, path, points):
+        tracemalloc.start()
+        try:
+            writer(path, points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_streamed_peak_memory_at_most_half_the_oneshot(self, tmp_path):
-        # 307,200 points of a 640x480 image, 9.4 chunks of 32,768 rows.
+        # 307,200 points of a 640x480 image, 37.5 chunks of 8,192 rows.
         points = depth_cloud(DEFAULT_CAMERA)
         assert len(points) >= 4 * io_formats._CSV_CHUNK_ROWS
-        peaks = {}
-        for name, writer in [("oneshot", write_pointcloud_csv_oneshot),
-                             ("streamed", write_pointcloud_csv)]:
-            tracemalloc.start()
-            try:
-                writer(tmp_path / f"{name}.csv", points)
-                peaks[name] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {name: self.traced_peak(writer, tmp_path / f"{name}.csv", points)
+                 for name, writer in [("oneshot", write_pointcloud_csv_oneshot),
+                                      ("streamed", write_pointcloud_csv)]}
         assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "oneshot.csv").read_bytes()
         assert peaks["streamed"] <= 0.5 * peaks["oneshot"], peaks
+
+    def test_peak_memory_does_not_grow_with_the_cloud(self, tmp_path):
+        # Nothing outlives a chunk, so four copies of a 640x480 cloud peak
+        # where one does.
+        points = depth_cloud(DEFAULT_CAMERA)
+        peaks = [self.traced_peak(write_pointcloud_csv, tmp_path / f"{copies}.csv",
+                                  np.concatenate([points] * copies))
+                 for copies in (1, 4)]
+        assert max(peaks) <= 1.5 * min(peaks), peaks
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 2), (6,), (0,), (2, 3, 1)])
+    def test_only_n_by_3_points_are_written(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=r"\(n, 3\) array"):
+            write_pointcloud_csv(tmp_path / "points.csv", np.arange(math.prod(shape), dtype=float)
+                                 .reshape(shape))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFvox:

@@ -279,6 +279,14 @@ class TestVisibleSurfaceError:
         with pytest.raises(ValueError):
             visible_surface_error(np.ones((3, 3)), np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("shape", [(2, 6), (3, 2), (6,), (0,), (2, 3, 1)])
+    def test_clouds_must_be_n_by_3(self, shape):
+        # A (2, 6) array is not four points, on either side.
+        cloud, bad = np.ones((4, 3)), np.ones(shape)
+        for pred, gt in [(bad, cloud), (cloud, bad)]:
+            with pytest.raises(ValueError, match=r"\(n, 3\) array"):
+                visible_surface_error(pred, gt)
+
     def test_matches_brute_force(self, rng):
         for _ in range(20):
             pred = rng.normal(size=(120, 3))

@@ -9,8 +9,8 @@ written into an inline voxel or layout payload, before or after its
 base64 encoding, or a well-formed PFM whose size or values (NaN,
 infinities, negatives) a depth map cannot take.  The point-cloud writer's
 bytes equal what ``csv.writer`` makes of ``repr(float(v))`` per
-coordinate, whatever the finite values, and ``voxel_iou`` on packed masks
-equals the cell-by-cell boolean reference.
+coordinate, whatever the finite values and chunk size, and ``voxel_iou``
+on packed masks equals the cell-by-cell boolean reference.
 Examples are derandomized and capped, so every run checks the same inputs.
 """
 
@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenefactor import io_formats
 from scenefactor.cli import main
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import Camera
@@ -235,7 +236,11 @@ def test_pointcloud_csv_bytes(small_files, data):
         values = data.draw(st.lists(COORDINATES, min_size=3 * n, max_size=3 * n))
     points = np.array(values, dtype=float).reshape(n, 3)
     path = small_files / "points.csv"
-    write_pointcloud_csv(path, points)
+    # Small chunks put repeated bits, -0.0 beside 0.0 and subnormals on both
+    # sides of chunk boundaries.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_formats, "_CSV_CHUNK_ROWS", data.draw(st.integers(1, 8)))
+        write_pointcloud_csv(path, points)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["x", "y", "z"])

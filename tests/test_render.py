@@ -617,6 +617,12 @@ class TestPointClouds:
     def test_pointcloud_to_voxels_empty(self):
         assert pointcloud_to_voxels(np.zeros((0, 3))).count() == 0
 
+    @pytest.mark.parametrize("shape", [(2, 6), (3, 2), (6,), (0,), (2, 3, 1)])
+    def test_pointcloud_to_voxels_needs_n_by_3_points(self, shape):
+        # A (2, 6) array is not four points.
+        with pytest.raises(ValueError, match=r"\(n, 3\) array"):
+            pointcloud_to_voxels(np.full(shape, 0.01))
+
     def test_known_cell_center(self):
         lo = np.array(DEFAULT_SCENE_SPEC.origin)
         point = lo + np.array([0.04, 0.04, 0.04]) + np.array([0.08, 0.0, 0.16])
