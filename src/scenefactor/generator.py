@@ -14,6 +14,7 @@ scene.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -86,8 +87,9 @@ class GeneratorConfig:
         mix = {str(k): float(v) for k, v in dict(self.class_mix).items()}
         if not mix or any(k not in CLASS_LABELS for k in mix) or any(v < 0 for v in mix.values()):
             raise ValueError(f"class_mix must map known classes to non-negative weights, got {mix}")
-        if sum(mix.values()) <= 0:
-            raise ValueError("class_mix weights must not all be zero")
+        # NaN fails this test, and so do weights whose sum overflows.
+        if not 0 < sum(mix.values()) < math.inf:
+            raise ValueError(f"class_mix weights must have a positive, finite sum, got {mix}")
         object.__setattr__(self, "class_mix", mix)
         anchors = tuple(self.anchor_classes)
         if any(a not in CLASS_LABELS for a in anchors):

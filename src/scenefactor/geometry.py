@@ -42,6 +42,7 @@ UNIT_NORM_TOL = 1e-6
 
 
 def _vec3(value, name: str) -> np.ndarray:
+    """A read-only float64 copy of a finite 3-vector; ValueError for anything else."""
     arr = np.array(value, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
@@ -49,6 +50,19 @@ def _vec3(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite, got {arr}")
     arr.setflags(write=False)
     return arr
+
+
+def _nonnegative_image(value, name: str) -> np.ndarray:
+    """A read-only float64 copy of a 2D image of finite, non-negative values."""
+    img = np.array(value, dtype=float)
+    if img.ndim != 2:
+        raise ValueError(f"{name} must be a 2D image, got shape {img.shape}")
+    if not np.all(np.isfinite(img)):
+        raise ValueError(f"{name} values must be finite")
+    if img.size and img.min() < 0.0:
+        raise ValueError(f"{name} values must be non-negative")
+    img.setflags(write=False)
+    return img
 
 
 @dataclass(frozen=True)
@@ -129,7 +143,8 @@ def validate_rotation_matrix(R: np.ndarray) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got {R.shape}")
-    if not np.allclose(R.T @ R, np.eye(3), atol=UNIT_NORM_TOL):
+    # A rotation's entries lie in [-1, 1]; the bound keeps NaN and inf out of R^T R.
+    if not (np.all(np.abs(R) <= 2.0) and np.allclose(R.T @ R, np.eye(3), atol=UNIT_NORM_TOL)):
         raise ValueError("matrix is not orthonormal")
     if abs(np.linalg.det(R) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("matrix determinant is not +1 (improper rotation)")
@@ -154,7 +169,7 @@ class Pose:
             raise ValueError(f"scale components must be strictly positive, got {scale}")
         object.__setattr__(self, "scale", scale)
         if not isinstance(self.rotation, UnitQuaternion):
-            object.__setattr__(self, "rotation", UnitQuaternion(*np.asarray(self.rotation, dtype=float)))
+            raise ValueError(f"rotation must be a UnitQuaternion, got {type(self.rotation).__name__}")
         object.__setattr__(self, "translation", _vec3(self.translation, "translation"))
 
     @classmethod
@@ -175,12 +190,10 @@ def as_points(points) -> np.ndarray:
 
 
 def apply_pose(pose: Pose, points: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Apply a pose (or its inverse) to one point or an (N, 3) batch."""
+    """Apply a pose (or its inverse) to one 3-vector point or an (N, 3) batch."""
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[-1] != 3:
-        raise ValueError(f"points must have 3 components, got shape {points.shape}")
+    pts = as_points(np.atleast_2d(pts))
     R = pose.rotation_matrix
     if inverse:
         out = ((pts - pose.translation) @ R) / pose.scale

@@ -38,6 +38,14 @@ the umask.  PFM and FVOX write their header and then their payload
 through it, and the point-cloud CSV is formatted and streamed through it
 one chunk of rows at a time.  Parse errors carry the file path and the
 offending location.
+
+The scene reader checks, at the field, only what a file can get wrong
+there: presence, JSON type, list length, payload size and the camera's
+image-side bound.  Every rule on a value (a unit rotation, a positive
+scale, a known class label, a non-empty solid, a finite non-negative
+layout) lives in the constructor of the type that holds it, and the reader
+reports that constructor's ``ValueError`` at the enclosing object, such as
+``$.objects[0]``, ``$.objects[0].pose`` or ``$.room``.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ import numpy as np
 
 from .geometry import Camera, Pose, UnitQuaternion, as_points
 from .render import DepthMap, room_layout
-from .scene import CLASS_LABELS, FactoredScene, Layout, SceneObject
+from .scene import FactoredScene, Layout, SceneObject
 from .voxels import CANONICAL_SPEC, FRAME_SPECS, Cuboid, VoxelGrid
 
 __all__ = [
@@ -195,8 +203,8 @@ def read_pfm(path) -> np.ndarray:
         raise FileFormatError(f"malformed header: {exc}", path, location="header") from exc
     if width <= 0 or height <= 0:
         raise FileFormatError(f"bad dimensions {width}x{height}", path, location="header")
-    if scale == 0.0:
-        raise FileFormatError("scale must be nonzero", path, location="header")
+    if scale == 0.0 or not math.isfinite(scale):
+        raise FileFormatError("scale must be nonzero and finite", path, location="header")
     dtype = "<f4" if scale < 0 else ">f4"
     expected = width * height * 4
     payload = data[offset:]
@@ -443,10 +451,7 @@ def _object_to_dict(obj: SceneObject) -> dict:
 def _object_from_dict(doc, loc, path) -> SceneObject:
     if not isinstance(doc, dict):
         raise FileFormatError("object entry must be a JSON object", path, location=loc)
-    label = _expect(doc, "class_label", loc, path, allow_none=True)
-    if label is not None and label not in CLASS_LABELS:
-        raise FileFormatError(f"unknown class label {label!r}", path,
-                              location=f"{loc}.class_label")
+    label = _expect(doc, "class_label", loc, path, kind=str, allow_none=True)
     (score,) = _numbers([_expect(doc, "score", loc, path)], f"{loc}.score", path)
 
     pose_doc = _expect(doc, "pose", loc, path, kind=dict)
@@ -484,12 +489,9 @@ def _object_from_dict(doc, loc, path) -> SceneObject:
         except ValueError as exc:
             raise FileFormatError(str(exc), path, location=payload_loc) from exc
 
-    solid_doc = _expect(doc, "solid", loc, path, allow_none=True)
+    solid_doc = _expect(doc, "solid", loc, path, kind=list, allow_none=True)
     solid = None
     if solid_doc is not None:
-        if not isinstance(solid_doc, list) or not solid_doc:
-            raise FileFormatError("solid must be a non-empty list of cuboids", path,
-                                  location=f"{loc}.solid")
         solid = tuple(_cuboid_from_dict(c, f"{loc}.solid[{i}]", path)
                       for i, c in enumerate(solid_doc))
     try:

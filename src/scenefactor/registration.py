@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_points, validate_rotation_matrix
+from .geometry import _vec3, as_points, validate_rotation_matrix
 
 __all__ = [
     "IcpResult",
@@ -107,7 +107,7 @@ class NNIndex:
 def bbox_diagonal(points: np.ndarray) -> float:
     """Diagonal length of the axis-aligned bounding box of a point set,
     the package-wide convention for "object size"."""
-    pts = np.asarray(points, dtype=float)
+    pts = as_points(points)
     if len(pts) == 0:
         raise ValueError("cannot size an empty point set")
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
@@ -121,15 +121,10 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        R = validate_rotation_matrix(self.rotation)
-        t = np.array(self.translation, dtype=float)
-        if t.shape != (3,) or not np.all(np.isfinite(t)):
-            raise ValueError("translation must be a finite 3-vector")
-        R = np.array(R)
+        R = np.array(validate_rotation_matrix(self.rotation))
         R.setflags(write=False)
-        t.setflags(write=False)
         object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "translation", _vec3(self.translation, "translation"))
 
 
 def _kabsch(src_centered: np.ndarray, src_mean: np.ndarray,

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera, Pose, apply_pose, as_points, backproject, image_extent
+from .geometry import (Camera, Pose, _nonnegative_image, apply_pose, as_points, backproject,
+                       image_extent)
 from .scene import FactoredScene, Layout
 from .voxels import DEFAULT_SCENE_SPEC, Cuboid, VoxelGrid, _box_corners
 
@@ -66,16 +67,9 @@ class DepthMap:
     camera: Camera
 
     def __post_init__(self):
-        d = np.array(self.depth, dtype=float)
-        if d.ndim != 2:
-            raise ValueError(f"depth must be a 2D image, got shape {d.shape}")
+        d = _nonnegative_image(self.depth, "depth")
         if d.shape != (self.camera.height, self.camera.width):
             raise ValueError("depth dimensions must match the camera")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("depth values must be finite")
-        if d.size and d.min() < 0.0:
-            raise ValueError("depth values must be non-negative (0 = empty)")
-        d.setflags(write=False)
         object.__setattr__(self, "depth", d)
 
     @property

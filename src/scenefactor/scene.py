@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera, Pose
+from .geometry import Camera, Pose, _nonnegative_image
 from .voxels import DEFAULT_SCENE_SPEC, Cuboid, VoxelGrid, resample_to_scene
 
 __all__ = [
@@ -41,15 +41,7 @@ class Layout:
     disparity: np.ndarray
 
     def __post_init__(self):
-        disp = np.array(self.disparity, dtype=float)
-        if disp.ndim != 2:
-            raise ValueError(f"disparity must be a 2D image, got shape {disp.shape}")
-        if not np.all(np.isfinite(disp)):
-            raise ValueError("disparity values must be finite")
-        if disp.size and disp.min() < 0.0:
-            raise ValueError("disparity values must be non-negative")
-        disp.setflags(write=False)
-        object.__setattr__(self, "disparity", disp)
+        object.__setattr__(self, "disparity", _nonnegative_image(self.disparity, "disparity"))
 
     @property
     def height(self) -> int:
@@ -92,7 +84,10 @@ class SceneObject:
                 raise ValueError(f"box2d must be non-degenerate, got {box}")
             object.__setattr__(self, "box2d", box)
         if self.solid is not None:
-            object.__setattr__(self, "solid", tuple(self.solid))
+            solid = tuple(self.solid)
+            if not solid:
+                raise ValueError("solid must hold at least one cuboid")
+            object.__setattr__(self, "solid", solid)
 
 
 @dataclass(frozen=True, eq=False)

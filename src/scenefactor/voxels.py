@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, apply_pose
+from .geometry import Pose, _vec3, apply_pose
 
 __all__ = [
     "CANONICAL_SPEC",
@@ -257,16 +257,10 @@ class Cuboid:
     half_extents: np.ndarray
 
     def __post_init__(self):
-        center = np.array(self.center, dtype=float)
-        half = np.array(self.half_extents, dtype=float)
-        if center.shape != (3,) or half.shape != (3,):
-            raise ValueError("cuboid center and half_extents must be 3-vectors")
-        if not all(map(math.isfinite, center.tolist() + half.tolist())):
-            raise ValueError("cuboid parameters must be finite")
+        center = _vec3(self.center, "center")
+        half = _vec3(self.half_extents, "half_extents")
         if min(half.tolist()) <= 0.0:
             raise ValueError(f"half_extents must be strictly positive, got {half}")
-        center.setflags(write=False)
-        half.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_extents", half)
 

@@ -454,6 +454,9 @@ def error_inputs(scene_dir, tmp_path_factory):
     doc = json.loads(text)
     doc["room"] = doc["layout"] = None
     (root / "no_room.json").write_text(json.dumps(doc))
+    # A class_mix weight that reads as inf, and two whose sum overflows.
+    (root / "inf_mix.json").write_text('{"class_mix": {"chair": 1e400}}')
+    (root / "overflow_mix.json").write_text('{"class_mix": {"chair": 1e308, "desk": 1e308}}')
     return root
 
 
@@ -495,12 +498,16 @@ def error_inputs(scene_dir, tmp_path_factory):
      "error: in/huge_fx.json: $.camera.fx: integer too large for a float"),
     (["compare-reps", "--scenes", "in/no_room.json", "--out-dir", "out/cmp"], 1,
      "error: no_room: representation comparison needs synthetic ground truth"),
+    *[(["gen", "--config", f"in/{name}.json", "--out-dir", "out/gen"], 1,
+       f"error: in/{name}.json: class_mix weights must have a positive, finite sum")
+      for name in ("inf_mix", "overflow_mix")],
 ], ids=["scene_and_depth", "no_input", "depth_without_camera", "scene_to_voxels",
         "depth_to_scene_voxels", "missing_scene_to_pointcloud", "missing_depth_to_scene_voxels",
         "object_counts_differ", "no_objects", "eval_empty_dir",
         "compare_empty_dir", "missing_pred", "layout_by_voxel", "gen_config_digit_limit",
         "render_scene_digit_limit", "convert_camera_scene_digit_limit", "eval_score_overflow",
-        "render_camera_overflow", "compare_no_room"])
+        "render_camera_overflow", "compare_no_room", "gen_config_inf_weight",
+        "gen_config_weight_sum_overflow"])
 def test_rejected_input_is_one_line_and_writes_nothing(error_inputs, tmp_path, monkeypatch,
                                                        capsys, argv, code, message):
     monkeypatch.chdir(tmp_path)

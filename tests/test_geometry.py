@@ -108,6 +108,16 @@ class TestPose:
             Pose(np.array([1.0, 1.0, 1.0]), UnitQuaternion.identity(),
                  np.array([0.0, float("inf"), 0.0]))
 
+    def test_rotation_must_be_a_quaternion(self):
+        with pytest.raises(ValueError, match="rotation must be a UnitQuaternion, got list"):
+            Pose(np.ones(3), [1.0, 0.0, 0.0], np.zeros(3))
+
+    def test_points_of_the_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match=r"got shape \(1, 2\)"):
+            apply_pose(Pose.identity(), [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"got shape \(4, 2\)"):
+            apply_pose(Pose.identity(), np.zeros((4, 2)), inverse=True)
+
 
 class TestCamera:
     def test_backproject_principal_point(self):

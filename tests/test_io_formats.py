@@ -1000,14 +1000,18 @@ def scene_with_long_integer(read_file):
 @pytest.mark.parametrize("read, location, fragment", [
     (damaged_pfm(b"Pf\n0 1\n-1.0\n"), "header", "bad dimensions 0x1"),
     (damaged_pfm(b"Pf\n1 1\n0.0\n"), "header", "scale must be nonzero"),
+    (damaged_pfm(b"Pf\n1 1\nnan\n"), "header", "scale must be nonzero and finite"),
     (damaged_fvox_cell(2.0), "payload", "occupancy values must lie in [0, 1]"),
     (damaged_scene(5, "objects", 0, "pose"), "$.objects[0].pose", "'pose' has type int"),
     (damaged_scene(64.0, "camera", "width"), "$.camera.width", "must be an integer"),
     (damaged_scene([0.0, 1.0, 1.0], "room", "half_extents"), "$.room",
      "half_extents must be strictly positive"),
     (damaged_scene(5, "objects", 0), "$.objects[0]", "object entry must be a JSON object"),
-    (damaged_scene("lamp", "objects", 0, "class_label"), "$.objects[0].class_label",
+    # A value rule lives in the constructor, which the reader reports at the object.
+    (damaged_scene("lamp", "objects", 0, "class_label"), "$.objects[0]",
      "unknown class label 'lamp'"),
+    (damaged_scene([], "objects", 0, "solid"), "$.objects[0]",
+     "solid must hold at least one cuboid"),
     (damaged_scene([2, 0, 0, 0], "objects", 0, "pose", "rotation"), "$.objects[0].pose",
      "not unit length"),
     (damaged_scene([0, 1, 1], "objects", 0, "pose", "scale"), "$.objects[0].pose",
@@ -1027,8 +1031,8 @@ def scene_with_long_integer(read_file):
           (("room", "center", 0), "$.room.center"),
           (("camera", "fx"), "$.camera.fx"),
           (("camera", "cx"), "$.camera.cx")]],
-], ids=["pfm-width", "pfm-scale", "fvox-cell", "pose-type", "camera-width", "room-half",
-        "object-entry", "class-label", "rotation", "scale", "score", "box2d", "from-room",
+], ids=["pfm-width", "pfm-scale", "pfm-nan-scale", "fvox-cell", "pose-type", "camera-width",
+        "room-half", "object-entry", "class-label", "empty-solid", "rotation", "scale", "score", "box2d", "from-room",
         "scene-long-integer", "camera-long-integer", "score-overflow", "scale-overflow",
         "box2d-overflow", "room-overflow", "fx-overflow", "cx-overflow"])
 def test_damaged_input_names_class_location_and_cause(tmp_path, read, location, fragment):

@@ -7,7 +7,9 @@ raising.  The damage is a random JSON value put at a random path of a
 valid document, random bytes written over a valid file, random bytes
 written into an inline voxel or layout payload, before or after its
 base64 encoding, or a well-formed PFM whose size or values (NaN,
-infinities, negatives) a depth map cannot take.  The point-cloud writer's
+infinities, negatives) a depth map cannot take.  The value types and the
+point functions, given any float array or nested list, return a value or
+raise ``ValueError``.  The point-cloud writer's
 bytes equal what ``csv.writer`` makes of ``repr(float(v))`` per
 coordinate, whatever the finite values and chunk size, and ``voxel_iou``
 on packed masks equals the cell-by-cell boolean reference.
@@ -18,6 +20,7 @@ import base64
 import csv
 import io
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +31,7 @@ from hypothesis import strategies as st
 from scenefactor import io_formats
 from scenefactor.cli import main
 from scenefactor.generator import GeneratorConfig, generate_scene
-from scenefactor.geometry import Camera
+from scenefactor.geometry import Camera, Pose, UnitQuaternion, apply_pose, rotation_about_y
 from scenefactor.io_formats import (
     FileFormatError,
     read_depth_pfm,
@@ -40,8 +43,10 @@ from scenefactor.io_formats import (
     write_scene,
     write_voxels,
 )
+from scenefactor.registration import RigidTransform, bbox_diagonal
+from scenefactor.render import DepthMap
 from scenefactor.scene import Layout
-from scenefactor.voxels import CANONICAL_SPEC, FRAME_SPECS, VoxelGrid, voxel_iou
+from scenefactor.voxels import CANONICAL_SPEC, FRAME_SPECS, Cuboid, VoxelGrid, voxel_iou
 
 # The camera of ``small_files``'s 4x5 ``image.pfm``.
 CAMERA_5X4 = Camera(fx=5.0, fy=5.0, cx=2.5, cy=2.0, width=5, height=4)
@@ -270,3 +275,44 @@ def test_packed_iou_matches_boolean_reference(data):
     assert voxel_iou(a, a) == 1.0
     if not fills[0]:
         assert voxel_iou(a, VoxelGrid(np.zeros(dims), frame)) == 1.0  # both empty
+
+
+POSE = Pose(np.array([0.5, 2.0, 1.0]), rotation_about_y(0.3), np.array([0.1, -0.2, 3.0]))
+ONES, ZEROS = np.ones(3), np.zeros(3)
+# Each value type or point function with the drawn value in one argument.
+VALUE_TAKERS = {
+    "Pose.scale": lambda v: Pose(v, UnitQuaternion.identity(), ZEROS),
+    "Pose.rotation": lambda v: Pose(ONES, v, ZEROS),
+    "Pose.translation": lambda v: Pose(ONES, UnitQuaternion.identity(), v),
+    "Cuboid.center": lambda v: Cuboid(v, ONES),
+    "Cuboid.half_extents": lambda v: Cuboid(ZEROS, v),
+    "RigidTransform.rotation": lambda v: RigidTransform(v, ZEROS),
+    "RigidTransform.translation": lambda v: RigidTransform(np.eye(3), v),
+    "Layout": Layout,
+    "DepthMap": lambda v: DepthMap(v, Camera(fx=2.0, fy=2.0, cx=1.5, cy=1.0, width=3, height=2)),
+    "apply_pose": lambda v: apply_pose(POSE, v),
+    "apply_pose.inverse": lambda v: apply_pose(POSE, v, inverse=True),
+    "bbox_diagonal": bbox_diagonal,
+}
+# The point functions check only the shape and compute on whatever values
+# they get, so NumPy's warnings for NaN and inf arithmetic are theirs to give.
+COMPUTES = {"apply_pose", "apply_pose.inverse", "bbox_diagonal"}
+SHAPES = st.sampled_from([(), (0,), (2,), (3,), (4,), (0, 3), (1, 3), (2, 3), (3, 3), (2, 2),
+                          (3, 2), (1, 3, 3)])
+ENTRIES = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 1.0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_value_checks_raise_only_value_error(data):
+    name = data.draw(st.sampled_from(sorted(VALUE_TAKERS)))
+    shape = data.draw(SHAPES)
+    cells = data.draw(st.lists(ENTRIES, min_size=math.prod(shape), max_size=math.prod(shape)))
+    value = np.array(cells, dtype=float).reshape(shape)
+    if data.draw(st.booleans()):
+        value = value.tolist()
+    try:
+        with np.errstate(all="ignore" if name in COMPUTES else "warn"):
+            VALUE_TAKERS[name](value)
+    except ValueError:
+        pass

@@ -377,6 +377,10 @@ class TestIcp:
         with pytest.raises(ValueError):
             bbox_diagonal(np.zeros((0, 3)))
 
+    def test_bbox_diagonal_takes_only_n_by_3_points(self):
+        with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+            bbox_diagonal([[0.0, 0.0], [3.0, 4.0]])
+
     def test_rigid_transform_validation(self):
         with pytest.raises(ValueError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))

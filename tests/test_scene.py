@@ -80,6 +80,13 @@ class TestSceneTypes:
         with pytest.raises(ValueError):
             SceneObject(shape=VoxelGrid.scene(np.zeros((64, 32, 64))), pose=pose)
 
+    def test_empty_solid_rejected_when_built(self):
+        # So no scene file with an empty solid, which the reader rejects,
+        # can be written.
+        obj = make_object((0, 0, 0), (0.5, 0.5, 0.5), np.array([0.0, 0.0, 2.0]))
+        with pytest.raises(ValueError, match="solid must hold at least one cuboid"):
+            SceneObject(shape=obj.shape, pose=obj.pose, solid=())
+
     def test_scene_layout_camera_mismatch(self):
         cam = DEFAULT_CAMERA.scaled(64, 48)
         with pytest.raises(ValueError):
