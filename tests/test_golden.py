@@ -192,6 +192,20 @@ def test_grad_check_digest(tmp_path):
     assert sha256(tmp_path / "report.json") == GRAD_CHECK_SHA256
 
 
+# An odd point count on two seeds: seed 0 rejects two rot_regression draws
+# at 7 points, seed 3 rejects none.
+GRAD_CHECK_ODD_SHA256 = {
+    (3, 7): "746d86699130702238e1cc45d11a307d4847135b96c49fd7011c799ecac8a1e1",
+    (0, 7): "b0a4b9cd070fb54f2e8ba16b5e904041db5c179f8677dd20bdb238fe6f3c7ebb",
+}
+
+
+@pytest.mark.parametrize("seed,points", sorted(GRAD_CHECK_ODD_SHA256))
+def test_grad_check_odd_count_digests(tmp_path, seed, points):
+    run("grad-check", "--seed", seed, "--points", points, "--out", tmp_path / "report.json")
+    assert sha256(tmp_path / "report.json") == GRAD_CHECK_ODD_SHA256[seed, points]
+
+
 # ---------------------------------------------------------------------------
 # render, convert, eval and compare-reps on a scene holding the two forms a
 # prediction takes: a soft occupancy grid and a layout that is not the room
