@@ -105,7 +105,9 @@ def _cmd_gen(args) -> int:
     if args.objects is not None:
         overrides["object_count_range"] = args.objects
     if args.width or args.height:
-        overrides["camera"] = DEFAULT_CAMERA.scaled(args.width or 64, args.height or 48)
+        default = GeneratorConfig().camera
+        overrides["camera"] = DEFAULT_CAMERA.scaled(args.width or default.width,
+                                                    args.height or default.height)
     try:
         config = GeneratorConfig(seed=args.seed, **overrides)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -274,18 +276,22 @@ def _cmd_ap(args) -> int:
 # compare-reps
 
 def _cmd_compare_reps(args) -> int:
-    scenes = [(f.stem, read_scene(f)) for f in _scene_files(args.scenes)]
+    files = _scene_files(args.scenes)
     rows = []
-    for name, scene in scenes:
+    registrations = 0
+    for f in files:
+        scene = read_scene(f)
+        registrations += len(REPRESENTATIONS) * len(scene.objects)
         try:
-            rows.extend(compare_representations(scene, name))
+            rows.extend(compare_representations(scene, f.stem))
         except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from exc
+            raise ValueError(f"{f.stem}: {exc}") from exc
+        # Drop each scene before the next is read, so one is held at a time.
+        del scene
     # compare_representations leaves out registrations of empty or one-cell
     # shapes and of empty clouds, and curves.csv leaves out non-finite
     # values; both are counted, as are the registrations that stopped
     # without converging.
-    registrations = len(REPRESENTATIONS) * sum(len(scene.objects) for _, scene in scenes)
     stops = Counter(r.icp_stop for r in rows if r.task == "object_fitness")
     skipped = registrations - stops.total()
     nonfinite = sum(not math.isfinite(r.value) for r in rows)
@@ -306,7 +312,7 @@ def _cmd_compare_reps(args) -> int:
                                for x, f in zip(xs, fracs)])
     _write_csv(out_dir / "curves.csv", ["task", "representation", "value", "fraction"],
                curve_rows)
-    _log(f"compared {len(scenes)} scene(s); skipped {skipped} of {registrations} object "
+    _log(f"compared {len(files)} scene(s); skipped {skipped} of {registrations} object "
          f"registration(s) (empty or one-cell shape, or empty cloud); "
          f"{stops['max_iter']} stopped at ICP_MAX_ITER = {registration.ICP_MAX_ITER} "
          f"without converging and "

@@ -16,6 +16,7 @@ functions, so they are safe for unrestricted parallel use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ class UnitQuaternion:
 
     @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "UnitQuaternion":
-        ax = np.asarray(axis, dtype=float)
+        ax = _vec3(axis, "axis")
         norm = float(np.linalg.norm(ax))
         if norm < 1e-12:
             raise ValueError("rotation axis must be nonzero")
@@ -218,7 +219,11 @@ class Camera:
         for name in ("fx", "fy", "cx", "cy"):
             object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("width", "height"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            side = getattr(self, name)
+            if not (isinstance(side, numbers.Integral)
+                    or (isinstance(side, numbers.Real) and float(side).is_integer())):
+                raise ValueError(f"image {name} must be a whole number, got {side!r}")
+            object.__setattr__(self, name, int(side))
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise ValueError("focal lengths must be finite and positive")
         if self.width <= 0 or self.height <= 0:

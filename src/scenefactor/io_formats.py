@@ -218,13 +218,9 @@ def read_pfm(path) -> np.ndarray:
 
 def read_depth_pfm(path, camera: Camera) -> DepthMap:
     img = read_pfm(path)
-    if img.shape != (camera.height, camera.width):
-        raise FileFormatError(f"depth image is {img.shape[1]}x{img.shape[0]}, "
-                              f"camera is {camera.width}x{camera.height}", path,
-                              location="header")
     try:
         return DepthMap(img, camera)
-    except ValueError as exc:  # non-finite or negative values
+    except ValueError as exc:  # wrong size, non-finite or negative values
         raise FileFormatError(str(exc), path, location="payload") from exc
 
 

@@ -12,9 +12,10 @@ a distribution over ``DEFAULT_BIN_COUNT`` rotation bins by bin index, and
 ``rot_regression`` regresses the quaternion directly.  Nothing is trained
 here, so no bin centres exist; ``gradient_report`` needs only the count.
 
-``finite_diff_check`` verifies any kernel against central differences;
-``gradient_report`` runs the whole battery at seeded random points and is
-what the grad-check command emits.
+``finite_diff_check`` verifies any kernel against central differences.
+``gradient_report``, what the grad-check command emits, is one loop over
+the seeded ``(kernel, loss, point)`` probes of ``_probes``: it checks each
+probe once and groups the errors by kernel.
 """
 
 from __future__ import annotations
@@ -242,106 +243,76 @@ def finite_diff_check(loss: Callable[[np.ndarray], LossValueGrad],
     return worst
 
 
-def _report_entry(name: str, errs: list[float]) -> dict:
-    worst = max(errs)
-    return {"kernel": name, "max_rel_err": worst, "n_points": len(errs),
-            "tolerance": GRAD_TOLERANCE, "passed": bool(worst < GRAD_TOLERANCE)}
+def _probes(rng: np.random.Generator, n: int):
+    """Yield ``(kernel, loss, point)`` for ``n`` seeded points per kernel,
+    in report order and clear of each kernel's documented kinks.
 
-
-def gradient_report(seed: int = 0, n_points: int = 100) -> dict:
-    """Run central-difference checks (step ``FD_STEP``, pass below
-    ``GRAD_TOLERANCE``) for every kernel at seeded random points, staying
-    clear of each kernel's documented kinks."""
-    rng = np.random.default_rng(seed)
-    entries = []
-
-    errs = []
-    for _ in range(n_points):
+    One ``trans_scale_l2`` draw yields a ``translation_l2`` and a
+    ``scale_log_l2`` probe.  Each loss closes over this generator's loop
+    variables, so the caller must check it before drawing the next probe.
+    """
+    for _ in range(n):
         gt = rng.uniform(0.1, 2.0, size=(4, 4))
         offset = rng.uniform(0.05, 0.5, size=(4, 4)) * rng.choice([-1.0, 1.0], size=(4, 4))
-        pred = gt + offset
-        errs.append(finite_diff_check(
-            lambda x, g=gt: layout_l1(x.reshape(4, 4), g), pred.ravel()))
-    entries.append(_report_entry("layout_l1", errs))
-
-    errs = []
-    for _ in range(n_points):
-        g = (rng.random(size=(3, 3, 3)) < 0.5).astype(float)
+        yield "layout_l1", lambda x: layout_l1(x.reshape(4, 4), gt), (gt + offset).ravel()
+    for _ in range(n):
+        target = (rng.random(size=(3, 3, 3)) < 0.5).astype(float)
         pred = rng.uniform(0.05, 0.95, size=(3, 3, 3))
-        errs.append(finite_diff_check(
-            lambda x, g=g: voxel_bce(x.reshape(3, 3, 3), g), pred.ravel()))
-    entries.append(_report_entry("voxel_bce", errs))
-
-    errs = []
-    for _ in range(n_points):
+        yield "voxel_bce", lambda x: voxel_bce(x.reshape(3, 3, 3), target), pred.ravel()
+    for _ in range(n):
         dist = rng.uniform(0.2, 1.0, size=DEFAULT_BIN_COUNT)
-        dist = dist / dist.sum()
         k = int(rng.integers(DEFAULT_BIN_COUNT))
-        errs.append(finite_diff_check(lambda x, k=k: rot_class_nll(x, k), dist))
-    entries.append(_report_entry("rot_class_nll", errs))
-
-    errs = []
+        yield "rot_class_nll", lambda x: rot_class_nll(x, k), dist / dist.sum()
     count = 0
-    while count < n_points:
-        gt = random_unit_quaternion(rng)
+    while count < n:
+        q = random_unit_quaternion(rng)
         p = rng.normal(size=4)
         if np.linalg.norm(p) < 0.3:
             continue
         u = p / np.linalg.norm(p)
-        g = gt.as_array()
-        d_plus = np.linalg.norm(u - g)
-        d_minus = np.linalg.norm(u + g)
+        g = q.as_array()
+        d_plus, d_minus = np.linalg.norm(u - g), np.linalg.norm(u + g)
         # Stay away from the antipodal decision boundary and a perfect match.
         if abs(d_plus - d_minus) < 0.05 or min(d_plus, d_minus) < 0.05:
             continue
-        errs.append(finite_diff_check(lambda x, g=gt: rot_regression(x, g), p))
+        yield "rot_regression", lambda x: rot_regression(x, q), p
         count += 1
-    entries.append(_report_entry("rot_regression", errs))
-
-    errs_t, errs_c = [], []
-    for _ in range(n_points):
+    for _ in range(n):
         gt_t = rng.normal(size=3)
         gt_c = rng.uniform(0.3, 3.0, size=3)
         pred_t = gt_t + rng.normal(size=3)
         pred_c = rng.uniform(0.3, 3.0, size=3)
-        errs_t.append(finite_diff_check(
-            lambda x: trans_scale_l2(x, gt_t, pred_c, gt_c)[0], pred_t))
-        errs_c.append(finite_diff_check(
-            lambda x: trans_scale_l2(pred_t, gt_t, x, gt_c)[1], pred_c))
-    entries.append(_report_entry("translation_l2", errs_t))
-    entries.append(_report_entry("scale_log_l2", errs_c))
-
-    errs = []
-    for _ in range(n_points):
+        yield "translation_l2", lambda x: trans_scale_l2(x, gt_t, pred_c, gt_c)[0], pred_t
+        yield "scale_log_l2", lambda x: trans_scale_l2(pred_t, gt_t, x, gt_c)[1], pred_c
+    for _ in range(n):
         f = float(rng.uniform(0.05, 0.95))
         label = "fg" if rng.random() < 0.5 else "bg"
-        errs.append(finite_diff_check(
-            lambda x, label=label: foreground_ce(float(x[0]), label), np.array([f])))
-    entries.append(_report_entry("foreground_ce", errs))
-
-    errs = []
-    for _ in range(n_points):
+        yield "foreground_ce", lambda x: foreground_ce(float(x[0]), label), np.array([f])
+    for _ in range(n):
         gt_t = rng.normal(size=3)
         gt_c = rng.uniform(0.3, 3.0, size=3)
         label = "fg" if rng.random() < 0.5 else "bg"
         weights = rng.uniform(0.5, 2.0, size=3)
 
-        def combined(x, gt_t=gt_t, gt_c=gt_c, label=label, weights=weights):
+        def combined(x):
             t, c = trans_scale_l2(x[:3], gt_t, x[3:6], gt_c)
-            f = foreground_ce(float(x[6]), label)
-            return combined_objective([t, c, f], weights)
+            return combined_objective([t, c, foreground_ce(float(x[6]), label)], weights)
 
-        point = np.concatenate([gt_t + rng.normal(size=3),
-                                rng.uniform(0.3, 3.0, size=3),
-                                [rng.uniform(0.05, 0.95)]])
-        errs.append(finite_diff_check(combined, point))
-    entries.append(_report_entry("combined_objective", errs))
+        yield "combined_objective", combined, np.concatenate([
+            gt_t + rng.normal(size=3), rng.uniform(0.3, 3.0, size=3), [rng.uniform(0.05, 0.95)]])
 
-    return {
-        "format_version": 1,
-        "seed": int(seed),
-        "step": FD_STEP,
-        "points_per_kernel": int(n_points),
-        "kernels": entries,
-        "all_passed": bool(all(e["passed"] for e in entries)),
-    }
+
+def gradient_report(seed: int = 0, n_points: int = 100) -> dict:
+    """Run central-difference checks (step ``FD_STEP``, pass below
+    ``GRAD_TOLERANCE``) for every kernel at ``n_points`` seeded probes."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be positive, got {n_points}")
+    errs: dict[str, list[float]] = {}
+    for kernel, loss, point in _probes(np.random.default_rng(seed), n_points):
+        errs.setdefault(kernel, []).append(finite_diff_check(loss, point))
+    entries = [{"kernel": kernel, "max_rel_err": max(e), "n_points": len(e),
+                "tolerance": GRAD_TOLERANCE, "passed": bool(max(e) < GRAD_TOLERANCE)}
+               for kernel, e in errs.items()]
+    return {"format_version": 1, "seed": int(seed), "step": FD_STEP,
+            "points_per_kernel": int(n_points), "kernels": entries,
+            "all_passed": bool(all(e["passed"] for e in entries))}

@@ -69,7 +69,8 @@ class DepthMap:
     def __post_init__(self):
         d = _nonnegative_image(self.depth, "depth")
         if d.shape != (self.camera.height, self.camera.width):
-            raise ValueError("depth dimensions must match the camera")
+            raise ValueError(f"depth image is {d.shape[1]}x{d.shape[0]}, "
+                             f"camera is {self.camera.width}x{self.camera.height}")
         object.__setattr__(self, "depth", d)
 
     @property

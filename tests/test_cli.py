@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import importlib.resources as resources
 import jsonschema
@@ -18,7 +20,7 @@ import scenefactor
 import scenefactor.cli as cli
 import scenefactor.losses as losses
 from scenefactor.cli import main
-from scenefactor.compare import ComparisonRow
+from scenefactor.compare import ComparisonRow, compare_representations
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import Camera
 from scenefactor.io_formats import (
@@ -70,6 +72,14 @@ class TestGen:
         assert run(["gen", "--seed", 5, "--count", 2, "--out-dir", b]) == 0
         for fa, fb in zip(sorted(a.glob("*")), sorted(b.glob("*"))):
             assert fa.read_bytes() == fb.read_bytes()
+
+    @pytest.mark.parametrize("flag, side", [("--width", 32), ("--height", 24)])
+    def test_one_side_keeps_the_default_other_side(self, tmp_path, flag, side):
+        assert run(["gen", flag, side, "--objects", 0, 0, "--out-dir", tmp_path]) == 0
+        camera = read_scene(next(tmp_path.glob("*.json"))).camera
+        default = GeneratorConfig().camera
+        expected = (32, default.height) if flag == "--width" else (default.width, 24)
+        assert (camera.width, camera.height) == expected
 
     def test_objects_flag(self, tmp_path):
         out = tmp_path / "solo"
@@ -214,7 +224,7 @@ class TestConvert:
             assert out.read_bytes() == b"x,y,z\n"
 
     @pytest.mark.parametrize("bad, location", [
-        (np.nan, "payload"), (np.inf, "payload"), (None, "header")],
+        (np.nan, "payload"), (np.inf, "payload"), (None, "payload")],
         ids=["nan", "inf", "dims"])
     def test_bad_depth_pfm_is_one_line(self, tmp_path, capsys, bad, location):
         cam = Camera(fx=7.0, fy=9.0, cx=3.5, cy=2.5, width=8, height=5)
@@ -385,6 +395,47 @@ class TestCompareReps:
         assert curves[1:] == ["visible_depth,depth,0.5,0.3333333333333333",
                               "visible_depth,depth,0.5,0.6666666666666666",
                               "visible_depth,depth,0.5,1.0"]
+
+
+    @pytest.fixture()
+    def copies(self, tmp_path):
+        """Three copies of a one-object scene."""
+        scene = generate_scene(GeneratorConfig(seed=3, object_count_range=(1, 1)))
+        scenes = tmp_path / "copies"
+        scenes.mkdir()
+        for i in range(3):
+            write_scene(scene, scenes / f"s{i}.json")
+        return scenes
+
+    def test_holds_one_scene_at_a_time(self, copies, tmp_path, monkeypatch, capsys):
+        held = []
+
+        def reading(path):
+            # The scene before is dropped before this one is read.
+            gc.collect()
+            assert all(ref() is None for ref in held)
+            scene = read_scene(path)
+            held.append(weakref.ref(scene))
+            return scene
+
+        def comparing(scene, scene_id):
+            gc.collect()
+            assert [ref() is None for ref in held] == [True] * (len(held) - 1) + [False]
+            return compare_representations(scene, scene_id)
+
+        monkeypatch.setattr(cli, "read_scene", reading)
+        monkeypatch.setattr(cli, "compare_representations", comparing)
+        assert run(["compare-reps", "--scenes", copies, "--out-dir", tmp_path / "out"]) == 0
+        assert len(held) == 3
+        assert "compared 3 scene(s); skipped 0 of 9 object" in capsys.readouterr().err
+
+    def test_a_failing_last_scene_writes_nothing(self, copies, tmp_path, capsys):
+        doc = json.loads((copies / "s2.json").read_text())
+        doc["room"] = doc["layout"] = None
+        (copies / "s2.json").write_text(json.dumps(doc))
+        assert run(["compare-reps", "--scenes", copies, "--out-dir", tmp_path / "out"]) == 1
+        assert "error: s2: representation comparison needs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def assert_usage_error(argv, tmp_path, monkeypatch):

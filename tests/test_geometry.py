@@ -62,6 +62,12 @@ class TestUnitQuaternion:
         with pytest.raises(ValueError):
             UnitQuaternion(float("nan"), 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("axis", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]],
+                                      [float("nan"), 0.0, 0.0], [0.0, 0.0, 0.0]])
+    def test_from_axis_angle_rejects_a_bad_axis(self, axis):
+        with pytest.raises(ValueError):
+            UnitQuaternion.from_axis_angle(axis, 1.0)
+
     def test_validate_rotation_matrix_rejects_reflection(self):
         with pytest.raises(ValueError):
             validate_rotation_matrix(np.diag([1.0, 1.0, -1.0]))
@@ -152,6 +158,17 @@ class TestCamera:
             Camera(fx=float("nan"), fy=1.0, cx=0.0, cy=0.0, width=10, height=10)
         with pytest.raises(ValueError):
             Camera(fx=1.0, fy=float("inf"), cx=0.0, cy=0.0, width=10, height=10)
+
+    @pytest.mark.parametrize("width,height", [
+        (float("inf"), 10), (10, float("inf")), (float("nan"), 10), (4.5, 4), (4, 3.5), ("4", 4)])
+    def test_size_must_be_a_whole_number(self, width, height):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            Camera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=width, height=height)
+
+    def test_whole_float_and_numpy_sizes(self):
+        cam = Camera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4.0, height=np.int64(3))
+        assert (cam.width, cam.height) == (4, 3)
+        assert type(cam.width) is int and type(cam.height) is int
 
     def test_scaled_preserves_fov(self):
         cam = DEFAULT_CAMERA.scaled(64, 48)

@@ -29,6 +29,7 @@ from scenefactor.io_formats import (
     UnknownVersionError,
     atomic_write_text,
     read_camera,
+    read_depth_pfm,
     read_pfm,
     read_scene,
     read_voxels,
@@ -92,6 +93,13 @@ class TestPfm:
         with pytest.raises(TruncatedFileError) as err:
             read_pfm(p)
         assert "byte" in str(err.value)
+
+    def test_depth_of_the_wrong_size_is_a_payload_error(self, tmp_path):
+        write_pfm(tmp_path / "d.pfm", np.ones((2, 3), dtype=np.float32))
+        camera = DEFAULT_CAMERA.scaled(4, 3)
+        with pytest.raises(FileFormatError, match="depth image is 3x2, camera is 4x3") as err:
+            read_depth_pfm(tmp_path / "d.pfm", camera)
+        assert err.value.location == "payload"
 
     def test_writer_rejects_a_3d_array(self, tmp_path):
         with pytest.raises(ValueError, match="must be 2D"):

@@ -253,7 +253,13 @@ class TestFiniteDiffHarness:
     def test_gradient_report_all_pass(self):
         report = gradient_report(seed=0, n_points=25)
         assert report["all_passed"]
-        assert {e["kernel"] for e in report["kernels"]} == {
+        assert [e["kernel"] for e in report["kernels"]] == [
             "layout_l1", "voxel_bce", "rot_class_nll", "rot_regression",
             "translation_l2", "scale_log_l2", "foreground_ce", "combined_objective",
-        }
+        ]
+        assert all(e["n_points"] == 25 for e in report["kernels"])
+
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_gradient_report_needs_a_point(self, n_points):
+        with pytest.raises(ValueError):
+            gradient_report(n_points=n_points)

@@ -590,6 +590,10 @@ class TestDepthDisparity:
         with pytest.raises(ValueError):
             Layout(np.full((48, 64), -0.1))
 
+    def test_size_mismatch_names_both_sizes(self):
+        with pytest.raises(ValueError, match="^depth image is 32x24, camera is 64x48$"):
+            DepthMap(np.ones((24, 32)), CAM)
+
 
 class TestPointClouds:
     def test_all_empty_map(self):
