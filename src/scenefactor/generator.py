@@ -6,6 +6,10 @@ about the vertical axis only, and an analytically rendered amodal layout.
 All world bounding boxes are pairwise disjoint.  A seed fully determines
 the scene.
 
+Each furniture class is defined once, in ``_CLASSES``: its world-size
+ranges, the builder of its canonical cuboid solid (standing in for a CAD
+model), and the range of each canonical length the builder takes.
+
 Two realism constraints keep the scene grid well resolved: each room
 gets one large anchor piece (bed or sofa by default; ``anchor_classes``
 sets the choice), and televisions are capped at ``MAX_TELEVISIONS`` per
@@ -22,21 +26,80 @@ import numpy as np
 
 from .geometry import Camera, DEFAULT_CAMERA, Pose, image_extent, rotation_about_y
 from .render import room_layout
-from .scene import CLASS_LABELS, FactoredScene, SceneObject, parametric_shape
+from .scene import CLASS_LABELS, FactoredScene, SceneObject
 from .voxels import CANONICAL_SPEC, Cuboid, cuboid_voxelize
 
 __all__ = ["GeneratorConfig", "generate_scene"]
 
-# World-size ranges (x width, y height, z depth) per class, in meters.
-# The canonical solid spans the unit box in x/y/z for all classes except
+
+# The builders.  Each returns cuboids in the canonical frame (y points
+# down, the front face is -z) whose union fits the unit box for every
+# length that its class's ``_CLASSES`` entry allows.
+
+def _legs(lw: float, half_y: float, center_y: float) -> list[Cuboid]:
+    """Four square legs of width ``lw`` in the corners of the unit box."""
+    return [Cuboid((sx * (0.5 - lw / 2.0), center_y, sz * (0.5 - lw / 2.0)),
+                   (lw / 2.0, half_y, lw / 2.0))
+            for sx in (-1.0, 1.0) for sz in (-1.0, 1.0)]
+
+
+def _table_like(top_thickness: float, leg_width: float) -> list[Cuboid]:
+    tt = top_thickness
+    top = Cuboid((0.0, -0.5 + tt / 2.0, 0.0), (0.5, tt / 2.0, 0.5))
+    return [top] + _legs(leg_width, (1.0 - tt) / 2.0, tt / 2.0)
+
+
+def _chair(seat_top: float, seat_thickness: float, back_thickness: float,
+           leg_width: float) -> list[Cuboid]:
+    st, th, bt = seat_top, seat_thickness, back_thickness
+    seat_bottom = st + th
+    seat = Cuboid((0.0, st + th / 2.0, 0.0), (0.5, th / 2.0, 0.5))
+    back = Cuboid((0.0, (seat_bottom - 0.5) / 2.0, 0.5 - bt / 2.0),
+                  (0.5, (seat_bottom + 0.5) / 2.0, bt / 2.0))
+    return [seat, back] + _legs(leg_width, (0.5 - seat_bottom) / 2.0, (0.5 + seat_bottom) / 2.0)
+
+
+def _bed(mattress_depth: float, headboard_thickness: float) -> list[Cuboid]:
+    md, ht = mattress_depth, headboard_thickness
+    slab = Cuboid((0.0, 0.5 - md / 2.0, 0.0), (0.5, md / 2.0, 0.5))
+    headboard = Cuboid((0.0, 0.0, 0.5 - ht / 2.0), (0.5, 0.5, ht / 2.0))
+    return [slab, headboard]
+
+
+def _sofa(seat_depth: float, back_thickness: float, arm_width: float,
+          arm_top: float) -> list[Cuboid]:
+    sd, bt, aw, at = seat_depth, back_thickness, arm_width, arm_top
+    seat = Cuboid((0.0, 0.5 - sd / 2.0, 0.0), (0.5, sd / 2.0, 0.5))
+    back = Cuboid((0.0, 0.0, 0.5 - bt / 2.0), (0.5, 0.5, bt / 2.0))
+    arms = [Cuboid((sx * (0.5 - aw / 2.0), (at + 0.5) / 2.0, 0.0),
+                   (aw / 2.0, (0.5 - at) / 2.0, 0.5)) for sx in (-1.0, 1.0)]
+    return [seat, back] + arms
+
+
+def _television(half_width: float, half_thickness: float) -> list[Cuboid]:
+    # Half-lengths: the panel's faces sit at +-half its size.
+    return [Cuboid((0.0, 0.0, 0.0), (half_width, 0.5, half_thickness))]
+
+
+# Per class: world-size ranges (x width, y height, z depth) in meters, the
+# builder, and the range of each canonical length it takes, drawn in this
+# order.  The solid spans the unit box in x/y/z for every class but
 # television, whose thin panel sets its own world thickness via scale.
-CLASS_SIZE_RANGES: dict[str, tuple[tuple[float, float], ...]] = {
-    "bed": ((1.4, 1.9), (0.85, 1.15), (1.9, 2.2)),
-    "chair": ((0.5, 0.65), (0.85, 1.05), (0.5, 0.65)),
-    "desk": ((1.1, 1.6), (0.72, 0.8), (0.55, 0.8)),
-    "sofa": ((1.6, 2.2), (0.8, 1.0), (0.85, 1.05)),
-    "table": ((1.0, 1.7), (0.65, 0.78), (0.8, 1.1)),
-    "television": ((0.85, 1.2), (0.5, 0.7), (0.9, 1.4)),
+_CLASSES = {
+    "bed": (((1.4, 1.9), (0.85, 1.15), (1.9, 2.2)), _bed,
+            {"mattress_depth": (0.45, 0.65), "headboard_thickness": (0.12, 0.2)}),
+    "chair": (((0.5, 0.65), (0.85, 1.05), (0.5, 0.65)), _chair,
+              {"seat_top": (-0.08, 0.08), "seat_thickness": (0.15, 0.22),
+               "back_thickness": (0.15, 0.22), "leg_width": (0.16, 0.24)}),
+    "desk": (((1.1, 1.6), (0.72, 0.8), (0.55, 0.8)), _table_like,
+             {"top_thickness": (0.16, 0.24), "leg_width": (0.22, 0.29)}),
+    "sofa": (((1.6, 2.2), (0.8, 1.0), (0.85, 1.05)), _sofa,
+             {"seat_depth": (0.4, 0.55), "back_thickness": (0.2, 0.3),
+              "arm_width": (0.14, 0.22), "arm_top": (-0.22, -0.08)}),
+    "table": (((1.0, 1.7), (0.65, 0.78), (0.8, 1.1)), _table_like,
+              {"top_thickness": (0.14, 0.22), "leg_width": (0.2, 0.28)}),
+    "television": (((0.85, 1.2), (0.5, 0.7), (0.9, 1.4)), _television,
+                   {"half_width": (0.4, 0.475), "half_thickness": (0.03, 0.045)}),
 }
 
 
@@ -109,31 +172,19 @@ def _sample_room(rng: np.random.Generator) -> Cuboid:
     return Cuboid((lo + hi) / 2.0, (hi - lo) / 2.0)
 
 
-def _shape_params(kind: str, rng: np.random.Generator) -> dict[str, float]:
-    """Mild per-scene variation of the class default proportions.
+def _sample_solid(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, list[Cuboid]]:
+    """World scale and canonical solid of one ``kind`` object.
 
     Every length is snapped to the canonical voxel lattice, which makes
-    the 32^3 voxelization of the sampled solid exact: every cuboid face
-    lands on a lattice plane, so the voxel shape, the analytic solid, and
-    the trilinear iso-surface all coincide.  The television panel snaps
-    to an even cell count because its faces sit at +-half its size.
+    the 32^3 voxelization of the solid exact: every cuboid face lands on
+    a lattice plane, so the voxel shape, the analytic solid, and the
+    trilinear iso-surface all coincide.
     """
-    jitter = {
-        "table": {"top_thickness": (0.14, 0.22), "leg_width": (0.2, 0.28)},
-        "desk": {"top_thickness": (0.16, 0.24), "leg_width": (0.22, 0.29)},
-        "chair": {"seat_top": (-0.08, 0.08), "seat_thickness": (0.15, 0.22),
-                  "back_thickness": (0.15, 0.22), "leg_width": (0.16, 0.24)},
-        "bed": {"mattress_depth": (0.45, 0.65), "headboard_thickness": (0.12, 0.2)},
-        "sofa": {"seat_depth": (0.4, 0.55), "back_thickness": (0.2, 0.3),
-                 "arm_width": (0.14, 0.22), "arm_top": (-0.22, -0.08)},
-        "television": {"panel_width": (0.8, 0.95), "panel_thickness": (0.06, 0.09)},
-    }[kind]
-    centered = ("panel_width", "panel_thickness")
-    out = {}
-    for name, (lo, hi) in jitter.items():
-        unit = (2 if name in centered else 1) * CANONICAL_SPEC.cell_size
-        out[name] = round(float(rng.uniform(lo, hi)) / unit) * unit
-    return out
+    sizes, build, lengths = _CLASSES[kind]
+    scale = np.array([rng.uniform(lo, hi) for lo, hi in sizes])
+    cell = CANONICAL_SPEC.cell_size
+    return scale, build(**{name: round(float(rng.uniform(lo, hi)) / cell) * cell
+                           for name, (lo, hi) in lengths.items()})
 
 
 def _solid_bounds(cuboids) -> tuple[np.ndarray, np.ndarray]:
@@ -198,9 +249,7 @@ def generate_scene(cfg: GeneratorConfig) -> FactoredScene:
             else:
                 kind = str(rng.choice(labels, p=pool / pool.sum()))
 
-            size_ranges = CLASS_SIZE_RANGES[kind]
-            scale = np.array([rng.uniform(lo, hi) for lo, hi in size_ranges])
-            solid = parametric_shape(kind, **_shape_params(kind, rng))
+            scale, solid = _sample_solid(kind, rng)
             theta = float(rng.uniform(0.0, 2.0 * np.pi))
             rotation = rotation_about_y(theta)
 

@@ -42,9 +42,18 @@ __all__ = [
 UNIT_NORM_TOL = 1e-6
 
 
+def _floats(value, name: str, copy: bool = False) -> np.ndarray:
+    """``value`` as a float64 array, a copy if ``copy``; ValueError where
+    a number does not fit a float, such as an integer beyond its range."""
+    try:
+        return np.array(value, dtype=float, copy=copy or None)
+    except OverflowError as exc:
+        raise ValueError(f"{name} holds a number beyond the float range") from exc
+
+
 def _vec3(value, name: str) -> np.ndarray:
     """A read-only float64 copy of a finite 3-vector; ValueError for anything else."""
-    arr = np.array(value, dtype=float)
+    arr = _floats(value, name, copy=True)
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
     if not all(map(math.isfinite, arr.tolist())):
@@ -55,7 +64,7 @@ def _vec3(value, name: str) -> np.ndarray:
 
 def _nonnegative_image(value, name: str) -> np.ndarray:
     """A read-only float64 copy of a 2D image of finite, non-negative values."""
-    img = np.array(value, dtype=float)
+    img = _floats(value, name, copy=True)
     if img.ndim != 2:
         raise ValueError(f"{name} must be a 2D image, got shape {img.shape}")
     if not np.all(np.isfinite(img)):
@@ -141,7 +150,7 @@ def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
 
 def validate_rotation_matrix(R: np.ndarray) -> np.ndarray:
     """Check orthonormality and det=+1; returns the matrix as float64."""
-    R = np.asarray(R, dtype=float)
+    R = _floats(R, "rotation matrix")
     if R.shape != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got {R.shape}")
     # A rotation's entries lie in [-1, 1]; the bound keeps NaN and inf out of R^T R.
@@ -184,7 +193,7 @@ class Pose:
 
 def as_points(points) -> np.ndarray:
     """``points`` as a float64 (n, 3) array; ValueError for any other shape."""
-    pts = np.asarray(points, dtype=float)
+    pts = _floats(points, "points")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
     return pts
@@ -192,9 +201,8 @@ def as_points(points) -> np.ndarray:
 
 def apply_pose(pose: Pose, points: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Apply a pose (or its inverse) to one 3-vector point or an (N, 3) batch."""
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = as_points(np.atleast_2d(pts))
+    single = np.ndim(points) == 1
+    pts = as_points(np.atleast_2d(points))
     R = pose.rotation_matrix
     if inverse:
         out = ((pts - pose.translation) @ R) / pose.scale
@@ -257,8 +265,10 @@ def backproject(cam: Camera, u, v, depth) -> np.ndarray:
 
 
 def project(cam: Camera, points: np.ndarray):
-    """Project camera-frame 3D points; returns (u, v, depth)."""
-    pts = np.asarray(points, dtype=float)
+    """Project camera-frame (..., 3) points; returns (u, v, depth)."""
+    pts = _floats(points, "points")
+    if pts.shape[-1:] != (3,):
+        raise ValueError(f"points must have a last axis of 3, got shape {pts.shape}")
     z = pts[..., 2]
     if np.any(z <= 0.0):
         raise ValueError("points must have strictly positive z to project")

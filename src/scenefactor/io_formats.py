@@ -36,8 +36,8 @@ onto it; a failed write leaves the target as it was and no temp file.
 A written file gets the mode that ``open()`` would give it, 0o666 less
 the umask.  PFM and FVOX write their header and then their payload
 through it, and the point-cloud CSV is formatted and streamed through it
-one chunk of rows at a time.  Parse errors carry the file path and the
-offending location.
+one chunk of rows at a time.  Every read error is a
+:class:`FileFormatError` carrying the file path and the offending location.
 
 The scene reader checks, at the field, only what a file can get wrong
 there: presence, JSON type, list length, payload size and the camera's
@@ -67,10 +67,7 @@ from .scene import FactoredScene, Layout, SceneObject
 from .voxels import CANONICAL_SPEC, FRAME_SPECS, Cuboid, VoxelGrid
 
 __all__ = [
-    "BadMagicError",
     "FileFormatError",
-    "TruncatedFileError",
-    "UnknownVersionError",
     "atomic_write_text",
     "atomic_writer",
     "load_json",
@@ -110,18 +107,6 @@ class FileFormatError(ValueError):
             parts.append(location)
         prefix = ": ".join(parts)
         super().__init__(f"{prefix}: {message}" if prefix else message)
-
-
-class BadMagicError(FileFormatError):
-    pass
-
-
-class UnknownVersionError(FileFormatError):
-    pass
-
-
-class TruncatedFileError(FileFormatError):
-    pass
 
 
 @contextlib.contextmanager
@@ -179,10 +164,10 @@ def _pfm_tokens(data: bytes, count: int, path) -> tuple[list[bytes], int]:
         while pos < len(data) and data[pos:pos + 1] not in whitespace:
             pos += 1
         if start == pos:
-            raise TruncatedFileError("header ended early", path, location=f"byte {pos}")
+            raise FileFormatError("header ended early", path, location=f"byte {pos}")
         tokens.append(data[start:pos])
     if pos >= len(data):
-        raise TruncatedFileError("no payload after header", path, location=f"byte {pos}")
+        raise FileFormatError("no payload after header", path, location=f"byte {pos}")
     return tokens, pos + 1
 
 
@@ -195,7 +180,7 @@ def read_pfm(path) -> np.ndarray:
         raise FileFormatError("color PFM is not supported (expected grayscale 'Pf')", path,
                               location="byte 0")
     if magic != b"Pf":
-        raise BadMagicError(f"bad magic {magic!r}, expected b'Pf'", path, location="byte 0")
+        raise FileFormatError(f"bad magic {magic!r}, expected b'Pf'", path, location="byte 0")
     try:
         width, height = int(tokens[1]), int(tokens[2])
         scale = float(tokens[3])
@@ -209,7 +194,7 @@ def read_pfm(path) -> np.ndarray:
     expected = width * height * 4
     payload = data[offset:]
     if len(payload) != expected:
-        raise TruncatedFileError(
+        raise FileFormatError(
             f"payload has {len(payload)} bytes, expected {expected}", path,
             location=f"byte {offset}")
     img = np.frombuffer(payload, dtype=dtype).reshape(height, width)
@@ -275,15 +260,15 @@ def read_voxels(path) -> VoxelGrid:
     """Read an FVOX grid; its header must give the lattice of its frame tag."""
     data = Path(path).read_bytes()
     if len(data) < _FVOX_HEADER.size:
-        raise TruncatedFileError(
+        raise FileFormatError(
             f"file has {len(data)} bytes, header needs {_FVOX_HEADER.size}", path,
             location=f"byte {len(data)}")
     magic, version, nx, ny, nz, tag, *extent = _FVOX_HEADER.unpack_from(data)
     if magic != FVOX_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {FVOX_MAGIC!r}", path,
-                            location="byte 0")
+        raise FileFormatError(f"bad magic {magic!r}, expected {FVOX_MAGIC!r}", path,
+                              location="byte 0")
     if version != FVOX_VERSION:
-        raise UnknownVersionError(f"unknown version {version}", path, location="byte 4")
+        raise FileFormatError(f"unknown version {version}", path, location="byte 4")
     if tag not in _TAG_FRAMES:
         raise FileFormatError(f"unknown frame tag {tag}", path, location="byte 20")
     frame = _TAG_FRAMES[tag]
@@ -297,7 +282,7 @@ def read_voxels(path) -> VoxelGrid:
                               location="extent")
     expected = _FVOX_HEADER.size + 4 * math.prod(spec.dims)
     if len(data) != expected:
-        raise TruncatedFileError(
+        raise FileFormatError(
             f"file has {len(data)} bytes, format requires exactly {expected}", path,
             location=f"byte {min(len(data), expected)}")
     occ = np.frombuffer(data, dtype="<f4", offset=_FVOX_HEADER.size)
@@ -371,9 +356,8 @@ def _payload(text, size: int, loc, path) -> bytes:
         raise FileFormatError("payload must be a base64 string", path, location=loc)
     chars = 4 * math.ceil(size / 3)
     if len(text) != chars:
-        error = TruncatedFileError if len(text) < chars else FileFormatError
-        raise error(f"payload has {len(text)} base64 characters, expected {chars}", path,
-                    location=loc)
+        raise FileFormatError(f"payload has {len(text)} base64 characters, expected {chars}",
+                              path, location=loc)
     try:
         data = base64.b64decode(text, validate=True)
     except ValueError as exc:
@@ -542,9 +526,8 @@ def _scene_doc(path) -> tuple[dict, Camera]:
         raise FileFormatError("top level must be a JSON object", path, location="$")
     version = _expect(doc, "format_version", "$", path)
     if version != SCENE_FORMAT_VERSION:
-        raise UnknownVersionError(f"unknown format_version {version!r}; this build reads "
-                                  f"version {SCENE_FORMAT_VERSION}", path,
-                                  location="$.format_version")
+        raise FileFormatError(f"unknown format_version {version!r}; this build reads "
+                              f"version {SCENE_FORMAT_VERSION}", path, location="$.format_version")
     camera = _camera_from_dict(_expect(doc, "camera", "$", path, kind=dict), "$.camera", path)
     return doc, camera
 

@@ -1,7 +1,8 @@
 """Every name a scenefactor module exports must exist, the package
 namespace is the union of those names, every JSON schema the package ships
 must be a well-formed schema, modules import each other at module level
-(SciPy's kd-tree aside), and every frozen value type hashes."""
+(SciPy's kd-tree aside), every module-level import is used, and every
+frozen value type hashes."""
 
 import ast
 import dataclasses
@@ -105,3 +106,24 @@ def test_only_a_cycle_defers_an_import():
                     for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert sorted((name, module) for name, _, module in deferred) == [
         ("registration.py", "scipy.spatial")], sorted(deferred)
+
+
+# Imports that bench/tracer.py patches and the importing module never uses.
+TRACER_ONLY_IMPORTS = {("cli", "component_errors"), ("compare", "visible_surface_error"),
+                       ("compare", "layout_depth_error")}
+
+
+def test_every_module_level_import_is_used():
+    unused = set()
+    for path in pathlib.Path(scenefactor.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+            else:
+                continue
+            unused.update((path.stem, name) for name in names if name not in used)
+    assert unused == TRACER_ONLY_IMPORTS

@@ -5,6 +5,7 @@ import scenefactor.generator as generator
 from scenefactor.generator import GeneratorConfig, generate_scene
 from scenefactor.geometry import apply_pose
 from scenefactor.render import depth_to_disparity, render_depth_analytic
+from scenefactor.scene import CLASS_LABELS
 from scenefactor.voxels import voxel_centers
 
 
@@ -43,6 +44,10 @@ class TestDeterminism:
 
 
 class TestGeneratedGeometry:
+    def test_one_table_entry_per_class(self):
+        # tests/test_scene.py::TestParametricShapes draws every entry's solids.
+        assert sorted(generator._CLASSES) == list(CLASS_LABELS)
+
     def test_zero_objects(self):
         scene = generate_scene(GeneratorConfig(seed=0, object_count_range=(0, 0)))
         assert scene.objects == ()

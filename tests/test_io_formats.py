@@ -23,10 +23,7 @@ from scenefactor.cli import main
 from scenefactor.io_formats import (
     MAX_IMAGE_SIDE,
     SCENE_FORMAT_VERSION,
-    BadMagicError,
     FileFormatError,
-    TruncatedFileError,
-    UnknownVersionError,
     atomic_write_text,
     read_camera,
     read_depth_pfm,
@@ -78,8 +75,9 @@ class TestPfm:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.pfm"
         p.write_bytes(b"Px\n1 1\n-1.0\n" + b"\x00" * 4)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(FileFormatError, match="bad magic b'Px'") as err:
             read_pfm(p)
+        assert type(err.value) is FileFormatError and err.value.location == "byte 0"
 
     def test_color_rejected(self, tmp_path):
         p = tmp_path / "color.pfm"
@@ -90,9 +88,9 @@ class TestPfm:
     def test_truncated_names_offset(self, tmp_path):
         p = tmp_path / "t.pfm"
         p.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 7)
-        with pytest.raises(TruncatedFileError) as err:
+        with pytest.raises(FileFormatError, match="payload has 7 bytes, expected 16") as err:
             read_pfm(p)
-        assert "byte" in str(err.value)
+        assert type(err.value) is FileFormatError and err.value.location == "byte 12"
 
     def test_depth_of_the_wrong_size_is_a_payload_error(self, tmp_path):
         write_pfm(tmp_path / "d.pfm", np.ones((2, 3), dtype=np.float32))
@@ -335,8 +333,9 @@ class TestFvox:
         data = bytearray(good.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(FileFormatError, match="bad magic b'XXXX'") as err:
             read_voxels(path)
+        assert type(err.value) is FileFormatError and err.value.location == "byte 0"
 
     def test_unknown_version(self, tmp_path):
         good = tmp_path / "good.fvox"
@@ -345,8 +344,9 @@ class TestFvox:
         data[4:8] = struct.pack("<I", 99)
         bad = tmp_path / "v.fvox"
         bad.write_bytes(bytes(data))
-        with pytest.raises(UnknownVersionError):
+        with pytest.raises(FileFormatError, match="unknown version 99") as err:
             read_voxels(bad)
+        assert type(err.value) is FileFormatError and err.value.location == "byte 4"
 
     def test_truncation_detected(self, tmp_path):
         good = tmp_path / "good.fvox"
@@ -354,12 +354,14 @@ class TestFvox:
         data = good.read_bytes()
         bad = tmp_path / "short.fvox"
         bad.write_bytes(data[:-10])
-        with pytest.raises(TruncatedFileError):
-            read_voxels(bad)
         longer = tmp_path / "long.fvox"
         longer.write_bytes(data + b"\x00")
-        with pytest.raises(TruncatedFileError):
-            read_voxels(longer)
+        for path, size in ((bad, len(data) - 10), (longer, len(data) + 1)):
+            with pytest.raises(FileFormatError, match=f"file has {size} bytes, format requires "
+                                                      f"exactly {len(data)}") as err:
+                read_voxels(path)
+            assert type(err.value) is FileFormatError
+            assert err.value.location == f"byte {min(size, len(data))}"
 
 
 def scenes_identical(a, b):
@@ -486,8 +488,8 @@ class TestSceneJson:
             read_scene(tmp_path / "layout.json")
         assert err.value.location == "$.layout.f4"
 
-    @pytest.mark.parametrize("cut, error", [(4, TruncatedFileError), (-4, FileFormatError)])
-    def test_layout_payload_sized_by_camera(self, tmp_path, monkeypatch, cut, error):
+    @pytest.mark.parametrize("cut", [4, -4])
+    def test_layout_payload_sized_by_camera(self, tmp_path, monkeypatch, cut):
         # 4 * 64 * 48 bytes: 16,384 base64 characters, checked before decoding.
         scene = generate_scene(GeneratorConfig(seed=2))
         layout = Layout(scene.layout.disparity * 0.9)
@@ -502,10 +504,10 @@ class TestSceneJson:
             raise AssertionError("layout decoded despite its length")
 
         monkeypatch.setattr(base64, "b64decode", no_decode)
-        with pytest.raises(error) as err:
+        with pytest.raises(FileFormatError) as err:
             read_scene(tmp_path / "l.json")
-        assert err.value.location == "$.layout.f4"
-        assert "expected 16384" in str(err.value)
+        assert type(err.value) is FileFormatError and err.value.location == "$.layout.f4"
+        assert f"payload has {16_384 - cut} base64 characters, expected 16384" in str(err.value)
 
     def test_truncated_json_reports_location(self, tmp_path):
         scene = generate_scene(GeneratorConfig(seed=2))
@@ -535,8 +537,9 @@ class TestSceneJson:
         for doc in (*older, {**current, "format_version": 3},
                     {**current, "format_version": 5}):
             (tmp_path / "v.json").write_text(json.dumps(doc))
-            with pytest.raises(UnknownVersionError) as err:
+            with pytest.raises(FileFormatError) as err:
                 read_scene(tmp_path / "v.json")
+            assert type(err.value) is FileFormatError
             assert err.value.location == "$.format_version"
             assert f"reads version {SCENE_FORMAT_VERSION}" in str(err.value)
 
@@ -765,9 +768,10 @@ class TestInlinePayload:
     def _bits(self, scene) -> bytes:
         return np.packbits(scene.objects[0].shape.occupied.ravel(order="F")).tobytes()
 
-    def _rejected(self, path, error=FileFormatError):
-        with pytest.raises(error) as err:
+    def _rejected(self, path):
+        with pytest.raises(FileFormatError) as err:
             read_scene(path)
+        assert type(err.value) is FileFormatError
         assert err.value.location == "$.objects[0].voxels.bits"
         return str(err.value)
 
@@ -786,7 +790,8 @@ class TestInlinePayload:
     def test_truncated_stream_rejected(self, tmp_path, cut):
         scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
         _, path = self._scene(tmp_path, self._bits(scene)[:-cut])
-        assert "expected 5464" in self._rejected(path, TruncatedFileError)
+        chars = 4 * math.ceil((PACKED_BYTES - cut) / 3)
+        assert f"payload has {chars} base64 characters, expected 5464" in self._rejected(path)
 
     def test_bytes_after_stream_rejected(self, tmp_path):
         scene = generate_scene(GeneratorConfig(seed=4, object_count_range=(1, 1)))
@@ -822,7 +827,8 @@ class TestInlinePayload:
 
         _, path = self._scene(tmp_path, "A" * chars)
         monkeypatch.setattr(base64, "b64decode", no_decode)
-        self._rejected(path, TruncatedFileError if chars < PACKED_CHARS else FileFormatError)
+        message = self._rejected(path)
+        assert f"payload has {chars} base64 characters, expected {PACKED_CHARS}" in message
 
     def test_payload_must_be_text(self, tmp_path):
         _, path = self._scene(tmp_path, "")
@@ -904,21 +910,21 @@ class TestInlinePayload:
             read_scene(self._f4_scene(tmp_path, occ))
         assert err.value.location == "$.objects[0].voxels.f4"
 
-    @pytest.mark.parametrize("cells, error", [(32**3 - 1, TruncatedFileError),
-                                              (32**3 + 1, FileFormatError),
-                                              (32**3 // 8, TruncatedFileError)],
+    @pytest.mark.parametrize("cells", [32**3 - 1, 32**3 + 1, 32**3 // 8],
                              ids=["short", "long", "bits-sized"])
-    def test_f4_length_checked_before_decoding(self, tmp_path, monkeypatch, cells, error):
+    def test_f4_length_checked_before_decoding(self, tmp_path, monkeypatch, cells):
         path = self._f4_scene(tmp_path, np.zeros(cells))
 
         def no_decode(*args, **kwargs):
             raise AssertionError("payload decoded despite its length")
 
         monkeypatch.setattr(base64, "b64decode", no_decode)
-        with pytest.raises(error) as err:
+        with pytest.raises(FileFormatError) as err:
             read_scene(path)
+        assert type(err.value) is FileFormatError
         assert err.value.location == "$.objects[0].voxels.f4"
-        assert f"expected {F4_CHARS}" in str(err.value)
+        chars = 4 * math.ceil(4 * cells / 3)
+        assert f"payload has {chars} base64 characters, expected {F4_CHARS}" in str(err.value)
 
 
 class TestReferences:

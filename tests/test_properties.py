@@ -31,7 +31,8 @@ from hypothesis import strategies as st
 from scenefactor import io_formats
 from scenefactor.cli import main
 from scenefactor.generator import GeneratorConfig, generate_scene
-from scenefactor.geometry import Camera, Pose, UnitQuaternion, apply_pose, rotation_about_y
+from scenefactor.geometry import (Camera, Pose, UnitQuaternion, apply_pose, project,
+                                  rotation_about_y)
 from scenefactor.io_formats import (
     FileFormatError,
     read_depth_pfm,
@@ -279,6 +280,7 @@ def test_packed_iou_matches_boolean_reference(data):
 
 POSE = Pose(np.array([0.5, 2.0, 1.0]), rotation_about_y(0.3), np.array([0.1, -0.2, 3.0]))
 ONES, ZEROS = np.ones(3), np.zeros(3)
+CAMERA = Camera(fx=2.0, fy=2.0, cx=1.5, cy=1.0, width=3, height=2)
 # Each value type or point function with the drawn value in one argument.
 VALUE_TAKERS = {
     "Pose.scale": lambda v: Pose(v, UnitQuaternion.identity(), ZEROS),
@@ -289,14 +291,15 @@ VALUE_TAKERS = {
     "RigidTransform.rotation": lambda v: RigidTransform(v, ZEROS),
     "RigidTransform.translation": lambda v: RigidTransform(np.eye(3), v),
     "Layout": Layout,
-    "DepthMap": lambda v: DepthMap(v, Camera(fx=2.0, fy=2.0, cx=1.5, cy=1.0, width=3, height=2)),
+    "DepthMap": lambda v: DepthMap(v, CAMERA),
     "apply_pose": lambda v: apply_pose(POSE, v),
     "apply_pose.inverse": lambda v: apply_pose(POSE, v, inverse=True),
     "bbox_diagonal": bbox_diagonal,
+    "project": lambda v: project(CAMERA, v),
 }
 # The point functions check only the shape and compute on whatever values
 # they get, so NumPy's warnings for NaN and inf arithmetic are theirs to give.
-COMPUTES = {"apply_pose", "apply_pose.inverse", "bbox_diagonal"}
+COMPUTES = {"apply_pose", "apply_pose.inverse", "bbox_diagonal", "project"}
 SHAPES = st.sampled_from([(), (0,), (2,), (3,), (4,), (0, 3), (1, 3), (2, 3), (3, 3), (2, 2),
                           (3, 2), (1, 3, 3)])
 ENTRIES = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 1.0])
@@ -310,7 +313,9 @@ def test_value_checks_raise_only_value_error(data):
     cells = data.draw(st.lists(ENTRIES, min_size=math.prod(shape), max_size=math.prod(shape)))
     value = np.array(cells, dtype=float).reshape(shape)
     if data.draw(st.booleans()):
-        value = value.tolist()
+        if cells and data.draw(st.booleans()):  # an integer beyond the float range
+            cells[data.draw(st.integers(0, len(cells) - 1))] = 10**400
+        value = np.array(cells, dtype=object).reshape(shape).tolist()
     try:
         with np.errstate(all="ignore" if name in COMPUTES else "warn"):
             VALUE_TAKERS[name](value)

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from scenefactor import generator
 from scenefactor.detection import DEFAULT_THRESHOLDS, ApRow, EvalOutcome
 from scenefactor.geometry import DEFAULT_CAMERA, Pose, UnitQuaternion
 from scenefactor.losses import LossValueGrad
@@ -12,7 +15,6 @@ from scenefactor.scene import (
     Layout,
     SceneObject,
     compose_scene_voxels,
-    parametric_shape,
 )
 from scenefactor.voxels import Cuboid, VoxelGrid, cuboid_voxelize, resample_to_scene
 
@@ -24,39 +26,47 @@ def make_object(center, half, translation, label=None):
                        class_label=label, solid=tuple(solid))
 
 
+# The canonical lattice: 32 cells across [-0.5, 0.5].
+CELL = 1 / 32
+
+
+def drawable_solids(kind):
+    """The solid of each length combination the generator can draw for
+    ``kind``: every lattice multiple inside each length's range."""
+    _, build, lengths = generator._CLASSES[kind]
+    values = [[k * CELL for k in range(round(lo / CELL), round(hi / CELL) + 1)]
+              for lo, hi in lengths.values()]
+    return [build(**dict(zip(lengths, combo))) for combo in itertools.product(*values)]
+
+
+# Length combinations per class, 907 in all.
+COMBINATIONS = {"table": 16, "desk": 12, "chair": 252, "bed": 24, "sofa": 600,
+                "television": 3}
+
+
 class TestParametricShapes:
+    """The generator's class solids, each one it can draw."""
+
     @pytest.mark.parametrize("kind,count", [
         ("table", 5), ("desk", 5), ("chair", 6), ("bed", 2), ("sofa", 4), ("television", 1),
     ])
     def test_counts_and_containment(self, kind, count):
-        cuboids = parametric_shape(kind)
-        assert len(cuboids) == count
-        for c in cuboids:
-            lo, hi = c.bounds
-            assert lo.min() >= -0.5 - 1e-12
-            assert hi.max() <= 0.5 + 1e-12
-
-    def test_table_example_params(self):
-        cuboids = parametric_shape("table", top_thickness=0.1, leg_width=0.06)
-        assert len(cuboids) == 5
+        solids = drawable_solids(kind)
+        assert len(solids) == COMBINATIONS[kind]
+        for cuboids in solids:
+            assert len(cuboids) == count
+            for c in cuboids:
+                faces = np.concatenate(c.bounds) / CELL
+                # Inside the unit box, every face on a lattice plane.
+                assert np.all(np.abs(faces) <= 16) and np.all(faces == np.round(faces))
 
     def test_television_thin_panel(self):
-        (panel,) = parametric_shape("television")
-        assert panel.half_extents.min() <= 0.05
+        for (panel,) in drawable_solids("television"):
+            assert panel.half_extents.min() <= 0.05
 
     @pytest.mark.parametrize("kind", CLASS_LABELS)
     def test_voxelization_nonempty(self, kind):
-        assert cuboid_voxelize(parametric_shape(kind)).count() > 0
-
-    def test_out_of_range_params_rejected(self):
-        with pytest.raises(ValueError):
-            parametric_shape("table", top_thickness=0.4)
-        with pytest.raises(ValueError):
-            parametric_shape("television", panel_thickness=0.2)
-        with pytest.raises(ValueError):
-            parametric_shape("wardrobe")
-        with pytest.raises(ValueError):
-            parametric_shape("chair", armrest=0.1)
+        assert cuboid_voxelize(drawable_solids(kind)[0]).count() > 0
 
 
 class TestSceneTypes:
